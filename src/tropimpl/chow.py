@@ -11,7 +11,10 @@ outer normal fan of the Chow polytope, with edge lattice lengths as
 weights.  The pipeline here runs that route: build the fan, reconstruct a
 translate of the polytope with the vertex oracle, search for the missing
 translation, and interpolate the Chow form from random planes through
-random points of the variety.
+random points of the variety.  The interpolation runs the one
+sample -> solve -> top up -> verify policy of
+``interpolate.solve_verified``, with the same constants as the implicit
+equation.
 
 Two conventions are fixed at this module boundary.  First, chow_fan
 returns the outer normal fan; the vertex oracle reads inner normal fans
@@ -38,11 +41,15 @@ from .errors import (
     VerificationFailed,
 )
 from .implicitize import reconstruct_polytope
-from .interpolate import MonomialBasis, ImplicitPolynomial, _component_value, _random_rational
-from .polyhedra import _det
+from .interpolate import (
+    ImplicitPolynomial,
+    MonomialBasis,
+    kernel_vector,
+    random_rational,
+    solve_verified,
+)
 from .tropical import stable_sum, standard_linear_cycle
 
-VERIFY_SAMPLES = 10
 DEFAULT_MAX_DEGREE = 12
 
 
@@ -220,7 +227,8 @@ def chow_fan(C, d):
 def chow_polytope(C, d, f, degree_hint=None, seed=0, height=20,
                   max_degree=DEFAULT_MAX_DEGREE, cfg=None, report_all=False):
     """Chow polytope of the variety parametrized by f, from its tropical
-    cycle C.  Returns (translated, shift, polytope).
+    cycle C.  Returns (translated, shift, polytope, form), form being the
+    Chow form interpolated on the accepted polytope.
 
     The vertex oracle reconstructs the polytope only up to a translation
     that pins it against the coordinate hyperplanes.  The true position is
@@ -230,7 +238,8 @@ def chow_polytope(C, d, f, degree_hint=None, seed=0, height=20,
     fixes it; a candidate is accepted when Chow-form interpolation over the
     shifted polytope yields a one-dimensional kernel that survives fresh
     samples.  With report_all, every accepted shift of the winning degree
-    is returned in place of the single shift.
+    is returned in place of the single shift, and polytope and form
+    belong to the first of them.
     """
     n = C.ambient_dim - 1
     if f.d != d or f.n != n:
@@ -256,18 +265,19 @@ def chow_polytope(C, d, f, degree_hint=None, seed=0, height=20,
         for s in _compositions(total, n + 1):
             candidate = translated.translate(s)
             try:
-                chow_form(f, candidate, d, n, seed=seed, height=height)
+                form = chow_form(f, candidate, d, n, seed=seed, height=height)
             except (KernelEmpty, KernelTooBig, VerificationFailed):
                 continue
-            accepted.append(s)
             if not report_all:
-                return translated, s, candidate
+                return translated, s, candidate, form
+            accepted.append((s, candidate, form))
         if accepted:
             break
     if not accepted:
         raise ShiftSearchFailed(
             f"no shift up to degree {degrees[-1]} admits a Chow form")
-    return translated, accepted, translated.translate(accepted[0])
+    _, candidate, form = accepted[0]
+    return translated, [s for s, _, _ in accepted], candidate, form
 
 
 def _compositions(total, parts):
@@ -336,16 +346,16 @@ def _primal_pluecker(span_rows, d, n):
         raise ValueError(
             f"span of rank {n + 1 - len(kernel)} does not cut a "
             f"{d}-codimensional kernel")
-    return tuple(_det([[row[j] for j in T] for row in kernel])
+    return tuple(ec.det([[row[j] for j in T] for row in kernel])
                  for T in itertools.combinations(range(n + 1), d + 1))
 
 
 def _draw_pluecker(f, d, n, rng, height):
     """One random plane through a random point of the variety, as a
     canonical integer Pluecker vector; None if genericity failed."""
-    t = tuple(_random_rational(rng, height) for _ in range(f.d))
-    x = (1,) + tuple(_component_value(comp, t) for comp in f.components)
-    rows = [x] + [[_random_rational(rng, height) for _ in range(n + 1)]
+    x = (1,) + f.evaluate(tuple(random_rational(rng, height)
+                                for _ in range(f.d)))
+    rows = [x] + [[random_rational(rng, height) for _ in range(n + 1)]
                   for _ in range(n - d - 1)]
     if ec.rational_rank(rows) < n - d:
         return None
@@ -367,10 +377,10 @@ def chow_sample(f, d, n, seed=0, height=20):
     raise SamplingExhausted("no generic plane found in 100 draws")
 
 
-def _sample_batch(f, d, n, count, rng, height, seen):
-    """Draw count fresh samples, skipping degenerate draws and projective
-    duplicates of anything already recorded in seen."""
+def _sample_batch(f, d, n, count, rng, height):
+    """Draw count distinct samples, skipping degenerate draws."""
     out = []
+    seen = set()
     budget = 100 * max(count, 1)
     while len(out) < count and budget > 0:
         budget -= 1
@@ -393,8 +403,9 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
 
     The ansatz takes every standard monomial whose weight is a lattice
     point of C_X; rows are evaluations at random Chow-hypersurface
-    samples.  The kernel must be one-dimensional, and the resulting form
-    must vanish on fresh verification samples.
+    samples.  ``solve_verified`` tops the samples up while the kernel is
+    more than one-dimensional and accepts the form only if it vanishes
+    on fresh samples.
     """
     if f.d != d or f.n != n:
         raise DimensionMismatch(
@@ -416,41 +427,20 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
         unknowns.extend(standard_monomials_of_weight(u, d, n))
     if not unknowns:
         raise KernelEmpty("no standard monomials on the candidate polytope")
-    index = {}
-    for mono in unknowns:
-        for T in mono.factors:
-            index.setdefault(T, None)
     positions = list(itertools.combinations(range(n + 1), d + 1))
 
-    rng = random.Random(seed)
-    seen = set()
-    count = len(unknowns) - 1
-    samples = _sample_batch(f, d, n, count, rng, height, seen)
-    for attempt in range(2):
-        rows = []
-        for p in samples:
-            values = dict(zip(positions, p))
-            rows.append([mono.evaluate(values) for mono in unknowns])
-        if rows:
-            kernel = ec.rational_kernel(rows, len(unknowns))
-        else:
-            kernel = [(1,)]
-        if len(kernel) == 1:
-            break
-        if attempt == 1:
-            raise KernelTooBig(
-                f"kernel dimension {len(kernel)} over {len(unknowns)} "
-                f"standard monomials")
-        # one more chance with extra rows before giving up
-        samples = samples + _sample_batch(f, d, n, 10, rng, height, seen)
-    coeffs = kernel[0]
-    form = PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs) if c])
-    fresh = _sample_batch(f, d, n, VERIFY_SAMPLES, rng, height, seen)
-    for p in fresh:
-        if form.evaluate(dict(zip(positions, p))):
-            raise VerificationFailed(
-                "candidate Chow form does not vanish on fresh samples")
-    return form
+    def sampler(count, s):
+        batch = _sample_batch(f, d, n, count, random.Random(s), height)
+        return [dict(zip(positions, p)) for p in batch]
+
+    def solve(samples):
+        rows = [[mono.evaluate(values) for mono in unknowns]
+                for values in samples]
+        coeffs = kernel_vector(ec.rational_kernel(rows, len(unknowns)))
+        return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
+                                  if c])
+
+    return solve_verified(len(unknowns), sampler, solve, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +524,7 @@ def _minor_linear_form(rows, T, n):
     form = []
     for ell, var in enumerate(comp):
         cols = [c for m, c in enumerate(comp) if m != ell]
-        minor = _det([[row[c] for c in cols] for row in rows]) if k else 1
+        minor = ec.det([[row[c] for c in cols] for row in rows]) if k else 1
         sign = -1 if (k + ell) % 2 else 1
         form.append((ec.rat(shuffle * sign * minor), var))
     return form

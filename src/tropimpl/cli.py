@@ -28,7 +28,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import exactcore as ec
-from .chow import chow_fan, chow_form, chow_polytope
+from .chow import chow_fan, chow_polytope
 from .errors import (
     DimensionMismatch,
     InputFormatError,
@@ -61,7 +61,6 @@ class JobSpec:
     height: int = 20
     delta: int = 1
     polytope_only: bool = False
-    threads: int = 1
     force: bool = False
 
     def validate(self):
@@ -70,8 +69,6 @@ class JobSpec:
             raise InputFormatError("height must be at least 2")
         if self.delta < 1:
             raise InputFormatError("delta must be a positive integer")
-        if self.threads < 1:
-            raise InputFormatError("threads must be at least 1")
 
 
 def _build_parser():
@@ -94,7 +91,6 @@ def _build_parser():
                         help="degree of the parametrization onto its image")
         sp.add_argument("--polytope-only", action="store_true",
                         help="stop after polytope reconstruction")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--force", action="store_true",
                         help="lift the lattice enumeration size guard")
     return parser
@@ -179,24 +175,6 @@ def _polytope_artifact(P, force=False):
     return out
 
 
-def _polynomial_artifact(poly):
-    """Full basis listing; zero coefficients are kept, spelled "0/1"."""
-    terms = []
-    for e, c in zip(poly.basis, poly.coefficients):
-        if c == 0:
-            coeff = "0/1"
-        elif isinstance(c, int):
-            coeff = c
-        else:
-            coeff = f"{c.numerator}/{c.denominator}"
-        terms.append({"coeff": coeff, "exp": list(e)})
-    out = {"vars": [f"x{i + 1}" for i in range(poly.basis.ambient_dim)],
-           "terms": terms}
-    if poly.modulus is not None:
-        out["modulus"] = poly.modulus
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -226,7 +204,7 @@ def cmd_implicitize(spec, obj):
     if not spec.polytope_only:
         poly = implicit_equation(f, P, field=spec.field, seed=spec.seed,
                                  height=spec.height)
-        out["polynomial"] = _polynomial_artifact(poly)
+        out["polynomial"] = poly.to_json()
     return out
 
 
@@ -240,7 +218,7 @@ def cmd_adisc(spec, obj):
         B = [list(b) for b in ec.rational_kernel(A)]
         poly = implicit_equation((A, B), P, field=spec.field, seed=spec.seed,
                                  height=spec.height)
-        out["polynomial"] = _polynomial_artifact(poly)
+        out["polynomial"] = poly.to_json()
     return out
 
 
@@ -268,10 +246,9 @@ def cmd_chow(spec, obj):
         out["translated_polytope"] = reconstruct_polytope(
             fan.negated(), _oracle_cfg(spec.seed)).to_json()
         return out
-    translated, shift, P = chow_polytope(
+    translated, shift, P, form = chow_polytope(
         C, d, f, seed=spec.seed, height=spec.height,
         cfg=_oracle_cfg(spec.seed))
-    form = chow_form(f, P, d, n, seed=spec.seed, height=spec.height)
     out["translated_polytope"] = translated.to_json()
     out["shift"] = list(shift)
     out["polytope"] = P.to_json()
@@ -377,8 +354,7 @@ def main(argv=None):
     spec = JobSpec(command=args.command, input_path=args.input_path,
                    output_path=args.output_path, field=args.field,
                    seed=args.seed, height=args.height, delta=args.delta,
-                   polytope_only=args.polytope_only, threads=args.threads,
-                   force=args.force)
+                   polytope_only=args.polytope_only, force=args.force)
     try:
         spec.validate()
         obj = _load_json(spec.input_path)

@@ -43,14 +43,28 @@ def div_exact(a, d):
     return rat(int(an) * int(dd), int(ad) * int(dn))
 
 
+def power(x, e):
+    """x ** e for rational x and integer e; a negative e needs x nonzero."""
+    if e >= 0:
+        return x ** e
+    return div_exact(1, x ** (-e))
+
+
 def rat_from_json(v):
-    """Parse the wire form: bare int, or a "num/den" decimal string."""
+    """Parse the wire form: bare int, or a "num/den" decimal string.
+
+    JSON booleans and zero denominators raise ValueError.
+    """
+    if isinstance(v, bool):
+        raise ValueError(f"not a rational: {v!r}")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
         if "/" in v:
-            num, den = v.split("/", 1)
-            return rat(int(num), int(den))
+            num, den = (int(x) for x in v.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator in {v!r}")
+            return rat(num, den)
         return int(v)
     raise ValueError(f"not a rational: {v!r}")
 
@@ -61,14 +75,6 @@ def rat_to_json(q):
     if q.denominator == 1:
         return int(q)
     return f"{int(q.numerator)}/{int(q.denominator)}"
-
-
-def vec_to_json(v):
-    return [rat_to_json(x) for x in v]
-
-
-def vec_from_json(v):
-    return tuple(rat_from_json(x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +90,6 @@ def transpose(M):
 
 def mat_vec(M, v):
     return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in M)
-
-
-def mat_mul(A, B):
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
 def dot(u, v):
@@ -272,18 +273,6 @@ def smith_normal_form(M):
     return A, U, V
 
 
-def lattice_normal_form(M, kind="smith"):
-    """Dispatch to Hermite or Smith form; returns (N, (U, V))."""
-    if kind == "hermite":
-        H, U = row_hermite(M)
-        n = len(M[0]) if M else 0
-        return H, (U, identity_matrix(n))
-    if kind == "smith":
-        D, U, V = smith_normal_form(M)
-        return D, (U, V)
-    raise ValueError(f"unknown normal form kind: {kind!r}")
-
-
 def integer_kernel(M, ncols=None):
     """Basis of the saturated lattice {v in Z^n : M v = 0}, Hermite-reduced."""
     if ncols is None:
@@ -318,15 +307,6 @@ class LatticeBasis:
     @property
     def rank(self):
         return len(self.vectors)
-
-    def to_json(self):
-        return {"ambient_dim": self.ambient_dim,
-                "vectors": [list(v) for v in self.vectors]}
-
-    @staticmethod
-    def from_json(obj):
-        return LatticeBasis(obj["ambient_dim"],
-                            tuple(tuple(int(x) for x in v) for v in obj["vectors"]))
 
 
 def saturate(generators, ambient_dim=None):
@@ -453,6 +433,28 @@ def _bareiss_echelon(rows):
         piv_cols.append(c)
         r += 1
     return M[:r], piv_cols
+
+
+def det(rows):
+    """Exact determinant of a square matrix of rationals."""
+    M = [list(r) for r in rows]
+    n = len(M)
+    out = 1
+    sign = 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if M[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            sign = -sign
+        piv = M[c][c]
+        out = out * piv
+        for i in range(c + 1, n):
+            f = div_exact(M[i][c], piv)
+            if f:
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return sign * out
 
 
 def rational_rank(rows):
@@ -644,17 +646,6 @@ def gfp_kernel(rows, p, ncols=None):
         inv = pow(lead, p - 2, p)
         basis.append(tuple(v * inv % p for v in x))
     return basis
-
-
-def kernel_basis(M, field="q", ncols=None):
-    """Right kernel basis over Q ("q") or GF(p) (pass the prime)."""
-    if field == "q":
-        return rational_kernel(M, ncols)
-    if isinstance(field, int):
-        return gfp_kernel(M, field, ncols)
-    if isinstance(field, PrimeField):
-        return gfp_kernel(M, field.p, ncols)
-    raise ValueError(f"unknown field spec: {field!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -51,23 +51,6 @@ class OracleConfig:
             raise ValueError("max_retries must be nonnegative")
 
 
-def _coeff_from_json(x):
-    if isinstance(x, bool):
-        raise ValueError("coefficient must be a number")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return ec.rat(int(num), int(den) if den else 1)
-    raise ValueError(f"bad coefficient {x!r}")
-
-
-def _coeff_to_json(c):
-    if isinstance(c, int):
-        return c
-    return f"{c.numerator}/{c.denominator}"
-
-
 class Parametrization:
     """n Laurent polynomial components in d torus variables.
 
@@ -100,7 +83,7 @@ class Parametrization:
     @classmethod
     def from_json(cls, obj):
         try:
-            comps = [[(_coeff_from_json(t["coeff"]), t["exp"])
+            comps = [[(ec.rat_from_json(t["coeff"]), t["exp"])
                       for t in comp["terms"]]
                      for comp in obj["components"]]
             return cls(int(obj["d"]), int(obj["n"]), comps)
@@ -112,11 +95,25 @@ class Parametrization:
             "d": self.d,
             "n": self.n,
             "components": [
-                {"terms": [{"coeff": _coeff_to_json(c), "exp": list(e)}
+                {"terms": [{"coeff": ec.rat_to_json(c), "exp": list(e)}
                            for c, e in terms]}
                 for terms in self.components
             ],
         }
+
+    def evaluate(self, t):
+        """The image point f(t) at a parameter point t of nonzero rationals."""
+        point = []
+        for terms in self.components:
+            total = 0
+            for coeff, exp in terms:
+                v = coeff
+                for x, k in zip(t, exp):
+                    if k:
+                        v = v * ec.power(x, k)
+                total += v
+            point.append(total)
+        return tuple(point)
 
     def newton_polytopes(self):
         return [Polytope([e for _, e in terms]) for terms in self.components]

@@ -7,6 +7,11 @@ parameters through the parametrization, or through the Horn map for
 discriminants.  Kernels are computed exactly over Q or a prime field, with
 an optional multi-prime mode that lifts prime-field solutions back to Q by
 Chinese remaindering.
+
+Every interpolation, here and for Chow forms, runs one policy,
+``solve_verified``: solve on |unknowns| - 1 samples, top the samples up
+while the kernel is too big, and accept the kernel vector only once it
+vanishes on fresh samples.
 """
 
 import random
@@ -23,6 +28,13 @@ from .errors import (
 from .implicitize import Parametrization
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# the sample -> solve -> top up -> verify policy of solve_verified
+MAX_TOP_UPS = 5
+VERIFY_SAMPLES = 10
+# crt budgets: skipped primes, and primes used as a multiple of those asked
+MAX_SKIPPED_PRIMES = 5
+MAX_PRIME_FACTOR = 6
 
 
 def _is_prime(m):
@@ -79,12 +91,6 @@ def parse_field(spec):
     raise InputFormatError(f"unknown field spec {spec!r}")
 
 
-def _pow(x, e):
-    if e >= 0:
-        return x ** e
-    return ec.div_exact(1, x ** (-e))
-
-
 def _pow_mod(x, e, p):
     if e >= 0:
         return pow(x, e, p)
@@ -126,7 +132,7 @@ class MonomialBasis:
             v = 1
             for x, k in zip(point, e):
                 if k:
-                    v *= _pow(x, k)
+                    v *= ec.power(x, k)
             out.append(v)
         return tuple(out)
 
@@ -188,13 +194,12 @@ class ImplicitPolynomial:
         return [(c, e) for c, e in zip(self.coefficients, self.basis) if c]
 
     def to_json(self):
-        n = self.basis.ambient_dim
+        """Full basis listing; zero coefficients are kept, spelled "0/1"."""
         out = {
-            "vars": [f"x{i + 1}" for i in range(n)],
-            "terms": [{"coeff": c if isinstance(c, int)
-                       else f"{c.numerator}/{c.denominator}",
+            "vars": [f"x{i + 1}" for i in range(self.basis.ambient_dim)],
+            "terms": [{"coeff": ec.rat_to_json(c) if c else "0/1",
                        "exp": list(e)}
-                      for c, e in self.terms()],
+                      for e, c in zip(self.basis, self.coefficients)],
         }
         if self.modulus is not None:
             out["modulus"] = self.modulus
@@ -205,22 +210,12 @@ class ImplicitPolynomial:
         return f"ImplicitPolynomial({len(self.terms())} terms {kind})"
 
 
-def _random_rational(rng, height):
+def random_rational(rng, height):
+    """sign * num/den with num, den uniform in [1, height]."""
     num = rng.randint(1, height)
     den = rng.randint(1, height)
     sign = 1 if rng.random() < 0.5 else -1
     return ec.rat(sign * num, den)
-
-
-def _component_value(terms, t):
-    total = 0
-    for coeff, exp in terms:
-        v = coeff
-        for x, k in zip(t, exp):
-            if k:
-                v = v * _pow(x, k)
-        total += v
-    return total
 
 
 def sample_points(f, count, height=20, seed=0):
@@ -238,8 +233,8 @@ def sample_points(f, count, height=20, seed=0):
     out = []
     seen = set()
     for _ in range(100 * count):
-        t = tuple(_random_rational(rng, height) for _ in range(f.d))
-        x = tuple(_component_value(terms, t) for terms in f.components)
+        x = f.evaluate(tuple(random_rational(rng, height)
+                             for _ in range(f.d)))
         if any(v == 0 for v in x) or x in seen:
             continue
         seen.add(x)
@@ -273,8 +268,8 @@ def horn_sample(A, B, count, height=20, seed=0):
     out = []
     seen = set()
     for _ in range(100 * count):
-        u = tuple(_random_rational(rng, height) for _ in range(len(B)))
-        t = tuple(_random_rational(rng, height) for _ in range(d))
+        u = tuple(random_rational(rng, height) for _ in range(len(B)))
+        t = tuple(random_rational(rng, height) for _ in range(d))
         ub = [sum(u[r] * B[r][j] for r in range(len(B))) for j in range(n)]
         if any(v == 0 for v in ub):
             continue
@@ -283,7 +278,7 @@ def horn_sample(A, B, count, height=20, seed=0):
             v = ub[j]
             for i in range(d):
                 if A[i][j]:
-                    v = v * _pow(t[i], A[i][j])
+                    v = v * ec.power(t[i], A[i][j])
             x.append(v)
         x = tuple(x)
         if x in seen:
@@ -334,6 +329,13 @@ def vandermonde_kernel(basis, points, field="q"):
                 continue
             rows.append(basis.row_mod(red, p))
         kernel = ec.gfp_kernel(rows, p, len(basis))
+    return kernel_vector(kernel)
+
+
+def kernel_vector(kernel):
+    """The one vector of a kernel basis: KernelEmpty when the basis is
+    empty (no equation fits), KernelTooBig when it has several vectors
+    (the samples do not yet pin the equation down)."""
     if not kernel:
         raise KernelEmpty(
             "no nonzero polynomial on this basis fits the samples")
@@ -343,15 +345,40 @@ def vandermonde_kernel(basis, points, field="q"):
     return kernel[0]
 
 
+def solve_verified(unknowns, sampler, solve, seed):
+    """The sample -> solve -> top up -> verify loop of every interpolation.
+
+    ``sampler(count, seed)`` draws count fresh samples, the same ones for
+    the same seed.  ``solve(samples)`` returns the candidate built from
+    the one kernel vector of the evaluation matrix, raising KernelTooBig
+    or KernelEmpty as ``kernel_vector`` does.  The first solve uses
+    unknowns - 1 samples; while it raises KernelTooBig, up to MAX_TOP_UPS
+    rounds each add unknowns // 4 + 10 samples drawn with seed + round,
+    and after that the KernelTooBig stands.  The candidate is returned
+    only if it vanishes on VERIFY_SAMPLES fresh samples (``_verify``).
+    """
+    samples = sampler(max(unknowns - 1, 1), seed)
+    rounds = 0
+    while True:
+        try:
+            candidate = solve(samples)
+            break
+        except KernelTooBig:
+            rounds += 1
+            if rounds > MAX_TOP_UPS:
+                raise
+            samples = samples + sampler(unknowns // 4 + 10, seed + rounds)
+    _verify(candidate, sampler, seed)
+    return candidate
+
+
 def implicit_equation(f, P, field="q", seed=0, height=20):
     """Defining equation of the hypersurface with Newton polytope P.
 
     f is a Parametrization, or an (A, B) matrix pair meaning points come
-    from the Horn map.  Uses |basis| - 1 samples and certifies the answer
-    on ten fresh samples (VerificationFailed otherwise).  When the kernel
-    comes back too big the sample set is topped up and the solve retried a
-    few times: over a small prime the reduction discards a fraction of the
-    rows, so the shortfall grows with the basis.
+    from the Horn map.  The coefficients are solved and certified by
+    ``solve_verified``; over a small prime the reduction discards a
+    fraction of the rows, which its top-ups make up for.
     """
     kind, arg = parse_field(field)
     basis = MonomialBasis.from_polytope(P)
@@ -364,83 +391,95 @@ def implicit_equation(f, P, field="q", seed=0, height=20):
         def sampler(m, s):
             return horn_sample(A, B, m, height, s)
 
-    pts = sampler(max(len(basis) - 1, 1), seed)
     if kind == "crt":
-        coeffs = _crt_kernel(basis, pts, arg, sampler, seed)
-        poly = ImplicitPolynomial(basis, coeffs)
+        solve = _crt_solver(basis, arg)
     else:
-        fld = "q" if kind == "q" else arg
-        rounds = 0
-        while True:
-            try:
-                coeffs = vandermonde_kernel(basis, pts, fld)
-                break
-            except KernelTooBig:
-                rounds += 1
-                if rounds > 5:
-                    raise
-                pts = pts + sampler(len(basis) // 4 + 10, seed + rounds)
-        poly = ImplicitPolynomial(basis, coeffs,
-                                  modulus=arg if kind == "gf" else None)
-    _verify(poly, sampler, seed)
-    return poly
+        modulus = arg if kind == "gf" else None
+
+        def solve(points):
+            coeffs = vandermonde_kernel(basis, points, modulus or "q")
+            return ImplicitPolynomial(basis, coeffs, modulus)
+
+    return solve_verified(len(basis), sampler, solve, seed)
 
 
-def _crt_kernel(basis, pts, nprimes, sampler, seed):
-    """Per-prime kernels, aligned by a common unit coordinate, lifted to Q."""
-    gen = _primes_descending(ec.DEFAULT_PRIME)
+def _crt_solver(basis, nprimes):
+    """``solve`` for the crt field: one kernel vector per word-size prime,
+    aligned on a common unit coordinate and lifted to Q.
+
+    A prime whose kernel is too big before any prime has solved asks the
+    loop for more samples (KernelTooBig) and is retried on the grown set,
+    which every later prime keeps.  Once some prime has solved, the
+    samples are known to pin the equation down, so a later prime whose
+    kernel is still too big reduces badly and is skipped, at most
+    MAX_SKIPPED_PRIMES times.  When reconstruction fails, nprimes more
+    primes are added, up to MAX_PRIME_FACTOR * nprimes in all.
+    """
+    primes = _primes_descending(ec.DEFAULT_PRIME)
     residues = []
     used = []
+    p = next(primes)
     target = nprimes
-    grew = False
     skipped = 0
-    while True:
-        while len(used) < target:
-            p = next(gen)
+
+    def solve(points):
+        nonlocal p, target, skipped
+        while True:
+            while len(used) < target:
+                try:
+                    residues.append(vandermonde_kernel(basis, points, p))
+                    used.append(p)
+                except KernelTooBig:
+                    if not residues:
+                        raise
+                    skipped += 1
+                    if skipped > MAX_SKIPPED_PRIMES:
+                        raise ReconstructionFailed(
+                            f"{skipped} primes lost rank on the samples")
+                p = next(primes)
+            unit = next((j for j in range(len(basis))
+                         if all(v[j] for v in residues)), None)
+            if unit is None:
+                raise ReconstructionFailed(
+                    "no basis coordinate is a unit for every prime")
+            scaled = []
+            for v, q in zip(residues, used):
+                inv = pow(v[unit], q - 2, q)
+                scaled.append(tuple(x * inv % q for x in v))
             try:
-                v = vandermonde_kernel(basis, pts, p)
-            except KernelTooBig:
-                if not grew:
-                    pts = pts + sampler(10, seed + 1)
-                    grew = True
-                    continue
-                skipped += 1
-                if skipped > 5:
+                lifted = ec.crt_rational_reconstruct(scaled, used)
+            except ReconstructionFailed:
+                if target >= MAX_PRIME_FACTOR * nprimes:
                     raise
+                target += nprimes
                 continue
-            residues.append(v)
-            used.append(p)
-        unit = next((j for j in range(len(basis))
-                     if all(v[j] for v in residues)), None)
-        if unit is None:
-            raise ReconstructionFailed(
-                "no basis coordinate is a unit for every prime")
-        scaled = []
-        for v, p in zip(residues, used):
-            inv = pow(v[unit], p - 2, p)
-            scaled.append(tuple(x * inv % p for x in v))
-        try:
-            lifted = ec.crt_rational_reconstruct(scaled, used)
-        except ReconstructionFailed:
-            if target >= 6 * nprimes:
-                raise
-            target += nprimes
-            continue
-        return ec.canonicalize_rational_vector(list(lifted))
+            return ImplicitPolynomial(
+                basis, ec.canonicalize_rational_vector(list(lifted)))
+
+    return solve
 
 
 def _verify(poly, sampler, seed):
+    """VerificationFailed unless poly vanishes on VERIFY_SAMPLES fresh
+    samples where it can be evaluated.
+
+    Over a small prime a sample's denominator can vanish; only then are
+    four times as many samples drawn, from the same seed.
+    """
     checked = 0
-    for pt in sampler(40, seed + 1000):
-        try:
-            value = poly.evaluate(pt)
-        except ZeroDivisionError:
-            continue
-        if value != 0:
-            raise VerificationFailed(
-                f"candidate equation is nonzero at fresh sample {pt}")
-        checked += 1
-        if checked == 10:
-            return
+    drawn = 0
+    for count in (VERIFY_SAMPLES, 4 * VERIFY_SAMPLES):
+        for pt in sampler(count, seed + 1000)[drawn:]:
+            try:
+                value = poly.evaluate(pt)
+            except ZeroDivisionError:
+                continue
+            if value != 0:
+                raise VerificationFailed(
+                    f"candidate equation is nonzero at fresh sample {pt}")
+            checked += 1
+            if checked == VERIFY_SAMPLES:
+                return
+        drawn = count
     raise VerificationFailed(
-        "fewer than 10 fresh samples could be evaluated")
+        f"fewer than {VERIFY_SAMPLES} fresh samples could be evaluated")

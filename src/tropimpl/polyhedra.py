@@ -10,7 +10,6 @@ lazily in the quotient modulo lineality.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 from . import exactcore as ec
@@ -237,15 +236,9 @@ class Polytope:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self, include_facets=False):
-        out = {"vertices": [[ec.rat_to_json(x) for x in v]
-                            for v in self.vertices]}
-        if include_facets:
-            # facets() is outer form a.x <= b; store the inner normal
-            out["facets"] = [
-                {"normal": [-x for x in a], "offset": ec.rat_to_json(-b)}
-                for a, b, _ in self.facets()]
-        return out
+    def to_json(self):
+        return {"vertices": [[ec.rat_to_json(x) for x in v]
+                             for v in self.vertices]}
 
     @staticmethod
     def from_json(obj):
@@ -345,12 +338,12 @@ class Polytope:
                     raise EnumerationTooLarge(
                         "lattice point sweep exceeded the budget")
                 if j + 1 == k:
-                    if all(ec.dot(u, y) <= b for u, b in systems[k]):
-                        pt = list(base)
-                        for c, row in zip(y, L):
-                            for i in range(self.ambient_dim):
-                                pt[i] += c * row[i]
-                        out.append(tuple(pt))
+                    # systems[k] already bounded this last coordinate
+                    pt = list(base)
+                    for c, row in zip(y, L):
+                        for i in range(self.ambient_dim):
+                            pt[i] += c * row[i]
+                    out.append(tuple(pt))
                 else:
                     sweep(j + 1)
 
@@ -465,29 +458,8 @@ def normalized_volume(P, lattice=None):
     total = 0
     for s in simplices:
         rows = [[a - b for a, b in zip(ys[i], centroid)] for i in s]
-        total += abs(_det(rows))
+        total += abs(ec.det(rows))
     return total if isinstance(total, int) else ec.rat(total)
-
-
-def _det(rows):
-    M = [list(r) for r in rows]
-    n = len(M)
-    det = 1
-    sign = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if M[i][c]), None)
-        if p is None:
-            return 0
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            sign = -sign
-        piv = M[c][c]
-        det = det * piv
-        for i in range(c + 1, n):
-            f = ec.div_exact(M[i][c], piv)
-            if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return sign * det
 
 
 def minkowski_sum(polys):

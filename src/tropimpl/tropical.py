@@ -9,7 +9,6 @@ cone with the summed weight.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import exactcore as ec

@@ -15,7 +15,7 @@ import sympy
 
 from oracle_utils import mixed_area
 from tropimpl import exactcore as ec
-from tropimpl.chow import chow_fan, chow_form, chow_polytope
+from tropimpl.chow import chow_fan, chow_polytope
 from tropimpl.errors import TropicalError
 from tropimpl.implicitize import (
     Parametrization,
@@ -175,12 +175,11 @@ def test_criterion_07_chow_pipeline():
     assert len(fan) == 16
     assert all(cone.dim == 3 and cone.lineality_dim == 1 for cone, _ in fan)
 
-    translated, shift, P = chow_polytope(C, 1, QUARTIC, seed=0)
+    translated, shift, P, form = chow_polytope(C, 1, QUARTIC, seed=0)
     assert sorted(translated.vertices) == QUARTIC_TRANSLATED
     assert shift == (1, 0, 0, 1)
     assert sorted(P.vertices) == QUARTIC_CHOW
 
-    form = chow_form(QUARTIC, P, 1, 3, seed=0)
     got = {m.factors: c for m, c in form.terms}
     assert got[((0, 3), (0, 3), (0, 3), (0, 3))] == 1
     assert got[((0, 2), (0, 3), (0, 3), (1, 3))] == -5

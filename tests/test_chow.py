@@ -29,7 +29,7 @@ from tropimpl.errors import (
     ShiftSearchFailed,
 )
 from tropimpl.implicitize import Parametrization, get_tropical_cycle
-from tropimpl.interpolate import _component_value, implicit_equation
+from tropimpl.interpolate import implicit_equation
 from tropimpl.polyhedra import Cone, Polytope
 from tropimpl.tropical import TropicalCycle, homogenize_cycle
 
@@ -310,18 +310,21 @@ class TestChowSample:
 
 class TestChowPolytope:
     def test_quartic_full_pipeline(self):
-        translated, shift, P = chow_polytope(quartic_cycle(), 1, QUARTIC)
+        translated, shift, P, form = chow_polytope(
+            quartic_cycle(), 1, QUARTIC)
         assert sorted(translated.vertices) == TRANSLATED_VERTICES
         assert shift == (1, 0, 0, 1)
         assert sorted(P.vertices) == CHOW_VERTICES
+        assert {m.factors: c for m, c in form.terms} == QUARTIC_CHOW_FORM
         # every lattice point sits on the degree hyperplane
         assert {sum(u) for u in P.lattice_points()} == {8}
 
     def test_degree_hint_and_report_all(self):
-        translated, shifts, P = chow_polytope(
+        translated, shifts, P, form = chow_polytope(
             quartic_cycle(), 1, QUARTIC, degree_hint=4, report_all=True)
         assert shifts == [(1, 0, 0, 1)]
         assert sorted(P.vertices) == CHOW_VERTICES
+        assert {m.factors: c for m, c in form.terms} == QUARTIC_CHOW_FORM
 
     def test_wrong_degree_hint_fails(self):
         with pytest.raises(ShiftSearchFailed):
@@ -330,7 +333,7 @@ class TestChowPolytope:
     def test_hypersurface_case(self):
         affine = get_tropical_cycle(CUSP.newton_polytopes())
         C = homogenize_cycle(affine)
-        translated, shift, P = chow_polytope(C, 1, CUSP)
+        translated, shift, P, _ = chow_polytope(C, 1, CUSP)
         assert sorted(translated.vertices) == [(0, 3, 0), (1, 0, 2)]
         assert shift == (2, 0, 1)
         assert sorted(P.vertices) == [(2, 3, 1), (3, 0, 3)]
@@ -360,7 +363,7 @@ class TestChowForm:
         # x_j -> (-1)^(n-j) p_(complement of j), up to one global sign
         affine = get_tropical_cycle(CUSP.newton_polytopes())
         C = homogenize_cycle(affine)
-        _, _, P = chow_polytope(C, 1, CUSP)
+        _, _, P, _ = chow_polytope(C, 1, CUSP)
         form = chow_form(CUSP, P, 1, 2, seed=0)
 
         F = implicit_equation(CUSP, Polytope([(0, 0), (3, 0), (0, 2)]))
@@ -390,7 +393,7 @@ class TestChowToEquations:
         assert len(polys) == 2
         for _ in range(10):
             t = (ec.rat(rng.randint(-30, 30), rng.randint(1, 30)),)
-            x = (1,) + tuple(_component_value(c, t) for c in QUARTIC.components)
+            x = (1,) + QUARTIC.evaluate(t)
             for poly in polys:
                 assert poly.evaluate(x) == 0
         # at least one equation is nontrivial away from the curve

@@ -5,6 +5,7 @@ artifact wire formats, the error object contract and byte determinism.
 The curve fixtures and their expected equations match the library tests.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -58,10 +59,6 @@ class TestJobSpec:
     def test_bad_height_rejected(self):
         with pytest.raises(InputFormatError):
             JobSpec("implicitize", "a", "b", height=1).validate()
-
-    def test_bad_threads_rejected(self):
-        with pytest.raises(InputFormatError):
-            JobSpec("implicitize", "a", "b", threads=0).validate()
 
 
 class TestTrialSeed:
@@ -259,6 +256,41 @@ class TestMfpSearch:
         assert json.loads(out)["error"] == "parse"
 
 
+class TestGoldenArtifacts:
+    """Artifact bytes for fixed small inputs and the default seed, pinned
+    by sha256 so a refactor cannot change any output silently."""
+
+    QUADRATIC = {"rows": [[1, 1, 1], [0, 1, 2]]}
+    JOBS = [
+        ("trop-cycle", CURVE, [],
+         "318b47e349f85973993dd38addc3adabdf185f8ccb54c0752629f6ac1fbe3c43"),
+        ("newton", CURVE, [],
+         "8474ada9c6d3bbb410c03eb6436f98564a7560ccaa3a286024eac7426ac29136"),
+        ("implicitize", CURVE, [],
+         "358a53c287f2031475544a9033ea8e832d0b9271019be7503f05470daa46a979"),
+        ("implicitize", CURVE, ["--field", "gf:101"],
+         "b6322b3588fbcf207e627d23d261da8c3dcc721dd8e201f9c4d028768e207f83"),
+        ("implicitize", CURVE, ["--field", "crt:2"],
+         "358a53c287f2031475544a9033ea8e832d0b9271019be7503f05470daa46a979"),
+        ("implicitize", SPARSE_CURVE, [],
+         "3bb4af0f12e60f2045936a052c83598c6f590bc4824464e93659952f10686617"),
+        ("adisc", QUADRATIC, [],
+         "92e76add0662aba1d1a01ede825e99bdc433e605195a06d77ad47f45fe671c9e"),
+        ("adisc", QUADRATIC, ["--field", "gf:101"],
+         "d6d7011e8416f46e723f49d3b43e354c13e75556b4ba62f6e0a5a5fc18953d34"),
+        ("chow", CUSP_JOB, [],
+         "9a11ca07c2aa7ab7de6d5e096c5d56205de25079445a4203605e249dea994ca0"),
+    ]
+
+    @pytest.mark.parametrize("command,obj,flags,digest", JOBS)
+    def test_artifact_hash(self, tmp_path, command, obj, flags, digest):
+        out = tmp_path / "out.json"
+        rc, _ = run([command, "--in", write(tmp_path / "in.json", obj),
+                     "--out", str(out)] + flags)
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestErrorContract:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -303,6 +335,30 @@ class TestErrorContract:
                        "--height", "1"], capsys)
         assert rc == 2
         assert json.loads(out)["error"] == "parse"
+
+    def test_zero_denominator_coefficient_exits_2(self, tmp_path, capsys):
+        param = json.loads(json.dumps(CURVE))
+        param["components"][0]["terms"][0]["coeff"] = "1/0"
+        rc, out = run(["trop-cycle",
+                       "--in", write(tmp_path / "p.json", param),
+                       "--out", str(tmp_path / "o.json")], capsys)
+        assert rc == 2
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert "denominator" in err["message"]
+
+    def test_zero_denominator_vertex_exits_2(self, tmp_path, capsys):
+        obj = {"polytopes": [{"vertices": [["1/0", 0], [1, 1]]},
+                             {"vertices": [[0, 0], [2, 1]]}]}
+        rc, out = run(["trop-cycle",
+                       "--in", write(tmp_path / "p.json", obj),
+                       "--out", str(tmp_path / "o.json")], capsys)
+        assert rc == 2
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert "denominator" in err["message"]
 
     def test_no_artifact_written_on_failure(self, tmp_path, capsys):
         target = tmp_path / "o.json"

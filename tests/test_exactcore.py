@@ -43,6 +43,11 @@ def oracle_det(M):
     return total
 
 
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
 def oracle_solve(cols, b):
     """Solve sum_j x_j * cols[j] = b over Fraction, or None. Gaussian."""
     n = len(b)
@@ -100,9 +105,13 @@ def test_rat_collapses_integers():
 
 def test_rat_json_round_trip():
     vals = [0, -7, ec.rat(22, 7), ec.rat(-3, 5), 10 ** 30]
-    wire = ec.vec_to_json(vals)
+    wire = [ec.rat_to_json(x) for x in vals]
     assert wire[2] == "22/7" and wire[3] == "-3/5" and wire[0] == 0
-    assert list(ec.vec_from_json(wire)) == vals
+    assert [ec.rat_from_json(x) for x in wire] == vals
+    assert ec.rat_from_json("6/2") == 3 and ec.rat_from_json("-5") == -5
+    for bad in (True, False, 1.5, None, "1/0", "0/0", "1/", "x"):
+        with pytest.raises(ValueError):
+            ec.rat_from_json(bad)
 
 
 def test_div_exact_mixed_types():
@@ -131,7 +140,7 @@ def test_row_hermite_transform_and_shape():
         n = rng.randint(1, 4)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         H, U = ec.row_hermite(M)
-        assert ec.mat_mul(U, M) == H
+        assert mat_mul(U, M) == H
         assert abs(oracle_det([[Fraction(x) for x in row] for row in U])) == 1
         pivots = []
         for row in H:
@@ -161,7 +170,7 @@ def test_smith_form_matches_minor_gcd_oracle():
         cases.append([[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)])
     for M in cases:
         D, U, V = ec.smith_normal_form(M)
-        assert ec.mat_mul(ec.mat_mul(U, M), V) == D
+        assert mat_mul(mat_mul(U, M), V) == D
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         diag = [d for d in diag if d]
         for a, b in zip(diag, diag[1:]):
@@ -178,12 +187,22 @@ def test_smith_form_frozen_examples():
 
 def test_lattice_normal_form_dispatch():
     M = [[2, 4], [6, 8]]
-    H, (U, V) = ec.lattice_normal_form(M, kind="hermite")
-    assert ec.mat_mul(U, M) == H
-    D, (U, V) = ec.lattice_normal_form(M, kind="smith")
-    assert ec.mat_mul(ec.mat_mul(U, M), V) == D
-    with pytest.raises(ValueError):
-        ec.lattice_normal_form(M, kind="jordan")
+    H, U = ec.row_hermite(M)
+    assert H == [[2, 0], [0, 4]] and mat_mul(U, M) == H
+    D, U, V = ec.smith_normal_form(M)
+    assert D == [[2, 0], [0, 4]] and mat_mul(mat_mul(U, M), V) == D
+
+
+def test_det_matches_cofactor_oracle():
+    rng = random.Random(5151)
+    assert ec.det([]) == 1
+    assert ec.det([[0, 1], [1, 0]]) == -1
+    assert ec.det([[1, 2], [2, 4]]) == 0
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        M = [[ec.rat(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        assert ec.det(M) == oracle_det(M)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +365,8 @@ def test_gfp_kernel_matches_rational_on_safe_matrices():
 
 def test_kernel_basis_dispatch():
     M = [[1, 1, 1]]
-    assert ec.kernel_basis(M, "q") == ec.rational_kernel(M)
-    assert ec.kernel_basis(M, 7) == ec.gfp_kernel(M, 7)
-    assert ec.kernel_basis(M, ec.PrimeField(7)) == ec.gfp_kernel(M, 7)
-    with pytest.raises(ValueError):
-        ec.kernel_basis(M, "r")
+    assert ec.rational_kernel(M) == [(1, -1, 0), (1, 0, -1)]
+    assert ec.gfp_kernel(M, 7) == [(1, 6, 0), (1, 0, 6)]
 
 
 # ---------------------------------------------------------------------------

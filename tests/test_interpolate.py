@@ -12,6 +12,7 @@ import pytest
 import sympy
 
 from tropimpl import exactcore as ec
+from tropimpl import interpolate
 from tropimpl.errors import (
     InputFormatError,
     KernelEmpty,
@@ -21,14 +22,18 @@ from tropimpl.errors import (
 )
 from tropimpl.implicitize import Parametrization, reconstruct_polytope, get_tropical_cycle
 from tropimpl.interpolate import (
+    MAX_TOP_UPS,
+    VERIFY_SAMPLES,
     ImplicitPolynomial,
     MonomialBasis,
     _is_prime,
     _verify,
     horn_sample,
     implicit_equation,
+    kernel_vector,
     parse_field,
     sample_points,
+    solve_verified,
     vandermonde_kernel,
 )
 from tropimpl.polyhedra import Polytope
@@ -215,13 +220,16 @@ class TestImplicitPolynomial:
             ImplicitPolynomial(basis, (1,))
 
     def test_json_terms_skip_zeros(self):
-        basis = MonomialBasis([(0, 0), (0, 3), (2, 0)])
-        poly = ImplicitPolynomial(basis, (5, 0, -1))
+        # the artifact form: the full basis, zero coefficients as "0/1"
+        basis = MonomialBasis([(0, 0), (0, 3), (2, 0), (2, 1)])
+        poly = ImplicitPolynomial(basis, (5, 0, -1, ec.rat(-3, 4)))
         out = poly.to_json()
         assert out["vars"] == ["x1", "x2"]
         assert out["terms"] == [
             {"coeff": 5, "exp": [0, 0]},
+            {"coeff": "0/1", "exp": [0, 3]},
             {"coeff": -1, "exp": [2, 0]},
+            {"coeff": "-3/4", "exp": [2, 1]},
         ]
         assert "modulus" not in out
 
@@ -235,3 +243,106 @@ class TestImplicitPolynomial:
 
         with pytest.raises(VerificationFailed):
             _verify(wrong, sampler, 0)
+
+
+class Vanishing:
+    """Candidate that vanishes at every sample except the bad ones and
+    cannot be evaluated at the ones listed in skip."""
+
+    def __init__(self, bad=(), skip=()):
+        self.bad = set(bad)
+        self.skip = set(skip)
+
+    def evaluate(self, pt):
+        if pt in self.skip:
+            raise ZeroDivisionError
+        return 1 if pt in self.bad else 0
+
+
+class TestSolveVerified:
+    """The shared loop, driven by a fake sampler and fake kernels."""
+
+    def run(self, nullities, unknowns=20, bad=(), skip=()):
+        draws = []
+        solves = []
+
+        def sampler(count, seed):
+            draws.append((count, seed))
+            return [(seed, i) for i in range(count)]
+
+        def solve(samples):
+            solves.append(len(samples))
+            k = nullities[min(len(solves), len(nullities)) - 1]
+            kernel = [tuple(int(i == j) for i in range(unknowns))
+                      for j in range(k)]
+            kernel_vector(kernel)
+            return Vanishing(bad, skip)
+
+        try:
+            result = solve_verified(unknowns, sampler, solve, 7)
+        except (KernelEmpty, KernelTooBig, VerificationFailed) as exc:
+            result = exc
+        return result, draws, solves
+
+    def test_nullity_one_at_once(self):
+        result, draws, solves = self.run([1])
+        assert isinstance(result, Vanishing)
+        assert draws == [(19, 7), (VERIFY_SAMPLES, 1007)]
+        assert solves == [19]
+
+    def test_one_top_up(self):
+        result, draws, solves = self.run([2, 1])
+        assert isinstance(result, Vanishing)
+        assert draws == [(19, 7), (20 // 4 + 10, 8), (VERIFY_SAMPLES, 1007)]
+        assert solves == [19, 34]
+
+    def test_kernel_too_big_after_all_top_ups(self):
+        result, draws, solves = self.run([2])
+        assert isinstance(result, KernelTooBig)
+        assert len(solves) == MAX_TOP_UPS + 1
+        assert draws == [(19, 7)] + [(15, 7 + r)
+                                     for r in range(1, MAX_TOP_UPS + 1)]
+
+    def test_empty_kernel(self):
+        result, draws, solves = self.run([0])
+        assert isinstance(result, KernelEmpty)
+        assert solves == [19]
+
+    def test_wrong_vector_fails_verification(self):
+        result, _, _ = self.run([1], bad=[(1007, 3)])
+        assert isinstance(result, VerificationFailed)
+
+    def test_wrong_vector_after_top_up_fails_verification(self):
+        result, _, solves = self.run([3, 1], bad=[(1007, 0)])
+        assert isinstance(result, VerificationFailed)
+        assert solves == [19, 34]
+
+    def test_unevaluable_samples_draw_more_from_the_same_seed(self):
+        result, draws, _ = self.run([1], skip=[(1007, 0), (1007, 4)])
+        assert isinstance(result, Vanishing)
+        assert draws[1:] == [(VERIFY_SAMPLES, 1007),
+                             (4 * VERIFY_SAMPLES, 1007)]
+        everywhere = [(1007, i) for i in range(4 * VERIFY_SAMPLES - 9)]
+        result, _, _ = self.run([1], skip=everywhere)
+        assert isinstance(result, VerificationFailed)
+
+
+def test_crt_tops_up_then_skips_a_bad_prime(monkeypatch):
+    # the first prime asks for more samples and is retried on the grown
+    # set; a later prime that still fails on it is skipped
+    real = interpolate.vandermonde_kernel
+    calls = []
+
+    def flaky(basis, points, field="q"):
+        calls.append((field, len(points)))
+        if len(calls) in (1, 3):
+            raise KernelTooBig("simulated")
+        return real(basis, points, field)
+
+    monkeypatch.setattr(interpolate, "vandermonde_kernel", flaky)
+    poly = implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE, field="crt:2")
+    assert poly.coefficients == (1, -4)
+    primes = [p for p, _ in calls]
+    assert primes[0] == primes[1] == ec.DEFAULT_PRIME
+    assert len(set(primes)) == 3
+    assert [n for _, n in calls] == [1, 11, 11, 11]

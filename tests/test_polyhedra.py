@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -182,6 +184,31 @@ def test_lattice_points_3d():
                            (3, 3, -3), (3, -3, 3), (-3, 3, 3)])
     pts = hexagon.lattice_points()
     assert all(sum(p) == 3 for p in pts)
+
+
+def test_lattice_points_match_brute_force_3d():
+    # full-dimensional, flat, rational and single-segment cases against a
+    # box sweep filtered by exact containment
+    rng = random.Random(6006)
+    shapes = []
+    for _ in range(10):
+        shapes.append([tuple(rng.randint(-4, 4) for _ in range(3))
+                       for _ in range(rng.randint(4, 7))])
+    for _ in range(4):
+        shapes.append([tuple(ec.rat(rng.randint(-9, 9), 2) for _ in range(3))
+                       for _ in range(rng.randint(4, 6))])
+    for _ in range(4):
+        # a polygon in the plane x + 2y - z = 1
+        shapes.append([(x, y, x + 2 * y - 1) for x, y in
+                       ((rng.randint(-3, 3), rng.randint(-3, 3))
+                        for _ in range(rng.randint(3, 5)))])
+    shapes.append([(0, 0, 0), (4, 2, 6)])
+    for pts in shapes:
+        P = ph.Polytope(pts)
+        box = [range(math.floor(min(p[i] for p in pts)),
+                     math.ceil(max(p[i] for p in pts)) + 1) for i in range(3)]
+        expected = [q for q in product(*box) if P.contains(q)]
+        assert P.lattice_points() == expected
 
 
 # ---------------------------------------------------------------------------
