@@ -24,7 +24,9 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
     _mpq = Fraction
 
-# Largest prime below 2^31; products of two residues stay inside int64.
+# Moduli of GF(p) arithmetic stay below PRIME_BOUND, so products of two
+# residues stay inside int64; DEFAULT_PRIME is the largest such prime.
+PRIME_BOUND = 2 ** 31
 DEFAULT_PRIME = 2147483647
 
 
@@ -586,66 +588,75 @@ class PrimeField:
 
 
 def gfp_echelon(rows, p):
-    """Row echelon mod p with unit pivots; returns (rows, pivot_cols).
+    """Reduced row echelon form mod p; returns (rows, pivot_cols).
 
-    Vectorized over numpy int64; safe for p < 2^31.
+    The rows come back as one int64 array with zero rows dropped: every
+    pivot is 1 and every pivot column is zero outside its pivot row.
+    Entries must fit int64 and p must be below PRIME_BOUND.  Updates are
+    reduced mod p only as often as int64 needs: one update subtracts at
+    most (p - 1)^2 from an entry, so ``budget`` updates can run between
+    reductions (delayed reduction, as in Dumas, Giorgi, Pernet, ACM TOMS
+    35(3), 2008).
     """
     import numpy as np
 
-    M = np.array([[int(x) % p for x in row] for row in rows], dtype=np.int64)
+    M = np.remainder(np.asarray(rows, dtype=np.int64), p)
     m, n = M.shape
+    budget = (2 ** 63 - 1) // (p - 1) ** 2
+    pending = 0
     piv_cols = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+        col = M[:, c] % p
+        M[:, c] = col
+        nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
         i0 = r + int(nz[0])
         if i0 != r:
             M[[r, i0]] = M[[i0, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r, c:] = (M[r, c:] * inv) % p
-        below = M[r + 1:, c]
-        mask = below != 0
-        if mask.any():
-            idx = np.nonzero(mask)[0] + r + 1
-            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
+            col[[r, i0]] = col[[i0, r]]
+        if pending == budget:
+            np.remainder(M[:, c:], p, out=M[:, c:])
+            pending = 0
+        pivot_row = M[r, c:] % p * pow(int(col[r]), p - 2, p) % p
+        col[r] = 0
+        M[:, c:] -= col[:, None] * pivot_row
+        M[r, c:] = pivot_row
+        pending += 1
         piv_cols.append(c)
         r += 1
-    return M[:r], piv_cols
+    return np.remainder(M[:r], p), piv_cols
 
 
 def gfp_kernel(rows, p, ncols=None):
-    """Kernel basis mod p, each vector scaled so its first nonzero entry is 1."""
+    """Kernel basis mod p, each vector scaled so its first nonzero entry is 1.
+
+    Vectors are ordered by their free column.  The one for free column f
+    is 1 at f, 0 at the other free columns and minus column f of the
+    reduced echelon form at the pivot columns, the only kernel vector of
+    that shape.  Entries must fit int64 and p must be below PRIME_BOUND.
+    """
+    import numpy as np
+
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
-    rows = [r for r in rows if any(int(x) % p for x in r)]
-    if not rows:
-        return [tuple(r) for r in identity_matrix(ncols)]
-    ech, piv = gfp_echelon(rows, p)
-    free = [c for c in range(ncols) if c not in piv]
-    basis = []
-    for f in free:
-        x = [0] * ncols
-        x[f] = 1
-        for k in range(len(piv) - 1, -1, -1):
-            c = piv[k]
-            s = 0
-            row = ech[k]
-            for j in range(c + 1, ncols):
-                if x[j]:
-                    s += int(row[j]) * x[j]
-            x[c] = (-s) % p
-        lead = next(v for v in x if v)
-        inv = pow(lead, p - 2, p)
-        basis.append(tuple(v * inv % p for v in x))
-    return basis
+    M = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    R, piv = gfp_echelon(M, p)
+    pivots = set(piv)
+    free = [c for c in range(ncols) if c not in pivots]
+    K = np.zeros((len(free), ncols), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, piv] = np.remainder(-R[:, free].T, p)
+    lead = K[np.arange(len(free)), (K != 0).argmax(axis=1)]
+    inv = np.array([pow(int(a), p - 2, p) for a in lead], dtype=np.int64)
+    K = K * inv[:, None] % p
+    return [tuple(v) for v in K.tolist()]
 
 
 # ---------------------------------------------------------------------------

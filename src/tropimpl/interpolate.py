@@ -70,31 +70,48 @@ def _primes_descending(start):
 
 
 def parse_field(spec):
-    """Field spec: "q", "gf:<prime>", "crt:<count>", or a bare prime."""
+    """Field spec: "q", "gf:<prime>", "crt:<count>", or a bare prime.
+
+    A prime must lie below ec.PRIME_BOUND, where int64 elimination mod p
+    is exact.
+    """
     if spec is None or spec == "q":
         return ("q", None)
-    if isinstance(spec, int):
-        if not _is_prime(spec):
-            raise InputFormatError(f"{spec} is not prime")
-        return ("gf", spec)
-    if isinstance(spec, str):
-        if spec.startswith("gf:"):
-            p = int(spec[3:])
-            if not _is_prime(p):
-                raise InputFormatError(f"{p} is not prime")
-            return ("gf", p)
-        if spec.startswith("crt:"):
-            k = int(spec[4:])
-            if k < 1:
-                raise InputFormatError("crt wants a positive prime count")
-            return ("crt", k)
-    raise InputFormatError(f"unknown field spec {spec!r}")
+    if isinstance(spec, str) and spec.startswith("crt:"):
+        k = int(spec[4:])
+        if k < 1:
+            raise InputFormatError("crt wants a positive prime count")
+        return ("crt", k)
+    if isinstance(spec, str) and spec.startswith("gf:"):
+        p = int(spec[3:])
+    elif isinstance(spec, int):
+        p = spec
+    else:
+        raise InputFormatError(f"unknown field spec {spec!r}")
+    if not _is_prime(p):
+        raise InputFormatError(f"{p} is not prime")
+    if p >= ec.PRIME_BOUND:
+        raise InputFormatError(
+            f"prime {p} is not below 2^31, the bound for exact int64 "
+            f"arithmetic mod p")
+    return ("gf", p)
 
 
-def _pow_mod(x, e, p):
-    if e >= 0:
-        return pow(x, e, p)
-    return pow(pow(x, p - 2, p), -e, p)
+def _power_table(x, lo, hi, p):
+    """[x^lo, ..., x^hi] mod p for lo <= 0 <= hi.
+
+    x^-k is (x^(p-2))^k.  For p > 2 a zero x thus gives 1 at exponent 0
+    and 0 at every other exponent, negative ones included.
+    """
+    table = [1]
+    if lo < 0:
+        inv = pow(x, p - 2, p)
+        for _ in range(-lo):
+            table.append(table[-1] * inv % p)
+        table.reverse()
+    for _ in range(hi):
+        table.append(table[-1] * x % p)
+    return table
 
 
 class MonomialBasis:
@@ -114,6 +131,10 @@ class MonomialBasis:
                 raise ValueError(f"duplicate exponent {a}")
         self.exponents = tuple(exps)
         self.ambient_dim = ambient_dim
+        # exponent range of each coordinate, widened to contain 0
+        self.lo = tuple(min(0, *col) for col in zip(*exps))
+        self.hi = tuple(max(0, *col) for col in zip(*exps))
+        self._index = None
 
     @classmethod
     def from_polytope(cls, P):
@@ -137,14 +158,29 @@ class MonomialBasis:
         return tuple(out)
 
     def row_mod(self, point, p):
-        out = []
-        for e in self.exponents:
-            v = 1
-            for x, k in zip(point, e):
-                if k:
-                    v = v * _pow_mod(x, k, p) % p
-            out.append(v)
-        return tuple(out)
+        """Values of every basis monomial mod p at a point of residues.
+
+        Each coordinate's powers over its exponent range are tabulated
+        by ``_power_table``; one gather picks every monomial's factors.
+        """
+        import numpy as np
+
+        if self._index is None:
+            # exponents shifted by their coordinate's minimum, plus the
+            # offset of that coordinate's table in the concatenation
+            spans = [hi - lo + 1 for lo, hi in zip(self.lo, self.hi)]
+            start = np.cumsum([0] + spans[:-1], dtype=np.int64)
+            self._index = (np.array(self.exponents, dtype=np.int64)
+                           - np.array(self.lo, dtype=np.int64)
+                           + start).T.copy()
+        tables = []
+        for x, lo, hi in zip(point, self.lo, self.hi):
+            tables += _power_table(x % p, lo, hi, p)
+        factors = np.array(tables, dtype=np.int64)[self._index]
+        vals = np.ones(len(self.exponents), dtype=np.int64)
+        for f in factors:
+            vals = vals * f % p
+        return tuple(vals.tolist())
 
     def __repr__(self):
         return (f"MonomialBasis({len(self.exponents)} monomials "
@@ -177,18 +213,41 @@ class ImplicitPolynomial:
         raise KeyError(f"{exponent} is outside the basis")
 
     def evaluate(self, point):
-        if self.modulus is None:
+        """Value at a rational point, exact over Q and mod p otherwise.
+
+        Over Q each coordinate a/b contributes a^(e-lo) b^(hi-e) to the
+        monomial x^e, with lo <= 0 <= hi the basis's exponent range there,
+        so the sum stays in integers and is divided once, by the product
+        of a^-lo b^hi.  A negative power of a zero coordinate raises
+        ZeroDivisionError.
+        """
+        if self.modulus is not None:
+            p = self.modulus
+            reduced = ec.PrimeField(p).reduce_vector(point)
             total = 0
-            for c, v in zip(self.coefficients, self.basis.row(point)):
-                if c:
-                    total += c * v
-            return total
-        p = self.modulus
-        reduced = ec.PrimeField(p).reduce_vector(point)
+            for c, v in zip(self.coefficients,
+                            self.basis.row_mod(reduced, p)):
+                total += c * v
+            return total % p
+        basis = self.basis
+        tables = []
+        den = 1
+        for x, lo, hi in zip(point, basis.lo, basis.hi):
+            a, b = int(x.numerator), int(x.denominator)
+            if a == 0 and lo < 0:
+                raise ZeroDivisionError(
+                    "negative power of a zero coordinate")
+            tables.append([a ** k * b ** (hi - lo - k)
+                           for k in range(hi - lo + 1)])
+            den *= a ** -lo * b ** hi
         total = 0
-        for c, v in zip(self.coefficients, self.basis.row_mod(reduced, p)):
-            total += c * v
-        return total % p
+        for c, e in zip(self.coefficients, basis.exponents):
+            if c:
+                v = c
+                for t, k, lo in zip(tables, e, basis.lo):
+                    v *= t[k - lo]
+                total += v
+        return ec.rat(total, den)
 
     def terms(self):
         return [(c, e) for c, e in zip(self.coefficients, self.basis) if c]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import exactcore as ec
-from .errors import DimensionMismatch, LoopyMatroid
+from .errors import DimensionMismatch, InputFormatError, LoopyMatroid
 from .polyhedra import Cone
 
 # Min convention: a weight vector w lies in the tropicalization of a linear
@@ -76,14 +76,19 @@ class TropicalCycle:
 
     @staticmethod
     def from_json(obj):
+        """Parse the wire form; InputFormatError when a ray or lineality
+        vector is not of length ambient_dim."""
         n = obj["ambient_dim"]
         items = []
         for it in obj["items"]:
-            cone = Cone([tuple(int(x) for x in r) for r in it["cone"]["rays"]],
-                        [tuple(int(x) for x in l)
-                         for l in it["cone"].get("lineality", [])],
-                        ambient_dim=n)
-            items.append((cone, int(it["weight"])))
+            rays = [tuple(int(x) for x in r) for r in it["cone"]["rays"]]
+            lin = [tuple(int(x) for x in l)
+                   for l in it["cone"].get("lineality", [])]
+            for v in rays + lin:
+                if len(v) != n:
+                    raise InputFormatError(
+                        f"cone generator {list(v)} is not of length {n}")
+            items.append((Cone(rays, lin, ambient_dim=n), int(it["weight"])))
         return TropicalCycle(n, obj["pure_dim"], items)
 
     def __repr__(self):

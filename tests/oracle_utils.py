@@ -88,3 +88,45 @@ def lattice_points2d(points):
             if contains2d(points, (x, y)):
                 out.append((x, y))
     return sorted(out)
+
+
+def pow_mod_row(exponents, point, p):
+    """Monomial values mod p, one pow per (monomial, coordinate), with
+    x^-k taken as (x^(p-2))^k: the per-entry reference for row_mod."""
+    out = []
+    for e in exponents:
+        v = 1
+        for x, k in zip(point, e):
+            if k:
+                base = x if k > 0 else pow(x, p - 2, p)
+                v = v * pow(base, abs(k), p) % p
+        out.append(v)
+    return tuple(out)
+
+
+def gfp_kernel_back_substitution(rows, p, ncols):
+    """Kernel basis mod p in Python ints, by forward elimination to unit
+    pivots and back-substitution per free column, each vector scaled so
+    its first nonzero entry is 1: the reference for gfp_kernel."""
+    M = [[x % p for x in row] for row in rows]
+    ech = []
+    piv = []
+    for c in range(ncols):
+        i0 = next((i for i, row in enumerate(M) if row[c]), None)
+        if i0 is None:
+            continue
+        top = M.pop(i0)
+        inv = pow(top[c], p - 2, p)
+        top = [x * inv % p for x in top]
+        M = [[(a - row[c] * b) % p for a, b in zip(row, top)] for row in M]
+        ech.append(top)
+        piv.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in piv):
+        x = [0] * ncols
+        x[f] = 1
+        for row, c in reversed(list(zip(ech, piv))):
+            x[c] = -sum(row[j] * x[j] for j in range(c + 1, ncols)) % p
+        inv = pow(next(v for v in x if v), p - 2, p)
+        basis.append(tuple(v * inv % p for v in x))
+    return basis

@@ -261,6 +261,9 @@ class TestGoldenArtifacts:
     by sha256 so a refactor cannot change any output silently."""
 
     QUADRATIC = {"rows": [[1, 1, 1], [0, 1, 2]]}
+    # 6-point discriminant, 205 monomials, over Q from 4 word-size primes
+    SIX_POINTS = {"rows": [[1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13],
+                           [7, 6, 4, 3, 2, 1]]}
     JOBS = [
         ("trop-cycle", CURVE, [],
          "318b47e349f85973993dd38addc3adabdf185f8ccb54c0752629f6ac1fbe3c43"),
@@ -280,6 +283,8 @@ class TestGoldenArtifacts:
          "d6d7011e8416f46e723f49d3b43e354c13e75556b4ba62f6e0a5a5fc18953d34"),
         ("chow", CUSP_JOB, [],
          "9a11ca07c2aa7ab7de6d5e096c5d56205de25079445a4203605e249dea994ca0"),
+        ("adisc", SIX_POINTS, ["--field", "crt:2"],
+         "ce0b58c751d48af087d5f5efb2473525b582117b2ce20e7c0f877291d063a2a9"),
     ]
 
     @pytest.mark.parametrize("command,obj,flags,digest", JOBS)
@@ -359,6 +364,36 @@ class TestErrorContract:
         err = json.loads(out)
         assert err["error"] == "parse"
         assert "denominator" in err["message"]
+
+    def test_prime_above_word_size_exits_2(self, tmp_path, capsys):
+        # int64 elimination mod this prime overflows: the equation found
+        # would fail verification
+        rc, out = run(["implicitize",
+                       "--in", write(tmp_path / "p.json", SPARSE_CURVE),
+                       "--out", str(tmp_path / "o.json"),
+                       "--field", "gf:4294967311"], capsys)
+        assert rc == 2
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert "2^31" in err["message"]
+
+    @pytest.mark.parametrize("cone", [
+        {"rays": [[1, 0, 5]], "lineality": []},
+        {"rays": [[1, 0]], "lineality": [[1]]}])
+    def test_cycle_generator_of_wrong_length_exits_2(self, tmp_path, capsys,
+                                                     cone):
+        cycle = {"ambient_dim": 2, "pure_dim": 1, "items": [
+            {"cone": cone, "weight": 1},
+            {"cone": {"rays": [[0, 1]], "lineality": []}, "weight": 1},
+            {"cone": {"rays": [[-1, -1]], "lineality": []}, "weight": 1}]}
+        rc, out = run(["newton", "--in", write(tmp_path / "c.json", cycle),
+                       "--out", str(tmp_path / "o.json")], capsys)
+        assert rc == 2
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert "length 2" in err["message"]
 
     def test_no_artifact_written_on_failure(self, tmp_path, capsys):
         target = tmp_path / "o.json"

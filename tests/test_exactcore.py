@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_utils import gfp_kernel_back_substitution
 from tropimpl import exactcore as ec
 from tropimpl.errors import RankDeficient, ReconstructionFailed, SpanMismatch
 
@@ -361,6 +364,22 @@ def test_gfp_kernel_matches_rational_on_safe_matrices():
             lead = next(x for x in w if x)
             reduced.append(tuple(x * F.inv(lead) % p for x in w))
         assert sorted(reduced) == sorted(KP)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([7, 2 ** 31 - 1]), st.data())
+def test_gfp_kernel_matches_back_substitution(p, data):
+    # M = A B with B of k < n rows has rank at most k < n: a kernel exists
+    m = data.draw(st.integers(0, 10))
+    n = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(0, n - 1))
+    entries = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    A = data.draw(st.lists(entries, min_size=m, max_size=m))
+    B = [list(col) for col in zip(*data.draw(
+        st.lists(entries, min_size=n, max_size=n)))]
+    M = [[sum(A[i][l] * B[l][j] for l in range(k)) % p for j in range(n)]
+         for i in range(m)]
+    assert ec.gfp_kernel(M, p, n) == gfp_kernel_back_substitution(M, p, n)
 
 
 def test_kernel_basis_dispatch():

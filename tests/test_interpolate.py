@@ -7,10 +7,14 @@ independently via sympy.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_utils import pow_mod_row
 from tropimpl import exactcore as ec
 from tropimpl import interpolate
 from tropimpl.errors import (
@@ -53,9 +57,12 @@ class TestFieldSpec:
         assert parse_field("gf:101") == ("gf", 101)
         assert parse_field(7) == ("gf", 7)
         assert parse_field("crt:3") == ("crt", 3)
+        assert parse_field(ec.DEFAULT_PRIME) == ("gf", ec.DEFAULT_PRIME)
 
     def test_rejects_bad_specs(self):
-        for bad in ("gf:8", 9, "crt:0", "maple"):
+        # primes from 2^31 on would overflow the int64 elimination
+        for bad in ("gf:8", 9, "crt:0", "maple", "gf:4294967311",
+                    4294967311, "gf:2147483659"):
             with pytest.raises(InputFormatError):
                 parse_field(bad)
 
@@ -79,6 +86,48 @@ class TestMonomialBasis:
         basis = MonomialBasis([(-1, 1), (0, 0)])
         assert basis.row((ec.rat(1, 2), 3)) == (6, 1)
         assert basis.row_mod((2, 3), 7) == (3 * 4 % 7, 1)
+
+
+# the loop versions as references: seeded, derandomized examples
+REFERENCE = settings(max_examples=100, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def bases_with_negative_exponents(draw):
+    n = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(-4, 5)] * n),
+                         min_size=1, max_size=20, unique=True))
+    return MonomialBasis(exps)
+
+
+class TestLoopReferences:
+    @REFERENCE
+    @given(bases_with_negative_exponents(),
+           st.sampled_from([2, 3, 101, 2 ** 31 - 1]), st.data())
+    def test_row_mod_matches_pow_loop(self, basis, p, data):
+        coordinate = st.one_of(st.just(0), st.integers(0, p - 1),
+                               st.integers(-3 * p, 3 * p))
+        point = data.draw(st.tuples(*[coordinate] * basis.ambient_dim))
+        assert basis.row_mod(point, p) == pow_mod_row(basis.exponents,
+                                                      point, p)
+
+    @REFERENCE
+    @given(bases_with_negative_exponents(), st.data())
+    def test_evaluate_over_q_matches_fraction_row_sum(self, basis, data):
+        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis),
+                                    max_size=len(basis)).filter(any))
+        # zero coordinates come up often enough to reach ZeroDivisionError
+        coordinate = st.fractions(-9, 9, max_denominator=9)
+        point = data.draw(st.tuples(*[coordinate] * basis.ambient_dim))
+        poly = ImplicitPolynomial(basis, coeffs)
+        try:
+            expected = sum(c * v for c, v in zip(coeffs, basis.row(point)))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                poly.evaluate(point)
+            return
+        assert poly.evaluate(point) == expected
 
 
 class TestSampling:
