@@ -575,13 +575,10 @@ class PrimeField:
         den = int(q.denominator) % self.p
         if den == 0:
             raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-        return num * pow(den, self.p - 2, self.p) % self.p
+        return num * pow(den, -1, self.p) % self.p
 
     def reduce_vector(self, v):
         return tuple(self.reduce(x) for x in v)
-
-    def inv(self, a):
-        return pow(a % self.p, self.p - 2, self.p)
 
     def __repr__(self):
         return f"PrimeField({self.p})"

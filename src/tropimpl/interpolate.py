@@ -218,12 +218,16 @@ class ImplicitPolynomial:
         Over Q each coordinate a/b contributes a^(e-lo) b^(hi-e) to the
         monomial x^e, with lo <= 0 <= hi the basis's exponent range there,
         so the sum stays in integers and is divided once, by the product
-        of a^-lo b^hi.  A negative power of a zero coordinate raises
-        ZeroDivisionError.
+        of a^-lo b^hi.  A negative power of a zero coordinate, or of a
+        coordinate that vanishes mod p, raises ZeroDivisionError.
         """
         if self.modulus is not None:
             p = self.modulus
             reduced = ec.PrimeField(p).reduce_vector(point)
+            if any(x == 0 and lo < 0
+                   for x, lo in zip(reduced, self.basis.lo)):
+                raise ZeroDivisionError(
+                    f"negative power of a coordinate that vanishes mod {p}")
             total = 0
             for c, v in zip(self.coefficients,
                             self.basis.row_mod(reduced, p)):

@@ -3,8 +3,9 @@
 Polytopes are built from vertex candidates by an incremental beneath-beyond
 hull in chart coordinates of their own affine lattice, so lower dimensional
 polytopes in a high ambient space cost no more than full dimensional ones.
-Cones carry rays plus a lineality space and compute their facet description
-lazily in the quotient modulo lineality.
+Cones carry rays plus a lineality space; their integer equations and facet
+normals are read off, lazily, from the same hull of the origin, the rays and
+both signs of the lineality vectors, so membership is a few dot products.
 """
 
 from __future__ import annotations
@@ -518,11 +519,10 @@ class Cone:
         self.ambient_dim = ambient_dim
         lin = [l for l in lineality if any(l)]
         self.lineality = tuple(ec.saturate(lin, ambient_dim)) if lin else ()
-        self._lin_rref, self._lin_piv = ec.rref(
-            [list(l) for l in self.lineality], ambient_dim)
+        rref, piv = ec.rref([list(l) for l in self.lineality], ambient_dim)
         cleaned = set()
         for r in rays:
-            red = ec.reduce_mod_subspace(r, self._lin_rref, self._lin_piv)
+            red = ec.reduce_mod_subspace(r, rref, piv)
             if any(red):
                 cleaned.add(ec.primitive_vector(red))
         self.rays = tuple(sorted(cleaned))
@@ -539,105 +539,55 @@ class Cone:
     def lineality_dim(self):
         return len(self.lineality)
 
-    def _span_coords(self, x):
-        if not self.span:
-            return () if not any(x) else None
-        return ec.solve_linear(ec.transpose([list(v) for v in self.span]), x)
-
     def _build_hrep(self):
-        """Quotient map, facet normals in the quotient, extreme rays; peels
-        hidden lineality if the ray set is not pointed modulo lineality."""
+        """Integer H-representation, read off one polytope hull.
+
+        The cone is the tangent cone at 0 of the polytope spanned by the
+        origin, the rays and both signs of every lineality vector, so the
+        polytope's equations are the span equations and its facets through 0
+        are the cone's facets.  Rays lying on every such facet are hidden
+        lineality; a ray outside it is extreme when its active facets have
+        rank q - 1, q being the dimension modulo the full lineality.
+        """
         if self._hrep is not None:
             return self._hrep
-        rays = self.rays
-        lin = list(self.lineality)
-        while True:
-            span = list(self.span)
-            s = len(span)
-            lam = [self._span_coords_for(span, l) for l in lin]
-            phi = ec.rational_kernel(lam, s) if lam else \
-                [tuple(r) for r in ec.identity_matrix(s)]
-            q = len(phi)
-            imgs = []
-            for r in rays:
-                c = self._span_coords_for(span, r)
-                v = tuple(ec.dot(u, c) for u in phi)
-                imgs.append(ec.primitive_vector(v) if any(v) else None)
-            imgs = [v for v in imgs if v is not None]
-            facets = set()
-            if q > 0 and imgs:
-                for S in combinations(range(len(imgs)), q - 1):
-                    rows = [list(imgs[i]) for i in S]
-                    ker = ec.rational_kernel(rows, q)
-                    if len(ker) != 1:
-                        continue
-                    u = ker[0]
-                    vals = [ec.dot(u, v) for v in imgs]
-                    if all(x >= 0 for x in vals):
-                        facets.add(u)
-                    elif all(x <= 0 for x in vals):
-                        facets.add(tuple(-x for x in u))
-            hidden = []
-            kept_rays = []
-            for rv, rimg in zip(rays, imgs):
-                if q == 0 or all(ec.dot(u, rimg) == 0 for u in facets):
-                    hidden.append(rv)
-                else:
-                    kept_rays.append((rv, rimg))
-            if not hidden:
-                extreme = []
-                for rv, rimg in kept_rays:
-                    active = [list(u) for u in facets if ec.dot(u, rimg) == 0]
-                    if ec.rational_rank(active) == q - 1:
-                        extreme.append(rv)
-                self._hrep = {
-                    "lineality": tuple(lin),
-                    "phi": phi,
-                    "span": tuple(span),
-                    "facets": sorted(facets),
-                    "extreme_rays": tuple(sorted(extreme)),
-                    "lin_rref": ec.rref([list(l) for l in lin],
-                                        self.ambient_dim),
-                }
-                return self._hrep
-            lin = list(ec.saturate(lin + hidden, self.ambient_dim))
-            rref, piv = ec.rref([list(l) for l in lin], self.ambient_dim)
-            newrays = set()
-            for rv in rays:
-                red = ec.reduce_mod_subspace(rv, rref, piv)
-                if any(red):
-                    newrays.add(ec.primitive_vector(red))
-            rays = tuple(sorted(newrays))
-
-    def _span_coords_for(self, span, x):
-        return ec.solve_linear(ec.transpose([list(v) for v in span]), x)
-
-    def true_lineality(self):
-        """Lineality basis after peeling rays that close up to lines."""
-        return self._build_hrep()["lineality"]
+        origin = (0,) * self.ambient_dim
+        P = Polytope([origin] + list(self.rays) + list(self.lineality)
+                     + [tuple(-x for x in l) for l in self.lineality])
+        equations = [c for c, _ in P.equations()]
+        facets = sorted(tuple(-x for x in a) for a, b, _ in P.facets()
+                        if b == 0)
+        hidden = [r for r in self.rays
+                  if all(ec.dot(u, r) == 0 for u in facets)]
+        lin = self.lineality
+        if hidden:
+            lin = tuple(ec.saturate(list(lin) + hidden, self.ambient_dim))
+        rref, piv = ec.rref([list(l) for l in lin], self.ambient_dim)
+        q = self.dim - len(lin)
+        extreme = {
+            ec.primitive_vector(ec.reduce_mod_subspace(r, rref, piv))
+            for r in self.rays
+            if ec.rational_rank([list(u) for u in facets
+                                 if ec.dot(u, r) == 0]) == q - 1}
+        self._hrep = (equations, facets, tuple(sorted(extreme)), lin)
+        return self._hrep
 
     def extreme_rays(self):
-        return self._build_hrep()["extreme_rays"]
+        return self._build_hrep()[2]
 
     def canonical_key(self):
         """Hashable key identifying the cone as a set of points."""
-        h = self._build_hrep()
-        rref, piv = h["lin_rref"]
-        reduced = sorted(
-            ec.primitive_vector(ec.reduce_mod_subspace(r, rref, piv))
-            for r in h["extreme_rays"])
-        return (self.ambient_dim, tuple(reduced), tuple(h["lineality"]))
+        _, _, extreme, lin = self._build_hrep()
+        return (self.ambient_dim, extreme, lin)
 
     def contains(self, x, strict=False):
         """Membership; with strict=True, membership in the relative
         interior."""
-        c = self._span_coords(x)
-        if c is None:
+        equations, facets, _, _ = self._build_hrep()
+        if any(ec.dot(c, x) for c in equations):
             return False
-        h = self._build_hrep()
-        y = tuple(ec.dot(u, c) for u in h["phi"])
-        for u in h["facets"]:
-            v = ec.dot(u, y)
+        for u in facets:
+            v = ec.dot(u, x)
             if v < 0 or (strict and v == 0):
                 return False
         return True
@@ -649,8 +599,7 @@ class Cone:
         """Primitive integer normal of the span, for codimension one cones."""
         if self.dim != self.ambient_dim - 1:
             raise DimensionMismatch("cone span is not a hyperplane")
-        ker = ec.integer_kernel([list(v) for v in self.span], self.ambient_dim)
-        return ker[0]
+        return self._build_hrep()[0][0]
 
     def negated(self):
         return Cone([tuple(-x for x in r) for r in self.rays],

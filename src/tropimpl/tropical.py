@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import exactcore as ec
-from .errors import DimensionMismatch, InputFormatError, LoopyMatroid
+from .errors import DimensionMismatch, InputFormatError
 from .polyhedra import Cone
 
 # Min convention: a weight vector w lies in the tropicalization of a linear
@@ -165,41 +165,6 @@ class LinearMatroid:
 
 def indicator(subset, n):
     return tuple(1 if i in subset else 0 for i in range(n))
-
-
-def maximal_flat_chains(M):
-    """All maximal chains of proper nonempty flats, each as a list of
-    frozensets of ranks 1 .. rank-1."""
-    r = M.rank
-    chains = []
-
-    def descend(flat, chain):
-        if len(chain) == r - 1:
-            chains.append(chain)
-            return
-        nxt = {M.closure(flat | {e})
-               for e in range(M.ground_size) if e not in flat}
-        for F in sorted(nxt, key=sorted):
-            descend(F, chain + [F])
-
-    descend(frozenset(), [])
-    return chains
-
-
-def bergman_fan(M):
-    """Fine structure tropical linear space of a loopless matroid in R^m:
-    one cone per maximal chain of proper nonempty flats, rays the signed flat
-    indicators, lineality the all-ones line, every weight 1."""
-    if M.loops():
-        raise LoopyMatroid(f"matroid has loops {sorted(M.loops())}")
-    m = M.ground_size
-    ones = (1,) * m
-    items = []
-    for chain in maximal_flat_chains(M):
-        rays = [tuple(BERGMAN_SIGN * x for x in indicator(F, m))
-                for F in chain]
-        items.append((Cone(rays, [ones], m), 1))
-    return TropicalCycle(m, M.rank, items)
 
 
 # ---------------------------------------------------------------------------

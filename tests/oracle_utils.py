@@ -1,11 +1,19 @@
 """Small independent reference implementations used by the test suite.
 
-Everything here is written from scratch against textbook definitions and
-deliberately shares no code with the package, so disagreements point at real
-bugs rather than shared mistakes.
+Everything here is written against textbook definitions, by another
+algorithm than the package uses, so disagreements point at real bugs rather
+than shared mistakes.  The planar and modular references share no code with
+the package; the cone and fan references build on its exact linear algebra
+primitives and return package cones and cycles for comparison.
 """
 
 from fractions import Fraction
+from itertools import combinations
+
+from tropimpl import exactcore as ec
+from tropimpl.errors import LoopyMatroid
+from tropimpl.polyhedra import Cone
+from tropimpl.tropical import BERGMAN_SIGN, TropicalCycle, indicator
 
 
 def hull2d(points):
@@ -130,3 +138,107 @@ def gfp_kernel_back_substitution(rows, p, ncols):
         inv = pow(next(v for v in x if v), p - 2, p)
         basis.append(tuple(v * inv % p for v in x))
     return basis
+
+
+class SubsetCone:
+    """Cone of rays plus lineality in R^n, described in the quotient by the
+    lineality: every (q-1)-subset of ray images is tried as a facet, and
+    rays on every facet are peeled into the lineality until the images are
+    pointed.  The reference for Cone's H-representation."""
+
+    def __init__(self, rays, lineality, n):
+        self.n = n
+        lin = [tuple(l) for l in lineality if any(l)]
+        rays = [tuple(r) for r in rays]
+        while True:
+            lin = list(ec.saturate(lin, n)) if lin else []
+            rref, piv = ec.rref([list(l) for l in lin], n)
+            rays = sorted({ec.primitive_vector(red) for red in (
+                ec.reduce_mod_subspace(r, rref, piv) for r in rays)
+                if any(red)})
+            span = list(ec.saturate(rays + lin, n)) if rays or lin else []
+            self.span = span
+            lam = [self._coords(l) for l in lin]
+            # phi: a basis of the functionals on span coordinates that
+            # vanish on the lineality, i.e. the quotient map
+            phi = ec.rational_kernel(lam, len(span)) if lam else \
+                [tuple(r) for r in ec.identity_matrix(len(span))]
+            q = len(phi)
+            imgs = [ec.primitive_vector(
+                [ec.dot(u, self._coords(r)) for u in phi]) for r in rays]
+            facets = set()
+            for S in combinations(range(len(imgs)), q - 1) if q else ():
+                ker = ec.rational_kernel([list(imgs[i]) for i in S], q)
+                if len(ker) != 1:
+                    continue
+                vals = [ec.dot(ker[0], v) for v in imgs]
+                if all(x >= 0 for x in vals):
+                    facets.add(ker[0])
+                elif all(x <= 0 for x in vals):
+                    facets.add(tuple(-x for x in ker[0]))
+            on_all = [all(ec.dot(u, v) == 0 for u in facets) for v in imgs]
+            if not any(on_all):
+                break
+            lin += [r for r, hidden in zip(rays, on_all) if hidden]
+        self.lineality = tuple(lin)
+        self.phi = phi
+        self.facets = sorted(facets)
+        self.extreme_rays = tuple(
+            r for r, v in zip(rays, imgs)
+            if ec.rational_rank([list(u) for u in facets
+                                 if ec.dot(u, v) == 0]) == q - 1)
+
+    def _coords(self, x):
+        if not self.span:
+            return () if not any(x) else None
+        return ec.solve_linear(ec.transpose([list(v) for v in self.span]), x)
+
+    def canonical_key(self):
+        return (self.n, self.extreme_rays, self.lineality)
+
+    def contains(self, x, strict=False):
+        c = self._coords(x)
+        if c is None:
+            return False
+        y = [ec.dot(u, c) for u in self.phi]
+        for u in self.facets:
+            v = ec.dot(u, y)
+            if v < 0 or (strict and v == 0):
+                return False
+        return True
+
+
+def maximal_flat_chains(M):
+    """All maximal chains of proper nonempty flats, each as a list of
+    frozensets of ranks 1 .. rank-1."""
+    r = M.rank
+    chains = []
+
+    def descend(flat, chain):
+        if len(chain) == r - 1:
+            chains.append(chain)
+            return
+        nxt = {M.closure(flat | {e})
+               for e in range(M.ground_size) if e not in flat}
+        for F in sorted(nxt, key=sorted):
+            descend(F, chain + [F])
+
+    descend(frozenset(), [])
+    return chains
+
+
+def bergman_fan(M):
+    """Fine structure tropical linear space of a loopless matroid in R^m:
+    one cone per maximal chain of proper nonempty flats, rays the signed flat
+    indicators, lineality the all-ones line, every weight 1.  The reference
+    for the nested-set fan of implicitize."""
+    if M.loops():
+        raise LoopyMatroid(f"matroid has loops {sorted(M.loops())}")
+    m = M.ground_size
+    ones = (1,) * m
+    items = []
+    for chain in maximal_flat_chains(M):
+        rays = [tuple(BERGMAN_SIGN * x for x in indicator(F, m))
+                for F in chain]
+        items.append((Cone(rays, [ones], m), 1))
+    return TropicalCycle(m, M.rank, items)

@@ -264,6 +264,16 @@ class TestGoldenArtifacts:
     # 6-point discriminant, 205 monomials, over Q from 4 word-size primes
     SIX_POINTS = {"rows": [[1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13],
                            [7, 6, 4, 3, 2, 1]]}
+    # (1 + x)(1 + y + z): the plane x = 0 is given by two pairs of
+    # opposite rays and the x-axis by an opposite pair, so every cone
+    # carries lineality hidden among its rays
+    X_AXIS = [[1, 0, 0], [-1, 0, 0]]
+    PRISM_CYCLE = {"ambient_dim": 3, "pure_dim": 2, "items": [
+        {"cone": {"rays": [[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]},
+         "weight": 1},
+        {"cone": {"rays": X_AXIS + [[0, 1, 0]]}, "weight": 1},
+        {"cone": {"rays": X_AXIS + [[0, 0, 1]]}, "weight": 1},
+        {"cone": {"rays": X_AXIS + [[0, -1, -1]]}, "weight": 1}]}
     JOBS = [
         ("trop-cycle", CURVE, [],
          "318b47e349f85973993dd38addc3adabdf185f8ccb54c0752629f6ac1fbe3c43"),
@@ -285,6 +295,8 @@ class TestGoldenArtifacts:
          "9a11ca07c2aa7ab7de6d5e096c5d56205de25079445a4203605e249dea994ca0"),
         ("adisc", SIX_POINTS, ["--field", "crt:2"],
          "ce0b58c751d48af087d5f5efb2473525b582117b2ce20e7c0f877291d063a2a9"),
+        ("newton", PRISM_CYCLE, [],
+         "df07b324d9d976091ba4ebfc2d8cb13b21a33ac19aa64c41016a8db1684257c5"),
     ]
 
     @pytest.mark.parametrize("command,obj,flags,digest", JOBS)

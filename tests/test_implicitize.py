@@ -11,6 +11,7 @@ import random
 import pytest
 import sympy
 
+from oracle_utils import bergman_fan
 from tropimpl import exactcore as ec
 from tropimpl.errors import (
     DimensionMismatch,
@@ -35,7 +36,7 @@ from tropimpl.implicitize import (
     reconstruct_polytope,
 )
 from tropimpl.polyhedra import Cone, Polytope
-from tropimpl.tropical import LinearMatroid, TropicalCycle, bergman_fan
+from tropimpl.tropical import LinearMatroid, TropicalCycle
 
 
 def keyed(cycle):

