@@ -14,7 +14,12 @@ translation, and interpolate the Chow form from random planes through
 random points of the variety.  The interpolation runs the one
 sample -> solve -> top up -> verify policy of
 ``interpolate.solve_verified``, with the same constants as the implicit
-equation.
+equation.  Samples are integer Pluecker vectors, so each solve first
+decides mod one word-size prime: the kernel vector mod p must vanish mod
+p on the fresh verification samples, which rejects a wrong shift at the
+cost of one modular kernel.  Only an accepted form is lifted to Q, by
+Chinese remaindering over further primes until the lift annihilates
+every sampled row exactly, and then verified over Q.
 
 Two conventions are fixed at this module boundary.  First, chow_fan
 returns the outer normal fan; the vertex oracle reads inner normal fans
@@ -27,6 +32,7 @@ integers with the leading nonzero one positive.
 """
 
 import itertools
+import math
 import random
 
 from . import exactcore as ec
@@ -42,9 +48,11 @@ from .errors import (
 )
 from .implicitize import reconstruct_polytope
 from .interpolate import (
+    VERIFY_SAMPLES,
     ImplicitPolynomial,
     MonomialBasis,
     kernel_vector,
+    lift_kernel_vector,
     random_rational,
     solve_verified,
 )
@@ -403,10 +411,51 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
 
     The ansatz takes every standard monomial whose weight is a lattice
     point of C_X; rows are evaluations at random Chow-hypersurface
-    samples.  ``solve_verified`` tops the samples up while the kernel is
-    more than one-dimensional and accepts the form only if it vanishes
-    on fresh samples.
+    samples, which are integer Pluecker vectors.  ``solve_verified`` tops
+    the samples up while the kernel is more than one-dimensional.  Each
+    solve first decides mod the word-size prime p = ec.DEFAULT_PRIME: the
+    one kernel vector of the rows mod p must vanish mod p on the fresh
+    samples that ``_verify`` checks, else VerificationFailed.  The kernel
+    over Q is at most as large as mod p, and a nonzero value mod p is
+    nonzero over Q, so a wrong candidate polytope is rejected exactly
+    where elimination over Q would reject it, at the cost of one prime.
+    Only an accepted form is lifted to Q (``lift_kernel_vector``): the
+    lift must annihilate every sampled row exactly, and ``_verify`` then
+    checks it over Q on the fresh samples.
     """
+    unknowns, sampler = _chow_ansatz(f, C_X, d, n, height)
+    p = ec.DEFAULT_PRIME
+
+    def rows_mod_p(samples):
+        out = []
+        for values in samples:
+            reduced = {T: x % p for T, x in values.items()}
+            out.append([math.prod(reduced[T] for T in mono.factors) % p
+                        for mono in unknowns])
+        return out
+
+    def solve(samples):
+        residue = kernel_vector(
+            ec.gfp_kernel(rows_mod_p(samples), p, len(unknowns)))
+        for row in rows_mod_p(sampler(VERIFY_SAMPLES, seed + 1000)):
+            if ec.dot(row, residue) % p:
+                raise VerificationFailed(
+                    f"candidate Chow form is nonzero mod {p} at a fresh "
+                    f"sample")
+        rows = [[math.prod(values[T] for T in mono.factors)
+                 for mono in unknowns] for values in samples]
+        coeffs = lift_kernel_vector(rows, p, residue)
+        return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
+                                  if c])
+
+    return solve_verified(len(unknowns), sampler, solve, seed)
+
+
+def _chow_ansatz(f, C_X, d, n, height):
+    """The unknowns of the Chow form on C_X, standard monomials ordered
+    by weight (lexicographically largest first), and the sampler of
+    ``solve_verified``: count distinct samples from a seed, each a
+    mapping from index tuples to integer Pluecker coordinates."""
     if f.d != d or f.n != n:
         raise DimensionMismatch(
             f"parametrization has {f.d} parameters and {f.n} components; "
@@ -433,14 +482,7 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
         batch = _sample_batch(f, d, n, count, random.Random(s), height)
         return [dict(zip(positions, p)) for p in batch]
 
-    def solve(samples):
-        rows = [[mono.evaluate(values) for mono in unknowns]
-                for values in samples]
-        coeffs = kernel_vector(ec.rational_kernel(rows, len(unknowns)))
-        return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
-                                  if c])
-
-    return solve_verified(len(unknowns), sampler, solve, seed)
+    return unknowns, sampler
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
     InputFormatError,
     OracleInconsistent,
     TropicalError,
+    VerificationFailed,
 )
 from .implicitize import (
     OracleConfig,
@@ -168,6 +169,24 @@ def _input_polytopes(obj):
         "input needs a parametrization (components) or a polytope list")
 
 
+def _check_newton_polytope(P, support, what):
+    """VerificationFailed unless every vertex of P lies in support, the
+    exponents (or weights) of the nonzero terms: P must be the Newton
+    polytope (or Chow polytope) of what was interpolated on it."""
+    for v in P.vertices:
+        if tuple(v) not in support:
+            raise VerificationFailed(
+                f"vertex {[ec.rat_to_json(x) for x in v]} of the polytope "
+                f"is not {what}")
+
+
+def _check_equation(spec, P, poly):
+    # a true vertex coefficient may vanish mod p, so gf is not checked
+    if parse_field(spec.field)[0] != "gf":
+        _check_newton_polytope(P, {e for _, e in poly.terms()},
+                               "the exponent of a term of the equation")
+
+
 def _polytope_artifact(P, force=False):
     out = P.to_json()
     out["f_vector"] = list(P.f_vector())
@@ -204,6 +223,7 @@ def cmd_implicitize(spec, obj):
     if not spec.polytope_only:
         poly = implicit_equation(f, P, field=spec.field, seed=spec.seed,
                                  height=spec.height)
+        _check_equation(spec, P, poly)
         out["polynomial"] = poly.to_json()
     return out
 
@@ -218,6 +238,7 @@ def cmd_adisc(spec, obj):
         B = [list(b) for b in ec.rational_kernel(A)]
         poly = implicit_equation((A, B), P, field=spec.field, seed=spec.seed,
                                  height=spec.height)
+        _check_equation(spec, P, poly)
         out["polynomial"] = poly.to_json()
     return out
 
@@ -249,6 +270,8 @@ def cmd_chow(spec, obj):
     translated, shift, P, form = chow_polytope(
         C, d, f, seed=spec.seed, height=spec.height,
         cfg=_oracle_cfg(spec.seed))
+    _check_newton_polytope(P, set(form.weights()),
+                           "the weight of a term of the Chow form")
     out["translated_polytope"] = translated.to_json()
     out["shift"] = list(shift)
     out["polytope"] = P.to_json()

@@ -19,20 +19,21 @@ from .errors import (
     SpanMismatch,
 )
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _mpq = Fraction
-
 # Moduli of GF(p) arithmetic stay below PRIME_BOUND, so products of two
 # residues stay inside int64; DEFAULT_PRIME is the largest such prime.
 PRIME_BOUND = 2 ** 31
 DEFAULT_PRIME = 2147483647
+# gfp_kernel reduces matrices of at most this many columns in Python ints
+# and imports numpy only for wider ones.  Near 2^31 one 64-column kernel
+# costs about 10 ms more in Python than in numpy, so importing numpy
+# (about 0.12 s and 14 MB) pays off only after a dozen such kernels, and
+# after a single 205-column one.
+GFP_PYTHON_COLUMNS = 64
 
 
 def rat(a, b=1):
     """Exact rational; collapses to a plain int when the value is integral."""
-    q = _mpq(a, b)
+    q = Fraction(a, b)
     return int(q) if q.denominator == 1 else q
 
 
@@ -628,21 +629,91 @@ def gfp_echelon(rows, p):
     return np.remainder(M[:r], p), piv_cols
 
 
+def _gfp_rref_packed(rows, p, ncols):
+    """Reduced row echelon form mod p in Python ints; (rows, pivot_cols)
+    as ``gfp_echelon`` gives them, but as lists.
+
+    Each row is packed into one integer, entry j in the bit field
+    [j*w, (j+1)*w), so clearing a column in a row is one big-integer
+    multiply-add.  Cleared entries are left unreduced and only grow: a
+    row takes at most ncols updates, each adding (p - f) * e < p^2 to an
+    entry, and w leaves room for that.  An entry is reduced mod p where
+    it is read, and a pivot row is reduced whole before it is used.
+    """
+    step = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
+    width = 8 * step
+    mask = (1 << width) - 1
+    size = step * ncols
+
+    def pack(v):
+        return int.from_bytes(b"".join(x.to_bytes(step, "little") for x in v),
+                              "little")
+
+    def unpack(x):
+        b = x.to_bytes(size, "little")
+        return [int.from_bytes(b[k:k + step], "little") % p
+                for k in range(0, size, step)]
+
+    M = [pack([x % p for x in row]) for row in rows]
+    m = len(M)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        shift = c * width
+        i0 = next((i for i in range(r, m) if (M[i] >> shift & mask) % p),
+                  None)
+        if i0 is None:
+            continue
+        M[r], M[i0] = M[i0], M[r]
+        top = unpack(M[r])
+        inv = pow(top[c], -1, p)
+        top = pack([x * inv % p for x in top])
+        M[r] = top
+        for i in range(m):
+            if i != r:
+                f = (M[i] >> shift & mask) % p
+                if f:
+                    M[i] += (p - f) * top
+        piv_cols.append(c)
+        r += 1
+    return [unpack(x) for x in M[:r]], piv_cols
+
+
 def gfp_kernel(rows, p, ncols=None):
     """Kernel basis mod p, each vector scaled so its first nonzero entry is 1.
 
     Vectors are ordered by their free column.  The one for free column f
     is 1 at f, 0 at the other free columns and minus column f of the
     reduced echelon form at the pivot columns, the only kernel vector of
-    that shape.  Entries must fit int64 and p must be below PRIME_BOUND.
+    that shape.  Up to GFP_PYTHON_COLUMNS columns the echelon form is
+    computed in Python ints (``_gfp_rref_packed``); wider matrices go to
+    ``gfp_echelon``, whose entries must fit int64.  p must be below
+    PRIME_BOUND.
     """
-    import numpy as np
-
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
+    if ncols <= GFP_PYTHON_COLUMNS:
+        R, piv = _gfp_rref_packed(rows, p, ncols)
+        pivots = set(piv)
+        kernel = []
+        for f in range(ncols):
+            if f in pivots:
+                continue
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(R, piv):
+                v[c] = -row[f] % p
+            inv = pow(next(x for x in v if x), -1, p)
+            kernel.append(tuple(x * inv % p for x in v))
+        return kernel
+
+    import numpy as np
+
     M = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
     R, piv = gfp_echelon(M, p)
     pivots = set(piv)

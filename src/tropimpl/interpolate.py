@@ -500,15 +500,7 @@ def _crt_solver(basis, nprimes):
                         raise ReconstructionFailed(
                             f"{skipped} primes lost rank on the samples")
                 p = next(primes)
-            unit = next((j for j in range(len(basis))
-                         if all(v[j] for v in residues)), None)
-            if unit is None:
-                raise ReconstructionFailed(
-                    "no basis coordinate is a unit for every prime")
-            scaled = []
-            for v, q in zip(residues, used):
-                inv = pow(v[unit], q - 2, q)
-                scaled.append(tuple(x * inv % q for x in v))
+            scaled = _align_on_unit(residues, used)
             try:
                 lifted = ec.crt_rational_reconstruct(scaled, used)
             except ReconstructionFailed:
@@ -520,6 +512,75 @@ def _crt_solver(basis, nprimes):
                 basis, ec.canonicalize_rational_vector(list(lifted)))
 
     return solve
+
+
+def _align_on_unit(residues, primes):
+    """Kernel vectors mod distinct primes, each scaled to 1 at the first
+    coordinate that is a unit mod every prime, ready for
+    ``ec.crt_rational_reconstruct``."""
+    unit = next((j for j in range(len(residues[0]))
+                 if all(v[j] for v in residues)), None)
+    if unit is None:
+        raise ReconstructionFailed(
+            "no basis coordinate is a unit for every prime")
+    scaled = []
+    for v, q in zip(residues, primes):
+        inv = pow(v[unit], q - 2, q)
+        scaled.append(tuple(x * inv % q for x in v))
+    return scaled
+
+
+def lift_kernel_vector(rows, p, residue):
+    """The canonical integer vector spanning the kernel over Q of integer
+    rows, given ``residue``, their one kernel vector mod the prime p.
+
+    A one-dimensional kernel mod p bounds the kernel over Q to dimension
+    at most one.  Primes below p are added one at a time; after each,
+    the residues are aligned on a common unit coordinate, lifted by
+    ``ec.crt_rational_reconstruct`` and canonically scaled, and the lift
+    is returned once it annihilates every row exactly.  A prime with an
+    empty kernel proves the kernel over Q empty (KernelEmpty); one with a
+    larger kernel has lost rank and is skipped, at most
+    MAX_SKIPPED_PRIMES times.  By Cramer's rule and Hadamard's bound the
+    aligned kernel vector's entries are quotients of integers of size at
+    most H, the product of the row norms, so reconstruction needs primes
+    of product at most 2 H^2; past that, ReconstructionFailed.
+    """
+    bound = 2
+    for row in rows:
+        bound *= max(1, sum(x * x for x in row))
+    primes = _primes_descending(p - 1)
+    residues = [residue]
+    used = [p]
+    modulus = p
+    skipped = 0
+    while True:
+        scaled = _align_on_unit(residues, used)
+        try:
+            lifted = ec.canonicalize_rational_vector(
+                ec.crt_rational_reconstruct(scaled, used))
+            if all(ec.dot(row, lifted) == 0 for row in rows):
+                return lifted
+        except ReconstructionFailed:
+            pass
+        if modulus > bound:
+            raise ReconstructionFailed(
+                f"no kernel vector over Q within the Hadamard bound, "
+                f"{len(used)} primes")
+        while True:
+            q = next(primes)
+            try:
+                residues.append(kernel_vector(ec.gfp_kernel(
+                    [[x % q for x in row] for row in rows], q,
+                    len(residue))))
+                break
+            except KernelTooBig:
+                skipped += 1
+                if skipped > MAX_SKIPPED_PRIMES:
+                    raise ReconstructionFailed(
+                        f"{skipped} primes lost rank on the rows")
+        used.append(q)
+        modulus *= q
 
 
 def _verify(poly, sampler, seed):

@@ -4,14 +4,18 @@ Everything here is written against textbook definitions, by another
 algorithm than the package uses, so disagreements point at real bugs rather
 than shared mistakes.  The planar and modular references share no code with
 the package; the cone and fan references build on its exact linear algebra
-primitives and return package cones and cycles for comparison.
+primitives and return package cones and cycles for comparison, and the
+Chow-form reference shares the ansatz and the sample -> solve -> verify
+loop with the package but solves over Q.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from tropimpl import exactcore as ec
+from tropimpl.chow import PluckerPoly, _chow_ansatz
 from tropimpl.errors import LoopyMatroid
+from tropimpl.interpolate import kernel_vector, solve_verified
 from tropimpl.polyhedra import Cone
 from tropimpl.tropical import BERGMAN_SIGN, TropicalCycle, indicator
 
@@ -138,6 +142,24 @@ def gfp_kernel_back_substitution(rows, p, ncols):
         inv = pow(next(v for v in x if v), p - 2, p)
         basis.append(tuple(v * inv % p for v in x))
     return basis
+
+
+def chow_form_over_q(f, C_X, d, n, seed=0, height=20):
+    """The Chow form by fraction-free elimination over Q: the ansatz,
+    samples and verification of ``chow.chow_form``, but each solve is one
+    ``ec.rational_kernel`` of the exact rows.  The reference for the
+    modular solve, which must return the same form and reject a wrong
+    candidate polytope with the same exception class."""
+    unknowns, sampler = _chow_ansatz(f, C_X, d, n, height)
+
+    def solve(samples):
+        rows = [[mono.evaluate(values) for mono in unknowns]
+                for values in samples]
+        coeffs = kernel_vector(ec.rational_kernel(rows, len(unknowns)))
+        return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
+                                  if c])
+
+    return solve_verified(len(unknowns), sampler, solve, seed)
 
 
 class SubsetCone:

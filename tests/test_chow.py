@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+from oracle_utils import chow_form_over_q
+from tropimpl import chow
 from tropimpl import exactcore as ec
 from tropimpl.chow import (
     PluckerMonomial,
@@ -27,6 +29,8 @@ from tropimpl.errors import (
     DimensionMismatch,
     InputFormatError,
     ShiftSearchFailed,
+    TropicalError,
+    VerificationFailed,
 )
 from tropimpl.implicitize import Parametrization, get_tropical_cycle
 from tropimpl.interpolate import implicit_equation
@@ -357,6 +361,35 @@ class TestChowForm:
         for seed in range(1000, 1030):
             values = dict(zip(pos, chow_sample(QUARTIC, 1, 3, seed=seed)))
             assert form.evaluate(values) == 0
+
+    def test_matches_rational_reference_on_quartic(self):
+        P = Polytope(CHOW_VERTICES)
+        assert chow_form(QUARTIC, P, 1, 3, seed=0) == \
+            chow_form_over_q(QUARTIC, P, 1, 3, seed=0)
+
+    def test_matches_rational_reference_on_cusp(self):
+        P = Polytope([(2, 3, 1), (3, 0, 3)])
+        assert chow_form(CUSP, P, 1, 2, seed=0) == \
+            chow_form_over_q(CUSP, P, 1, 2, seed=0)
+
+    def test_wrong_shift_rejected_mod_p_as_over_q(self, monkeypatch):
+        # the first shift the quartic's search tries: over Q its form
+        # fails on fresh samples, and mod p it must fail there too,
+        # before any lift
+        P = Polytope(TRANSLATED_VERTICES).translate((0, 0, 0, 2))
+
+        def failure(solver):
+            with pytest.raises(TropicalError) as info:
+                solver(QUARTIC, P, 1, 3, seed=0)
+            return type(info.value)
+
+        assert failure(chow_form_over_q) is VerificationFailed
+
+        def no_lift(*args):
+            raise AssertionError("a rejected shift was lifted")
+
+        monkeypatch.setattr(chow, "lift_kernel_vector", no_lift)
+        assert failure(chow_form) is VerificationFailed
 
     def test_hypersurface_matches_plane_curve_pipeline(self):
         # the Chow form of a plane curve is its defining polynomial under

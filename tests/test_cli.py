@@ -7,11 +7,18 @@ The curve fixtures and their expected equations match the library tests.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tropimpl
+from tropimpl import cli
+from tropimpl.chow import PluckerPoly
 from tropimpl.cli import JobSpec, _trial_seed, main
 from tropimpl.errors import InputFormatError
+from tropimpl.interpolate import ImplicitPolynomial
 from tropimpl.tropical import TropicalCycle
 
 CURVE = {"d": 1, "n": 2, "components": [
@@ -29,6 +36,18 @@ SPARSE_CURVE = {"d": 1, "n": 2, "components": [
 CUSP_JOB = {"parametrization": {"d": 1, "n": 2, "components": [
     {"terms": [{"coeff": 1, "exp": [2]}]},
     {"terms": [{"coeff": 1, "exp": [3]}]}]}}
+
+# criterion 07's space quartic with its given cycle: rays modulo the
+# all-ones line, read off at t = 0, 1, -1, oo
+QUARTIC_JOB = {
+    "parametrization": {"d": 1, "n": 3, "components": [
+        {"terms": [{"coeff": 1, "exp": [3]}, {"coeff": -1, "exp": [1]}]},
+        {"terms": [{"coeff": 1, "exp": [3]}, {"coeff": 1, "exp": [2]}]},
+        {"terms": [{"coeff": 1, "exp": [4]}, {"coeff": -1, "exp": [3]}]}]},
+    "cycle": {"ambient_dim": 4, "pure_dim": 2, "items": [
+        {"cone": {"rays": [ray], "lineality": [[1, 1, 1, 1]]}, "weight": 1}
+        for ray in ([0, 1, 2, 3], [0, 1, 1, 0], [0, 1, 0, 1],
+                    [0, -3, -3, -4])]}}
 
 TRIANGLES = [
     [[898, -614], [-570, 817], [892, -594]],
@@ -188,6 +207,22 @@ class TestChow:
         assert sorted(json.loads(out.read_text())) \
             == ["fan", "translated_polytope"]
 
+    def test_chow_job_never_imports_numpy(self, tmp_path):
+        # Chow solves are narrow enough for the pure-Python GF(p) kernel,
+        # which keeps numpy's memory out of a chow job
+        src = os.path.dirname(os.path.dirname(tropimpl.__file__))
+        script = ("import sys\n"
+                  "from tropimpl.cli import main\n"
+                  "rc = main(sys.argv[1:])\n"
+                  "print(rc, 'numpy' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "chow",
+             "--in", write(tmp_path / "c.json", CUSP_JOB),
+             "--out", str(tmp_path / "o.json")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
     def test_finite_field_rejected(self, tmp_path, capsys):
         rc, out = run(["chow", "--in", write(tmp_path / "c.json", CUSP_JOB),
                        "--out", str(tmp_path / "o.json"),
@@ -297,6 +332,8 @@ class TestGoldenArtifacts:
          "ce0b58c751d48af087d5f5efb2473525b582117b2ce20e7c0f877291d063a2a9"),
         ("newton", PRISM_CYCLE, [],
          "df07b324d9d976091ba4ebfc2d8cb13b21a33ac19aa64c41016a8db1684257c5"),
+        ("chow", QUARTIC_JOB, [],
+         "2e472333dc6d4d12e0b9fc3e55bbf52512813cceed5b0f7b59114de2f4ba05aa"),
     ]
 
     @pytest.mark.parametrize("command,obj,flags,digest", JOBS)
@@ -406,6 +443,73 @@ class TestErrorContract:
         err = json.loads(out)
         assert err["error"] == "parse"
         assert "length 2" in err["message"]
+
+    @pytest.mark.parametrize("field,code", [
+        ("q", 4), ("crt:2", 4), ("gf:101", 0)])
+    def test_vertex_without_coefficient_fails(self, tmp_path, capsys,
+                                              monkeypatch, field, code):
+        # P = Newt(F): an equation with a zero coefficient at the vertex
+        # (8, 0) of P is rejected, except mod p, where a true vertex
+        # coefficient may vanish
+        def zero_at_vertex(*args, **kwargs):
+            F = implicit_equation(*args, **kwargs)
+            return ImplicitPolynomial(
+                F.basis, [0 if e == (8, 0) else c
+                          for e, c in zip(F.basis, F.coefficients)],
+                F.modulus)
+
+        implicit_equation = cli.implicit_equation
+        monkeypatch.setattr(cli, "implicit_equation", zero_at_vertex)
+        target = tmp_path / "o.json"
+        rc, out = run(["implicitize",
+                       "--in", write(tmp_path / "p.json", CURVE),
+                       "--out", str(target), "--field", field], capsys)
+        assert rc == code
+        assert target.exists() == (code == 0)
+        if code:
+            assert len(out.splitlines()) == 1
+            err = json.loads(out)
+            assert err["type"] == "VerificationFailed"
+            assert "[8, 0]" in err["message"]
+
+    def test_adisc_vertex_without_coefficient_fails(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def drop_first_term(*args, **kwargs):
+            F = implicit_equation(*args, **kwargs)
+            first = F.terms()[0][1]
+            return ImplicitPolynomial(
+                F.basis, [0 if e == first else c
+                          for e, c in zip(F.basis, F.coefficients)])
+
+        implicit_equation = cli.implicit_equation
+        monkeypatch.setattr(cli, "implicit_equation", drop_first_term)
+        rc, out = run(["adisc",
+                       "--in", write(tmp_path / "a.json",
+                                     {"rows": [[1, 1, 1], [0, 1, 2]]}),
+                       "--out", str(tmp_path / "o.json")], capsys)
+        assert rc == 4
+        assert json.loads(out)["type"] == "VerificationFailed"
+
+    def test_chow_vertex_without_term_fails(self, tmp_path, capsys,
+                                            monkeypatch):
+        # drop the terms of the Chow form whose weight is the vertex
+        # (3, 0, 3) of the cusp's Chow polytope
+        def drop_vertex_terms(*args, **kwargs):
+            translated, shift, P, form = chow_polytope(*args, **kwargs)
+            kept = [(m, c) for m, c in form.terms
+                    if m.weight() != (3, 0, 3)]
+            return translated, shift, P, PluckerPoly(form.d, form.n, kept)
+
+        chow_polytope = cli.chow_polytope
+        monkeypatch.setattr(cli, "chow_polytope", drop_vertex_terms)
+        target = tmp_path / "o.json"
+        rc, out = run(["chow", "--in", write(tmp_path / "c.json", CUSP_JOB),
+                       "--out", str(target)], capsys)
+        assert rc == 4
+        assert not target.exists()
+        err = json.loads(out)
+        assert err["type"] == "VerificationFailed"
+        assert "[3, 0, 3]" in err["message"]
 
     def test_no_artifact_written_on_failure(self, tmp_path, capsys):
         target = tmp_path / "o.json"

@@ -369,14 +369,16 @@ def test_gfp_kernel_matches_rational_on_safe_matrices():
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([7, 2 ** 31 - 1]), st.data())
 def test_gfp_kernel_matches_back_substitution(p, data):
-    # M = A B with B of k < n rows has rank at most k < n: a kernel exists
-    m = data.draw(st.integers(0, 10))
-    n = data.draw(st.integers(1, 9))
+    # M = A B with B of k < n rows has rank at most k < n: a kernel exists.
+    # Widths on both sides of GFP_PYTHON_COLUMNS run both echelon forms;
+    # entries come from a drawn seed, so a wide matrix costs one draw.
+    wide = ec.GFP_PYTHON_COLUMNS
+    n = data.draw(st.integers(1, 9) | st.integers(wide - 1, wide + 2))
+    m = data.draw(st.integers(0, n + 2))
     k = data.draw(st.integers(0, n - 1))
-    entries = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
-    A = data.draw(st.lists(entries, min_size=m, max_size=m))
-    B = [list(col) for col in zip(*data.draw(
-        st.lists(entries, min_size=n, max_size=n)))]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+    B = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
     M = [[sum(A[i][l] * B[l][j] for l in range(k)) % p for j in range(n)]
          for i in range(m)]
     assert ec.gfp_kernel(M, p, n) == gfp_kernel_back_substitution(M, p, n)

@@ -21,6 +21,7 @@ from tropimpl.errors import (
     InputFormatError,
     KernelEmpty,
     KernelTooBig,
+    ReconstructionFailed,
     SamplingExhausted,
     VerificationFailed,
 )
@@ -35,6 +36,7 @@ from tropimpl.interpolate import (
     horn_sample,
     implicit_equation,
     kernel_vector,
+    lift_kernel_vector,
     parse_field,
     sample_points,
     solve_verified,
@@ -413,3 +415,37 @@ def test_crt_tops_up_then_skips_a_bad_prime(monkeypatch):
     assert primes[0] == primes[1] == ec.DEFAULT_PRIME
     assert len(set(primes)) == 3
     assert [n for _, n in calls] == [1, 11, 11, 11]
+
+
+class TestLiftKernelVector:
+    P = ec.DEFAULT_PRIME
+
+    def test_lifts_over_several_primes(self, monkeypatch):
+        # the kernel (a, b, c) of these rows has entries far beyond the
+        # reconstruction bound of one word-size prime
+        a, b, c = 3 ** 40, -5 ** 30, 7 ** 25
+        rows = [[c, 0, -a], [0, c, -b]]
+        residue = kernel_vector(ec.gfp_kernel(rows, self.P))
+        real = ec.crt_rational_reconstruct
+        counts = []
+
+        def spy(residues, primes):
+            counts.append(len(primes))
+            return real(residues, primes)
+
+        monkeypatch.setattr(ec, "crt_rational_reconstruct", spy)
+        assert lift_kernel_vector(rows, self.P, residue) == (a, b, c)
+        assert counts == list(range(1, counts[-1] + 1)) and counts[-1] > 1
+
+    def test_empty_kernel_at_the_next_prime(self):
+        # a residue that is not in the kernel: the rows have full rank,
+        # so the next prime finds no kernel vector at all
+        rows = [[10 ** 6, 1], [1, 10 ** 6]]
+        with pytest.raises(KernelEmpty):
+            lift_kernel_vector(rows, self.P, (1, 0))
+
+    def test_hadamard_bound_caps_the_primes(self):
+        # entries of size 1 reconstruct from one prime, so a lift that
+        # fails the exact check there has no kernel vector to find
+        with pytest.raises(ReconstructionFailed):
+            lift_kernel_vector([[1, 0], [0, 1]], self.P, (1, 0))
