@@ -72,28 +72,53 @@ class JobSpec:
             raise InputFormatError("delta must be a positive integer")
 
 
+# add_argument keywords of each optional flag; the defaults are JobSpec's
+FLAGS = {
+    "--field": {"help": "q, gf:<prime> or crt:<count>"},
+    "--seed": {"type": int},
+    "--height": {"type": int, "help": "height of random rational samples"},
+    "--delta": {"type": int,
+                "help": "degree of the parametrization onto its image"},
+    "--polytope-only": {"action": "store_true",
+                        "help": "stop after polytope reconstruction"},
+    "--force": {"action": "store_true",
+                "help": "lift the lattice enumeration size guard"},
+}
+
+# the flags each subcommand reads; it rejects any other
+COMMAND_FLAGS = {
+    "trop-cycle": ("--delta",),
+    "adisc": ("--field", "--seed", "--height", "--polytope-only", "--force"),
+    "newton": ("--seed", "--delta", "--force"),
+    "implicitize": ("--field", "--seed", "--height", "--delta",
+                    "--polytope-only", "--force"),
+    "chow": ("--field", "--seed", "--height", "--delta", "--polytope-only"),
+    "mfp-search": ("--seed", "--delta"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as InputFormatError, so it ends in the
+    one-line JSON error and exit 2 like any other unreadable input."""
+
+    def error(self, message):
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropimpl",
         description="tropical implicitization pipeline with JSON i/o")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sp = sub.add_parser(name)
+        # a flag left out stays out of the namespace: JobSpec's default holds
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sp.add_argument("--in", dest="input_path", required=True,
                         help="input JSON file")
         sp.add_argument("--out", dest="output_path", required=True,
                         help="output artifact file")
-        sp.add_argument("--field", default="q",
-                        help="q, gf:<prime> or crt:<count>")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--height", type=int, default=20,
-                        help="height of random rational samples")
-        sp.add_argument("--delta", type=int, default=1,
-                        help="degree of the parametrization onto its image")
-        sp.add_argument("--polytope-only", action="store_true",
-                        help="stop after polytope reconstruction")
-        sp.add_argument("--force", action="store_true",
-                        help="lift the lattice enumeration size guard")
+        for flag in COMMAND_FLAGS[name]:
+            sp.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -373,12 +398,8 @@ DISPATCH = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    spec = JobSpec(command=args.command, input_path=args.input_path,
-                   output_path=args.output_path, field=args.field,
-                   seed=args.seed, height=args.height, delta=args.delta,
-                   polytope_only=args.polytope_only, force=args.force)
     try:
+        spec = JobSpec(**vars(_build_parser().parse_args(argv)))
         spec.validate()
         obj = _load_json(spec.input_path)
         artifact = DISPATCH[spec.command](spec, obj)

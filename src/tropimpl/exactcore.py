@@ -439,11 +439,25 @@ def _bareiss_echelon(rows):
 
 
 def det(rows):
-    """Exact determinant of a square matrix of rationals."""
+    """Exact determinant of a square matrix of rationals.
+
+    Fraction-free Bareiss elimination: each row holding a fraction is first
+    scaled to integers by the lcm of its denominators, so every division is
+    exact and an all-integer matrix never leaves Python ints.  After the
+    pivot of column c, the rows below hold (c+1) x (c+1) minors, so the last
+    pivot is the determinant of the row-permuted matrix.
+    """
     M = [list(r) for r in rows]
     n = len(M)
-    out = 1
+    scale = 1
+    for i, row in enumerate(M):
+        if not all(isinstance(x, int) for x in row):
+            den = math.lcm(*(x.denominator for x in row
+                             if not isinstance(x, int)))
+            M[i] = [int(x * den) for x in row]
+            scale *= den
     sign = 1
+    prev = 1
     for c in range(n):
         p = next((i for i in range(c, n) if M[i][c]), None)
         if p is None:
@@ -451,13 +465,15 @@ def det(rows):
         if p != c:
             M[c], M[p] = M[p], M[c]
             sign = -sign
-        piv = M[c][c]
-        out = out * piv
+        Mc = M[c]
+        piv = Mc[c]
         for i in range(c + 1, n):
-            f = div_exact(M[i][c], piv)
-            if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return sign * out
+            Mi = M[i]
+            head = Mi[c]
+            for j in range(c + 1, n):
+                Mi[j] = (piv * Mi[j] - head * Mc[j]) // prev
+        prev = piv
+    return div_exact(sign * prev, scale)
 
 
 def rational_rank(rows):

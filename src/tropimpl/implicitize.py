@@ -149,12 +149,9 @@ def get_graph_cycle(newton_polytopes):
     P = minkowski_sum(lifted)
     items = []
     for cone, face, _w in normal_fan_cones(P, d):
-        base = face.vertices[0]
-        dirs = [ec.vec_sub(v, base) for v in face.vertices[1:]]
-        lat = ec.saturate(dirs, amb)
-        if lat.rank != n:
+        if face.lattice.rank != n:
             continue
-        m = mixed_volume(list(face.summands), lat)
+        m = mixed_volume(list(face.summands), face.lattice)
         if m > 0:
             items.append((cone, int(m)))
     return TropicalCycle(amb, d, items)
@@ -404,23 +401,30 @@ def get_vertex(C, w, cfg=None):
 
 
 def _crossing_counts(data, w, n):
-    """Weighted crossing counts for one probe; None when degenerate."""
+    """Weighted crossing counts for one probe; None when degenerate.
+
+    The ray w + R_+ e_i meets the hyperplane nu.x = 0 at s = -nu.w / nu_i.
+    Cones are closed under positive scaling, so membership is tested at
+    |nu_i| (w + s e_i), which is an integer point.
+    """
     v = [0] * n
     for cone, mult, nu in data:
         nw = ec.dot(nu, w)
         for i in range(n):
-            if nu[i] == 0:
+            c = nu[i]
+            if c == 0:
                 if nw == 0:
                     return None
                 continue
-            s = ec.rat(-nw, nu[i])
-            if s < 0:
+            t = -nw if c > 0 else nw  # |nu_i| * s
+            if t < 0:
                 continue
-            if s == 0:
+            if t == 0:
                 return None
-            x = tuple(w[j] + s if j == i else w[j] for j in range(n))
+            x = [abs(c) * wj for wj in w]
+            x[i] += t
             if cone.contains_relint(x):
-                v[i] += mult * abs(nu[i])
+                v[i] += mult * abs(c)
             elif cone.contains(x):
                 return None
     return tuple(v)

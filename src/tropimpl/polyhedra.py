@@ -3,6 +3,9 @@
 Polytopes are built from vertex candidates by an incremental beneath-beyond
 hull in chart coordinates of their own affine lattice, so lower dimensional
 polytopes in a high ambient space cost no more than full dimensional ones.
+Chart points of integer polytopes are integers, and each facet normal is a
+vector of integer minors, so a hull never forms a fraction.  Mixed volumes
+skip hulls where a rank test or one determinant decides them.
 Cones carry rays plus a lineality space; their integer equations and facet
 normals are read off, lazily, from the same hull of the origin, the rays and
 both signs of the lineality vectors, so membership is a few dot products.
@@ -36,14 +39,18 @@ def _affine_rank(points):
 def _hull_full_dim(points):
     """Beneath-beyond hull of points affinely spanning R^k.
 
-    Returns (vertex_indices, merged_facets, simplices, interior_point) where
-    merged_facets are (normal, offset, vertex_index_set) triples with integer
+    Returns (vertex_indices, merged_facets, simplices) where merged_facets
+    are (normal, offset, vertex_index_set) triples with primitive integer
     normals and a.x <= b on the hull, and simplices is a boundary
-    triangulation as k-tuples of point indices.
+    triangulation as k-tuples of point indices.  A facet normal is the
+    vector of signed maximal minors of the simplex's difference rows, its
+    generalized cross product, cleared of denominators; its side is fixed
+    against the seed centroid, scaled by k + 1 so it stays integral for
+    integer points.
     """
     k = len(points[0])
     if k == 0:
-        return [0], [], [], points[0]
+        return [0], [], []
 
     # affinely independent seed
     seed = [0]
@@ -58,22 +65,21 @@ def _hull_full_dim(points):
     if len(seed) != k + 1:
         raise DimensionMismatch("points do not span the chart")
 
-    centroid = tuple(ec.div_exact(sum(points[i][j] for i in seed), k + 1)
-                     for j in range(k))
+    seed_sum = tuple(sum(points[i][j] for i in seed) for j in range(k))
 
     def facet_plane(idx):
         base = points[idx[0]]
-        rows = [list(ec.vec_sub(points[i], base)) for i in idx[1:]]
-        normals = ec.rational_kernel(rows, k) if rows else \
-            [tuple(r) for r in ec.identity_matrix(k)]
-        if len(normals) != 1:
+        rows = [ec.vec_sub(points[i], base) for i in idx[1:]]
+        minors = [ec.det([r[:j] + r[j + 1:] for r in rows]) for j in range(k)]
+        if not any(minors):
             raise DimensionMismatch("degenerate facet simplex")
-        a = normals[0]
+        a = ec.primitive_vector(
+            [-m if j % 2 else m for j, m in enumerate(minors)])
         b = ec.dot(a, base)
-        side = ec.dot(a, centroid)
-        if side == b:
+        side = ec.dot(a, seed_sum)
+        if side == (k + 1) * b:
             raise DimensionMismatch("interior point on a facet hyperplane")
-        if side > b:
+        if side > (k + 1) * b:
             a = tuple(-x for x in a)
             b = -b
         return a, b
@@ -117,7 +123,7 @@ def _hull_full_dim(points):
     for (a, b), pts in sorted(by_plane.items()):
         merged.append((a, b, frozenset(pts & vset)))
     simplices = [tuple(sorted(f)) for f in facets]
-    return vertex_indices, merged, sorted(simplices), centroid
+    return vertex_indices, merged, sorted(simplices)
 
 
 class Polytope:
@@ -154,22 +160,16 @@ class Polytope:
         if self.dim == 0:
             self.vertices = (pts[0],)
             self._chart_facets = []
-            self._simplices = []
-            self._chart_vertices = ((),)
-            self._interior = ()
         else:
-            vidx, merged, simplices, centroid = _hull_full_dim(self._chart_points)
+            vidx, merged, _ = _hull_full_dim(self._chart_points)
             self.vertices = tuple(pts[i] for i in vidx)
-            self._chart_vertices = tuple(self._chart_points[i] for i in vidx)
             reindex = {old: new for new, old in enumerate(vidx)}
             self._chart_facets = [
                 (a, b, frozenset(reindex[i] for i in inc))
                 for a, b, inc in merged]
-            self._simplices = [tuple(self._chart_points[i] for i in s)
-                               for s in simplices]
-            self._interior = centroid
         self._faces_by_dim = None
         self._ambient_facets = None
+        self._faces_by_vertices = {}
 
     # -- basic geometry ----------------------------------------------------
 
@@ -220,13 +220,21 @@ class Polytope:
         return True
 
     def face_of(self, w):
-        """The face minimizing the linear functional w, as a polytope."""
+        """The face minimizing the linear functional w, as a polytope.
+
+        Faces of a polytope without summands are built once per vertex
+        subset and shared between calls, so callers must not modify them.
+        """
         vals = [ec.dot(w, v) for v in self.vertices]
         lo = min(vals)
-        sub = [v for v, s in zip(self.vertices, vals) if s == lo]
+        sub = tuple(v for v, s in zip(self.vertices, vals) if s == lo)
+        if self.summands is None:
+            face = self._faces_by_vertices.get(sub)
+            if face is None:
+                face = self._faces_by_vertices[sub] = Polytope(sub)
+            return face
         face = Polytope(sub)
-        if self.summands is not None:
-            face.summands = tuple(s.face_of(w) for s in self.summands)
+        face.summands = tuple(s.face_of(w) for s in self.summands)
         return face
 
     def translate(self, t):
@@ -430,6 +438,30 @@ def _fm_bounds(ineqs, y, j):
 # ---------------------------------------------------------------------------
 # volumes
 
+def _lattice_coords(vertices, basis):
+    """Coordinates of v - vertices[0] in the lattice basis, for every
+    vertex v; LatticeMismatch when one leaves the span of the lattice."""
+    cols = ec.transpose([list(v) for v in basis])
+    out = []
+    for v in vertices:
+        d = ec.vec_sub(v, vertices[0])
+        y = ec.solve_linear(cols, d) if basis else (None if any(d) else ())
+        if y is None:
+            raise LatticeMismatch("polytope leaves the span of the lattice")
+        out.append(y)
+    return out
+
+
+def _chart_volume(points):
+    """k! times the euclidean volume of the hull of points spanning R^k:
+    the boundary simplices of the hull, coned from the first point."""
+    _, _, simplices = _hull_full_dim(points)
+    apex = points[0]
+    total = sum(abs(ec.det([ec.vec_sub(points[i], apex) for i in s]))
+                for s in simplices)
+    return total if isinstance(total, int) else ec.rat(total)
+
+
 def normalized_volume(P, lattice=None):
     """Lattice normalized volume of P with respect to a rank k lattice:
     k! times the euclidean volume in lattice coordinates.
@@ -437,30 +469,13 @@ def normalized_volume(P, lattice=None):
     Zero when dim P < k; LatticeMismatch when the directions of P leave the
     span of the lattice.
     """
-    if lattice is None:
-        lattice = P.lattice
-    k = lattice.rank if hasattr(lattice, "rank") else len(lattice)
-    basis = list(lattice)
-    if k == 0:
-        if P.dim > 0:
-            raise LatticeMismatch("positive dimensional polytope, rank 0 lattice")
+    basis = list(P.lattice if lattice is None else lattice)
+    ys = _lattice_coords(P.vertices, basis)
+    if not basis:
         return 1
-    cols = ec.transpose([list(v) for v in basis])
-    base = P.vertices[0]
-    ys = []
-    for v in P.vertices:
-        y = ec.solve_linear(cols, ec.vec_sub(v, base))
-        if y is None:
-            raise LatticeMismatch("polytope leaves the span of the lattice")
-        ys.append(y)
-    if _affine_rank(ys) < k:
+    if _affine_rank(ys) < len(basis):
         return 0
-    _, _, simplices, centroid = _hull_full_dim(ys)
-    total = 0
-    for s in simplices:
-        rows = [[a - b for a, b in zip(ys[i], centroid)] for i in s]
-        total += abs(ec.det(rows))
-    return total if isinstance(total, int) else ec.rat(total)
+    return _chart_volume(ys)
 
 
 def minkowski_sum(polys):
@@ -477,7 +492,16 @@ def minkowski_sum(polys):
 def mixed_volume(polys, lattice=None):
     """Mixed volume of k polytopes in a rank k lattice, normalized so the
     standard unit segments give 1 and k equal copies give the normalized
-    volume.  Inclusion-exclusion over Minkowski subsums."""
+    volume.
+
+    Summands are read in lattice coordinates.  The mixed volume is positive
+    exactly when every subfamily's Minkowski sum has dimension at least its
+    size (Schneider, Convex Bodies, 5.1), so a rank test on the edge
+    directions of each subfamily returns most zeros without a hull.  k
+    segments give |det| of their edge vectors; any other family takes
+    inclusion-exclusion over the Minkowski subsums of full dimension, each
+    one hull of its chart points.
+    """
     polys = list(polys)
     k = len(polys)
     if lattice is None:
@@ -491,14 +515,27 @@ def mixed_volume(polys, lattice=None):
     if lattice.rank != k:
         raise DimensionMismatch(
             f"{k} polytopes need a rank {k} lattice, got rank {lattice.rank}")
-    fact = math.factorial(k)
-    total = 0
+    basis = list(lattice)
+    charts = [_lattice_coords(P.vertices, basis) for P in polys]
+    edges = [ys[1:] for ys in charts]  # ys[0] is the origin
+    ranks = {}
     for r in range(1, k + 1):
-        sign = (-1) ** (k - r)
         for S in combinations(range(k), r):
-            Q = minkowski_sum([polys[i] for i in S]) if r > 1 else polys[S[0]]
-            total += sign * normalized_volume(Q, lattice)
-    return ec.div_exact(total, fact)
+            rank = ec.rational_rank([e for i in S for e in edges[i]])
+            if rank < r:
+                return 0
+            ranks[S] = rank
+    if k and all(len(e) == 1 for e in edges):
+        return abs(ec.det([e[0] for e in edges]))
+    total = 0
+    for S, rank in ranks.items():
+        if rank < k:
+            continue
+        pts = {(0,) * k}
+        for i in S:
+            pts = {ec.vec_add(p, y) for p in pts for y in charts[i]}
+        total += (-1) ** (k - len(S)) * _chart_volume(sorted(pts))
+    return ec.div_exact(total, math.factorial(k))
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,19 @@ than shared mistakes.  The planar and modular references share no code with
 the package; the cone and fan references build on its exact linear algebra
 primitives and return package cones and cycles for comparison, and the
 Chow-form reference shares the ansatz and the sample -> solve -> verify
-loop with the package but solves over Q.
+loop with the package but solves over Q, and the mixed-volume reference
+measures every Minkowski subsum with the package's polytopes.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 from tropimpl import exactcore as ec
 from tropimpl.chow import PluckerPoly, _chow_ansatz
-from tropimpl.errors import LoopyMatroid
+from tropimpl.errors import DimensionMismatch, LoopyMatroid
 from tropimpl.interpolate import kernel_vector, solve_verified
-from tropimpl.polyhedra import Cone
+from tropimpl.polyhedra import Cone, minkowski_sum, normalized_volume
 from tropimpl.tropical import BERGMAN_SIGN, TropicalCycle, indicator
 
 
@@ -160,6 +162,33 @@ def chow_form_over_q(f, C_X, d, n, seed=0, height=20):
                                   if c])
 
     return solve_verified(len(unknowns), sampler, solve, seed)
+
+
+def mixed_volume_by_subsums(polys, lattice=None):
+    """Mixed volume by inclusion-exclusion over all 2^k - 1 Minkowski
+    subsums, each built as a polytope and measured by normalized_volume,
+    with no rank test and no determinant shortcut.  The reference for
+    polyhedra.mixed_volume, raising the same errors."""
+    polys = list(polys)
+    k = len(polys)
+    if lattice is None:
+        dirs = []
+        for P in polys:
+            v0 = P.vertices[0]
+            dirs.extend(ec.vec_sub(v, v0) for v in P.vertices[1:])
+        if not dirs:
+            return 0
+        lattice = ec.saturate(dirs, polys[0].ambient_dim)
+    if lattice.rank != k:
+        raise DimensionMismatch(
+            f"{k} polytopes need a rank {k} lattice, got rank {lattice.rank}")
+    total = 0
+    for r in range(1, k + 1):
+        sign = (-1) ** (k - r)
+        for S in combinations(range(k), r):
+            Q = minkowski_sum([polys[i] for i in S]) if r > 1 else polys[S[0]]
+            total += sign * normalized_volume(Q, lattice)
+    return ec.div_exact(total, math.factorial(k))
 
 
 class SubsetCone:

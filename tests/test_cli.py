@@ -518,3 +518,34 @@ class TestErrorContract:
                      "--out", str(target)], capsys)
         assert rc == 3
         assert not target.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("adisc", ["--delta", "2"]),
+        *[(command, flag) for command in ("trop-cycle", "newton", "mfp-search")
+          for flag in (["--field", "q"], ["--height", "20"],
+                       ["--polytope-only"])],
+        *[(command, ["--force"])
+          for command in ("trop-cycle", "mfp-search", "chow")],
+        ("trop-cycle", ["--seed", "1"])])
+    def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys,
+                                              command, flag):
+        target = tmp_path / "o.json"
+        rc, out = run([command, "--in", write(tmp_path / "p.json", CURVE),
+                       "--out", str(target)] + flag, capsys)
+        assert rc == 2
+        assert not target.exists()
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert flag[0] in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["adisc", "--seed", "1", "--field", "crt:2"],
+        ["adisc", "--seed", "1", "--polytope-only"],
+        ["implicitize", "--seed", "1"],
+        ["mfp-search", "--seed", "1"],
+        ["chow", "--seed", "1"]])
+    def test_benchmark_command_lines_parse(self, argv):
+        args = cli._build_parser().parse_args(
+            argv[:1] + ["--in", "i.json", "--out", "o.json"] + argv[1:])
+        assert args.seed == 1

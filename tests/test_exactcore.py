@@ -206,6 +206,18 @@ def test_det_matches_cofactor_oracle():
         M = [[ec.rat(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
              for _ in range(n)]
         assert ec.det(M) == oracle_det(M)
+    # all-integer matrices stay in ints: zero leading entries force row
+    # swaps, and a row made a combination of others makes them singular
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        for i in range(rng.randint(0, n - 1)):
+            M[i][0] = 0
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            M[-1] = [a * x + b * y for x, y in zip(M[0], M[-2])]
+        d = ec.det(M)
+        assert isinstance(d, int) and d == oracle_det(M)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from oracle_utils import (
     hull2d,
     lattice_points2d,
     mixed_area,
+    mixed_volume_by_subsums,
 )
 
 # comparisons with a reference: seeded, derandomized examples
@@ -102,6 +103,38 @@ def test_euler_relation_random():
             f = P.f_vector()
             euler = sum((-1) ** i * c for i, c in enumerate(f))
             assert euler == 1 - (-1) ** P.dim
+
+
+@st.composite
+def point_sets(draw):
+    """Integer or rational points in R^2..R^5 around a base point, spread
+    along 1..n drawn directions, so lower dimensional sets are common."""
+    n = draw(st.integers(2, 5))
+    rational = draw(st.booleans())
+    coord = st.integers(-4, 4)
+    if rational:
+        coord = st.builds(ec.rat, st.integers(-8, 8), st.integers(1, 3))
+    vec = st.tuples(*[coord] * n)
+    base = draw(vec)
+    dirs = draw(st.lists(vec, min_size=1, max_size=n))
+    steps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(dirs)),
+                          min_size=1, max_size=n + 5))
+    return [tuple(b + sum(c * d[i] for c, d in zip(cs, dirs))
+                  for i, b in enumerate(base)) for cs in steps]
+
+
+@REFERENCE
+@given(point_sets())
+def test_hull_facets_are_primitive_integer_and_valid(pts):
+    P = ph.Polytope(pts)
+    for p in pts:
+        assert all(ec.dot(c, p) == c0 for c, c0 in P.equations())
+    for a, b, inc in P.facets():
+        assert all(isinstance(x, int) for x in a) and ec.vec_gcd(a) == 1
+        assert all(ec.dot(a, p) <= b for p in pts)
+        assert ph._affine_rank([P.vertices[i] for i in inc]) == P.dim - 1
+    f = P.f_vector()
+    assert sum((-1) ** i * c for i, c in enumerate(f)) == 1 - (-1) ** P.dim
 
 
 def test_lower_dimensional_embedding():
@@ -292,6 +325,60 @@ def test_mixed_volume_dimension_check():
     tri = ph.Polytope([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(DimensionMismatch):
         ph.mixed_volume([tri, tri, tri])
+
+
+def _mixed_volume_or_error(fn, polys, lattice):
+    try:
+        return fn(polys, lattice)
+    except (DimensionMismatch, LatticeMismatch) as exc:
+        return type(exc)
+
+
+@REFERENCE
+@given(st.data())
+def test_mixed_volume_matches_subsum_reference(data):
+    # k summands in the span of a rank k lattice of R^n: points, segments,
+    # lower dimensional and full ones; measured in that lattice, in the
+    # derived one, in one of the wrong rank and in one of the wrong span
+    k = data.draw(st.sampled_from([4, 3, 2, 1]))
+    n = data.draw(st.integers(k, 5))
+    kinds = data.draw(st.lists(
+        st.sampled_from(["full", "lower", "segment", "point"]),
+        min_size=k, max_size=k))
+    lattice = data.draw(st.sampled_from(["given", "derived", "rank", "span"]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    axes = rng.sample(range(n), k)
+    basis = []
+    for j in axes:
+        v = [rng.randint(-2, 2) if i not in axes else 0 for i in range(n)]
+        v[j] = 1
+        basis.append(v)
+
+    def combo(vectors, h):
+        coeffs = [rng.randint(-h, h) for _ in vectors]
+        return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors))
+                     for i in range(n))
+
+    polys = []
+    for kind in kinds:
+        dirs = {"point": [], "segment": [combo(basis, 3)],
+                "lower": [combo(basis, 2)
+                          for _ in range(rng.randint(1, max(k - 1, 1)))],
+                "full": basis}[kind]
+        # at most 3 points a summand when k = 4 keeps subsums to 81 points
+        count = {"point": 1, "segment": 2}.get(kind, min(len(dirs) + 1, 7 - k))
+        base = tuple(rng.randint(-5, 5) for _ in range(n))
+        pts = [base] + [ec.vec_add(base, combo(dirs, 2))
+                        for _ in range(count - 1)]
+        polys.append(ph.Polytope(pts))
+    L = {"given": ec.saturate(basis, n),
+         "derived": None,
+         "rank": ec.saturate(basis[1:], n),
+         "span": ec.saturate(basis[1:] + [[1] * n], n)}[lattice]
+    got = _mixed_volume_or_error(ph.mixed_volume, polys, L)
+    assert got == _mixed_volume_or_error(mixed_volume_by_subsums, polys, L)
+    if lattice == "rank":
+        assert got is DimensionMismatch
 
 
 def test_minkowski_sum_keeps_summands():
