@@ -19,7 +19,8 @@ decides mod one word-size prime: the kernel vector mod p must vanish mod
 p on the fresh verification samples, which rejects a wrong shift at the
 cost of one modular kernel.  Only an accepted form is lifted to Q, by
 Chinese remaindering over further primes until the lift annihilates
-every sampled row exactly, and then verified over Q.
+the rows mod the next prime; it is then checked on every sampled row
+and verified over Q.
 
 Two conventions are fixed at this module boundary.  First, chow_fan
 returns the outer normal fan; the vertex oracle reads inner normal fans
@@ -42,6 +43,7 @@ from .errors import (
     KernelEmpty,
     KernelTooBig,
     OracleInconsistent,
+    ReconstructionFailed,
     SamplingExhausted,
     ShiftSearchFailed,
     VerificationFailed,
@@ -419,9 +421,11 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
     over Q is at most as large as mod p, and a nonzero value mod p is
     nonzero over Q, so a wrong candidate polytope is rejected exactly
     where elimination over Q would reject it, at the cost of one prime.
-    Only an accepted form is lifted to Q (``lift_kernel_vector``): the
-    lift must annihilate every sampled row exactly, and ``_verify`` then
-    checks it over Q on the fresh samples.
+    Only an accepted form is lifted to Q by ``lift_kernel_vector``, on
+    the same rows reduced mod each further prime, until the lift
+    annihilates the rows mod the next prime.  The lift must then
+    annihilate every sampled row exactly, else ReconstructionFailed, and
+    ``_verify`` checks it over Q on the fresh samples.
     """
     unknowns, sampler = _chow_ansatz(f, C_X, d, n, height)
     p = ec.DEFAULT_PRIME
@@ -444,7 +448,12 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
                     f"sample")
         rows = [[math.prod(values[T] for T in mono.factors)
                  for mono in unknowns] for values in samples]
-        coeffs = lift_kernel_vector(rows, p, residue)
+        coeffs = lift_kernel_vector(
+            lambda q: [[x % q for x in row] for row in rows], p, residue,
+            1 + sum(sum(x * x for x in row).bit_length() for row in rows))
+        if any(ec.dot(row, coeffs) for row in rows):
+            raise ReconstructionFailed(
+                "the lifted Chow form does not vanish on every sample")
         return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
                                   if c])
 

@@ -107,10 +107,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
 def vec_gcd(v):
     g = 0
     for x in v:

@@ -4,9 +4,12 @@ The equation is determined up to scale by one linear algebra step: evaluate
 all candidate monomials at enough points of the variety and take the kernel
 of the resulting matrix.  Points come from pushing random rational
 parameters through the parametrization, or through the Horn map for
-discriminants.  Kernels are computed exactly over Q or a prime field, with
-an optional multi-prime mode that lifts prime-field solutions back to Q by
-Chinese remaindering.
+discriminants.  Every kernel is computed modulo word-size primes.  Over a
+prime field that is the answer.  Over Q the kernel is decided modulo
+ec.DEFAULT_PRIME = 2^31 - 1 and its one vector is lifted to Q by
+``lift_kernel_vector``, the package's only multi-prime loop, which adds
+primes until the rational reconstruction annihilates the rows modulo the
+next prime.
 
 Every interpolation, here and for Chow forms, runs one policy,
 ``solve_verified``: solve on |unknowns| - 1 samples, top the samples up
@@ -32,9 +35,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the sample -> solve -> top up -> verify policy of solve_verified
 MAX_TOP_UPS = 5
 VERIFY_SAMPLES = 10
-# crt budgets: skipped primes, and primes used as a multiple of those asked
+# primes of lift_kernel_vector that lose rank, skipped before giving up
 MAX_SKIPPED_PRIMES = 5
-MAX_PRIME_FACTOR = 6
 
 
 def _is_prime(m):
@@ -72,29 +74,36 @@ def _primes_descending(start):
 def parse_field(spec):
     """Field spec: "q", "gf:<prime>", "crt:<count>", or a bare prime.
 
-    A prime must lie below ec.PRIME_BOUND, where int64 elimination mod p
-    is exact.
+    "q" and "crt:k" give exact rational coefficients by one solve (see
+    ``implicit_equation``); "q" is "crt:1".  A prime must lie below
+    ec.PRIME_BOUND, where int64 elimination mod p is exact.  A malformed
+    spec raises InputFormatError.
     """
     if spec is None or spec == "q":
         return ("q", None)
-    if isinstance(spec, str) and spec.startswith("crt:"):
-        k = int(spec[4:])
-        if k < 1:
-            raise InputFormatError("crt wants a positive prime count")
-        return ("crt", k)
-    if isinstance(spec, str) and spec.startswith("gf:"):
-        p = int(spec[3:])
-    elif isinstance(spec, int):
-        p = spec
+    if isinstance(spec, int):
+        kind, arg = "gf", spec
     else:
-        raise InputFormatError(f"unknown field spec {spec!r}")
-    if not _is_prime(p):
-        raise InputFormatError(f"{p} is not prime")
-    if p >= ec.PRIME_BOUND:
+        kind, colon, text = str(spec).partition(":")
+        if kind not in ("crt", "gf") or not colon:
+            raise InputFormatError(f"unknown field spec {spec!r}")
+        try:
+            arg = int(text)
+        except ValueError:
+            raise InputFormatError(
+                f"field spec {spec!r} wants an integer after "
+                f"{kind}:") from None
+    if kind == "crt":
+        if arg < 1:
+            raise InputFormatError("crt wants a positive prime count")
+        return ("crt", arg)
+    if not _is_prime(arg):
+        raise InputFormatError(f"{arg} is not prime")
+    if arg >= ec.PRIME_BOUND:
         raise InputFormatError(
-            f"prime {p} is not below 2^31, the bound for exact int64 "
+            f"prime {arg} is not below 2^31, the bound for exact int64 "
             f"arithmetic mod p")
-    return ("gf", p)
+    return ("gf", arg)
 
 
 def _power_table(x, lo, hi, p):
@@ -354,45 +363,61 @@ def horn_sample(A, B, count, height=20, seed=0):
         f"{count} Horn samples not found in {100 * count} draws")
 
 
-def vandermonde_kernel(basis, points, field="q"):
-    """Canonical kernel generator of the monomial evaluation matrix.
+def vandermonde_kernel(basis, points, p):
+    """Kernel generator mod the prime p of the monomial evaluation matrix.
 
-    Each point contributes the row of basis monomial values; duplicate
-    points are dropped first.  The kernel must be exactly one dimensional:
-    KernelEmpty when no equation fits, KernelTooBig when several do.  Over
-    GF(p) the points are rational and get reduced, skipping points with
-    denominator collisions or zero residues.
+    Each point contributes the row of basis monomial values mod p
+    (``_rows_mod``); duplicate points are dropped first.  The kernel must
+    be exactly one dimensional: KernelEmpty when no equation fits,
+    KernelTooBig when several do.
     """
-    kind, p = parse_field(field)
-    if kind == "crt":
-        raise InputFormatError("crt mode lives in implicit_equation")
-    seen = set()
-    pts = []
-    for pt in points:
-        pt = tuple(pt)
-        if pt not in seen:
-            seen.add(pt)
-            pts.append(pt)
+    pts = list(dict.fromkeys(tuple(pt) for pt in points))
     if len(pts) < len(basis) - 1:
         raise ValueError(
             f"need at least {len(basis) - 1} distinct points, "
             f"got {len(pts)}")
-    if kind == "q":
-        rows = [basis.row(pt) for pt in pts]
-        kernel = ec.rational_kernel(rows, len(basis))
-    else:
-        F = ec.PrimeField(p)
-        rows = []
-        for pt in pts:
-            try:
-                red = F.reduce_vector(pt)
-            except ZeroDivisionError:
-                continue
-            if any(v == 0 for v in red):
-                continue
-            rows.append(basis.row_mod(red, p))
-        kernel = ec.gfp_kernel(rows, p, len(basis))
-    return kernel_vector(kernel)
+    return kernel_vector(ec.gfp_kernel(_rows_mod(basis, pts, p), p,
+                                       len(basis)))
+
+
+def _rows_mod(basis, points, p):
+    """Rows of basis monomial values mod p at the rational points.
+
+    A point whose reduction hits a vanishing denominator or a zero
+    residue gives no row.  Each row is a nonzero multiple of the point's
+    row over Q cleared to integers, so the kernel mod p is that of the
+    integer rows.
+    """
+    F = ec.PrimeField(p)
+    rows = []
+    for pt in points:
+        try:
+            red = F.reduce_vector(pt)
+        except ZeroDivisionError:
+            continue
+        if any(v == 0 for v in red):
+            continue
+        rows.append(basis.row_mod(red, p))
+    return rows
+
+
+def _hadamard_bits(basis, points):
+    """Bits b with 2 H^2 < 2^b, H the product of the norms of the rows
+    at the points cleared to integers, as ``lift_kernel_vector`` wants.
+
+    Cleared as in ``ImplicitPolynomial.evaluate``, the row of the point
+    a/b has entries prod a_i^(e_i - lo_i) b_i^(hi_i - e_i), each at most
+    prod max(|a_i|, b_i)^(hi_i - lo_i).  The bound is summed in bits,
+    from bit lengths, so no big integer is formed.
+    """
+    spans = [hi - lo for lo, hi in zip(basis.lo, basis.hi)]
+    columns = len(basis).bit_length()
+    bits = 1
+    for pt in points:
+        entry = sum(s * max(abs(x.numerator), x.denominator).bit_length()
+                    for s, x in zip(spans, pt))
+        bits += 2 * entry + columns
+    return bits
 
 
 def kernel_vector(kernel):
@@ -441,7 +466,11 @@ def implicit_equation(f, P, field="q", seed=0, height=20):
     f is a Parametrization, or an (A, B) matrix pair meaning points come
     from the Horn map.  The coefficients are solved and certified by
     ``solve_verified``; over a small prime the reduction discards a
-    fraction of the rows, which its top-ups make up for.
+    fraction of the rows, which its top-ups make up for.  Over Q ("q" or
+    "crt:k") each solve decides mod ec.DEFAULT_PRIME and lifts the one
+    kernel vector with ``lift_kernel_vector``, reconstructing first from
+    k primes, or from fewer once their product passes the Hadamard bound,
+    where more primes cannot change the lift.
     """
     kind, arg = parse_field(field)
     basis = MonomialBasis.from_polytope(P)
@@ -454,133 +483,83 @@ def implicit_equation(f, P, field="q", seed=0, height=20):
         def sampler(m, s):
             return horn_sample(A, B, m, height, s)
 
-    if kind == "crt":
-        solve = _crt_solver(basis, arg)
+    if kind == "gf":
+        def solve(points):
+            return ImplicitPolynomial(
+                basis, vandermonde_kernel(basis, points, arg), arg)
     else:
-        modulus = arg if kind == "gf" else None
+        p = ec.DEFAULT_PRIME
 
         def solve(points):
-            coeffs = vandermonde_kernel(basis, points, modulus or "q")
-            return ImplicitPolynomial(basis, coeffs, modulus)
+            residue = vandermonde_kernel(basis, points, p)
+            coeffs = lift_kernel_vector(
+                lambda q: _rows_mod(basis, points, q), p, residue,
+                _hadamard_bits(basis, points), arg or 1)
+            return ImplicitPolynomial(basis, coeffs)
 
     return solve_verified(len(basis), sampler, solve, seed)
 
 
-def _crt_solver(basis, nprimes):
-    """``solve`` for the crt field: one kernel vector per word-size prime,
-    aligned on a common unit coordinate and lifted to Q.
-
-    A prime whose kernel is too big before any prime has solved asks the
-    loop for more samples (KernelTooBig) and is retried on the grown set,
-    which every later prime keeps.  Once some prime has solved, the
-    samples are known to pin the equation down, so a later prime whose
-    kernel is still too big reduces badly and is skipped, at most
-    MAX_SKIPPED_PRIMES times.  When reconstruction fails, nprimes more
-    primes are added, up to MAX_PRIME_FACTOR * nprimes in all.
-    """
-    primes = _primes_descending(ec.DEFAULT_PRIME)
-    residues = []
-    used = []
-    p = next(primes)
-    target = nprimes
-    skipped = 0
-
-    def solve(points):
-        nonlocal p, target, skipped
-        while True:
-            while len(used) < target:
-                try:
-                    residues.append(vandermonde_kernel(basis, points, p))
-                    used.append(p)
-                except KernelTooBig:
-                    if not residues:
-                        raise
-                    skipped += 1
-                    if skipped > MAX_SKIPPED_PRIMES:
-                        raise ReconstructionFailed(
-                            f"{skipped} primes lost rank on the samples")
-                p = next(primes)
-            scaled = _align_on_unit(residues, used)
-            try:
-                lifted = ec.crt_rational_reconstruct(scaled, used)
-            except ReconstructionFailed:
-                if target >= MAX_PRIME_FACTOR * nprimes:
-                    raise
-                target += nprimes
-                continue
-            return ImplicitPolynomial(
-                basis, ec.canonicalize_rational_vector(list(lifted)))
-
-    return solve
-
-
-def _align_on_unit(residues, primes):
-    """Kernel vectors mod distinct primes, each scaled to 1 at the first
-    coordinate that is a unit mod every prime, ready for
-    ``ec.crt_rational_reconstruct``."""
-    unit = next((j for j in range(len(residues[0]))
-                 if all(v[j] for v in residues)), None)
-    if unit is None:
-        raise ReconstructionFailed(
-            "no basis coordinate is a unit for every prime")
-    scaled = []
-    for v, q in zip(residues, primes):
-        inv = pow(v[unit], q - 2, q)
-        scaled.append(tuple(x * inv % q for x in v))
-    return scaled
-
-
-def lift_kernel_vector(rows, p, residue):
+def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
     """The canonical integer vector spanning the kernel over Q of integer
     rows, given ``residue``, their one kernel vector mod the prime p.
 
-    A one-dimensional kernel mod p bounds the kernel over Q to dimension
-    at most one.  Primes below p are added one at a time; after each,
-    the residues are aligned on a common unit coordinate, lifted by
-    ``ec.crt_rational_reconstruct`` and canonically scaled, and the lift
-    is returned once it annihilates every row exactly.  A prime with an
-    empty kernel proves the kernel over Q empty (KernelEmpty); one with a
-    larger kernel has lost rank and is skipped, at most
-    MAX_SKIPPED_PRIMES times.  By Cramer's rule and Hadamard's bound the
-    aligned kernel vector's entries are quotients of integers of size at
-    most H, the product of the row norms, so reconstruction needs primes
-    of product at most 2 H^2; past that, ReconstructionFailed.
+    ``rows_mod(q)`` gives the rows mod the prime q, each up to a unit;
+    rows that do not reduce may be left out.  Primes q below p are added
+    one at a time.  Once min_primes are in, the residues, scaled to 1 at
+    a coordinate that is a unit mod every prime, are lifted by
+    ``ec.crt_rational_reconstruct``, and the canonical lift is returned
+    if it annihilates the rows mod the next prime; else those rows give
+    that prime's kernel (exact early termination, Monagan, ISSAC 2004).
+    The caller certifies the lift over Q.  A prime with an empty kernel
+    proves the kernel over Q empty (KernelEmpty); one with a larger
+    kernel has lost rank and is skipped, at most MAX_SKIPPED_PRIMES
+    times.  By Cramer's rule and Hadamard's bound the lift needs primes
+    of product at most 2 H^2 < 2^bound_bits, H the product of the row
+    norms; from there on the lift is tried whatever min_primes says, and
+    if it fails, ReconstructionFailed.
     """
-    bound = 2
-    for row in rows:
-        bound *= max(1, sum(x * x for x in row))
     primes = _primes_descending(p - 1)
     residues = [residue]
     used = [p]
     modulus = p
     skipped = 0
     while True:
-        scaled = _align_on_unit(residues, used)
-        try:
-            lifted = ec.canonicalize_rational_vector(
-                ec.crt_rational_reconstruct(scaled, used))
-            if all(ec.dot(row, lifted) == 0 for row in rows):
-                return lifted
-        except ReconstructionFailed:
-            pass
-        if modulus > bound:
-            raise ReconstructionFailed(
-                f"no kernel vector over Q within the Hadamard bound, "
-                f"{len(used)} primes")
-        while True:
-            q = next(primes)
+        q = next(primes)
+        rows = rows_mod(q)
+        past_bound = modulus >> bound_bits
+        if len(used) >= min_primes or past_bound:
+            unit = next((j for j in range(len(residue))
+                         if all(v[j] for v in residues)), None)
+            if unit is None:
+                raise ReconstructionFailed(
+                    "no basis coordinate is a unit for every prime")
+            scaled = [[x * pow(v[unit], -1, r) % r for x in v]
+                      for v, r in zip(residues, used)]
             try:
-                residues.append(kernel_vector(ec.gfp_kernel(
-                    [[x % q for x in row] for row in rows], q,
-                    len(residue))))
-                break
-            except KernelTooBig:
-                skipped += 1
-                if skipped > MAX_SKIPPED_PRIMES:
-                    raise ReconstructionFailed(
-                        f"{skipped} primes lost rank on the rows")
-        used.append(q)
-        modulus *= q
+                lifted = ec.canonicalize_rational_vector(
+                    ec.crt_rational_reconstruct(scaled, used))
+                reduced = [x % q for x in lifted]
+                if all(ec.dot(row, reduced) % q == 0 for row in rows):
+                    return lifted
+            except ReconstructionFailed:
+                pass
+            if past_bound:
+                raise ReconstructionFailed(
+                    f"no kernel vector over Q within the Hadamard bound, "
+                    f"{len(used)} primes")
+        try:
+            residues.append(kernel_vector(ec.gfp_kernel(rows, q,
+                                                        len(residue))))
+            used.append(q)
+            modulus *= q
+        except KernelTooBig:
+            skipped += 1
+            if skipped > MAX_SKIPPED_PRIMES:
+                raise ReconstructionFailed(
+                    f"{skipped} primes lost rank on the rows")
+        # free this prime's rows before the next prime's are built
+        del rows
 
 
 def _verify(poly, sampler, seed):

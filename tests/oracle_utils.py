@@ -4,10 +4,12 @@ Everything here is written against textbook definitions, by another
 algorithm than the package uses, so disagreements point at real bugs rather
 than shared mistakes.  The planar and modular references share no code with
 the package; the cone and fan references build on its exact linear algebra
-primitives and return package cones and cycles for comparison, and the
+primitives and return package cones and cycles for comparison, the
 Chow-form reference shares the ansatz and the sample -> solve -> verify
-loop with the package but solves over Q, and the mixed-volume reference
-measures every Minkowski subsum with the package's polytopes.
+loop with the package but solves over Q, the Vandermonde reference solves
+the package's exact monomial rows by fraction-free elimination, and the
+mixed-volume reference measures every Minkowski subsum with the package's
+polytopes.
 """
 
 import math
@@ -144,6 +146,16 @@ def gfp_kernel_back_substitution(rows, p, ncols):
         inv = pow(next(v for v in x if v), p - 2, p)
         basis.append(tuple(v * inv % p for v in x))
     return basis
+
+
+def vandermonde_kernel_over_q(basis, points):
+    """The one kernel vector over Q of the monomial evaluation matrix, by
+    fraction-free elimination of the exact rows ``basis.row``: the
+    reference for the modular decide-and-lift solve of
+    ``interpolate.implicit_equation`` over Q."""
+    pts = list(dict.fromkeys(tuple(pt) for pt in points))
+    return kernel_vector(ec.rational_kernel([basis.row(pt) for pt in pts],
+                                            len(basis)))
 
 
 def chow_form_over_q(f, C_X, d, n, seed=0, height=20):

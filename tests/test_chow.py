@@ -28,6 +28,7 @@ from tropimpl.chow import (
 from tropimpl.errors import (
     DimensionMismatch,
     InputFormatError,
+    ReconstructionFailed,
     ShiftSearchFailed,
     TropicalError,
     VerificationFailed,
@@ -390,6 +391,21 @@ class TestChowForm:
 
         monkeypatch.setattr(chow, "lift_kernel_vector", no_lift)
         assert failure(chow_form) is VerificationFailed
+
+    def test_lift_must_annihilate_every_sample_row(self, monkeypatch):
+        # the lift stops on rows mod one further prime; the exact check on
+        # every sampled row rejects a lift that is wrong over Q
+        P = Polytope([(2, 3, 1), (3, 0, 3)])
+        lift = chow.lift_kernel_vector
+
+        def off_by_one(*args):
+            coeffs = list(lift(*args))
+            coeffs[-1] += 1
+            return tuple(coeffs)
+
+        monkeypatch.setattr(chow, "lift_kernel_vector", off_by_one)
+        with pytest.raises(ReconstructionFailed):
+            chow_form(CUSP, P, 1, 2, seed=0)
 
     def test_hypersurface_matches_plane_curve_pipeline(self):
         # the Chow form of a plane curve is its defining polynomial under

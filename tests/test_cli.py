@@ -8,8 +8,12 @@ The curve fixtures and their expected equations match the library tests.
 import hashlib
 import json
 import os
+import importlib
 import subprocess
 import sys
+import time
+import types
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +300,8 @@ class TestGoldenArtifacts:
     by sha256 so a refactor cannot change any output silently."""
 
     QUADRATIC = {"rows": [[1, 1, 1], [0, 1, 2]]}
+    QUADRATIC_OVER_Q = (
+        "92e76add0662aba1d1a01ede825e99bdc433e605195a06d77ad47f45fe671c9e")
     # 6-point discriminant, 205 monomials, over Q from 4 word-size primes
     SIX_POINTS = {"rows": [[1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13],
                            [7, 6, 4, 3, 2, 1]]}
@@ -322,8 +328,7 @@ class TestGoldenArtifacts:
          "358a53c287f2031475544a9033ea8e832d0b9271019be7503f05470daa46a979"),
         ("implicitize", SPARSE_CURVE, [],
          "3bb4af0f12e60f2045936a052c83598c6f590bc4824464e93659952f10686617"),
-        ("adisc", QUADRATIC, [],
-         "92e76add0662aba1d1a01ede825e99bdc433e605195a06d77ad47f45fe671c9e"),
+        ("adisc", QUADRATIC, [], QUADRATIC_OVER_Q),
         ("adisc", QUADRATIC, ["--field", "gf:101"],
          "d6d7011e8416f46e723f49d3b43e354c13e75556b4ba62f6e0a5a5fc18953d34"),
         ("chow", CUSP_JOB, [],
@@ -426,6 +431,33 @@ class TestErrorContract:
         err = json.loads(out)
         assert err["error"] == "parse"
         assert "2^31" in err["message"]
+
+    @pytest.mark.parametrize("field", ["crt:x", "gf:x", "crt:", "gf:"])
+    def test_malformed_field_spec_exits_2(self, tmp_path, capsys, field):
+        target = tmp_path / "o.json"
+        rc, out = run(["implicitize",
+                       "--in", write(tmp_path / "p.json", CURVE),
+                       "--out", str(target), "--field", field], capsys)
+        assert rc == 2
+        assert not target.exists()
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert err["type"] == "InputFormatError"
+        assert field in err["message"]
+
+    def test_huge_prime_count_stops_at_the_hadamard_bound(self, tmp_path):
+        # more primes than the bound needs cannot change the lift: the
+        # artifact is the q golden, and no 100 000 kernels are computed
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        rc, _ = run(["adisc", "--in", write(tmp_path / "in.json",
+                                            TestGoldenArtifacts.QUADRATIC),
+                     "--out", str(out), "--field", "crt:100000"])
+        assert time.perf_counter() - start < 2
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            TestGoldenArtifacts.QUADRATIC_OVER_Q
 
     @pytest.mark.parametrize("cone", [
         {"rays": [[1, 0, 5]], "lineality": []},
@@ -549,3 +581,20 @@ class TestErrorContract:
         args = cli._build_parser().parse_args(
             argv[:1] + ["--in", "i.json", "--out", "o.json"] + argv[1:])
         assert args.seed == 1
+
+
+def test_perfbench_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names when a run traces; read its
+    # table without importing the harness, so a rename in the package
+    # fails here rather than at the next traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    assert tracer.TARGETS
+    for layer, module, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module("tropimpl." + module)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(owner, cls_name)).get(meth)), layer
+        else:
+            assert callable(getattr(owner, attr, None)), layer

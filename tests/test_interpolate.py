@@ -14,19 +14,20 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import pow_mod_row
+from oracle_utils import pow_mod_row, vandermonde_kernel_over_q
 from tropimpl import exactcore as ec
-from tropimpl import interpolate
 from tropimpl.errors import (
     InputFormatError,
     KernelEmpty,
     KernelTooBig,
     ReconstructionFailed,
     SamplingExhausted,
+    TropicalError,
     VerificationFailed,
 )
 from tropimpl.implicitize import Parametrization, reconstruct_polytope, get_tropical_cycle
 from tropimpl.interpolate import (
+    MAX_SKIPPED_PRIMES,
     MAX_TOP_UPS,
     VERIFY_SAMPLES,
     ImplicitPolynomial,
@@ -64,7 +65,8 @@ class TestFieldSpec:
     def test_rejects_bad_specs(self):
         # primes from 2^31 on would overflow the int64 elimination
         for bad in ("gf:8", 9, "crt:0", "maple", "gf:4294967311",
-                    4294967311, "gf:2147483659"):
+                    4294967311, "gf:2147483659", "crt:x", "gf:x", "crt:",
+                    "gf:"):
             with pytest.raises(InputFormatError):
                 parse_field(bad)
 
@@ -167,29 +169,34 @@ class TestSampling:
 
 
 class TestVandermondeKernel:
+    P = ec.DEFAULT_PRIME
+
     def test_linear_point(self):
+        # the kernel (2, -1) over Q, scaled to a leading 1 mod p
         basis = MonomialBasis([(0,), (1,)])
-        assert vandermonde_kernel(basis, [(2,)]) == (2, -1)
+        half = pow(2, -1, self.P)
+        assert vandermonde_kernel(basis, [(2,)], self.P) == \
+            (1, -half % self.P)
 
     def test_empty_kernel(self):
         basis = MonomialBasis([(0,), (1,)])
         with pytest.raises(KernelEmpty):
-            vandermonde_kernel(basis, [(2,), (3,)])
+            vandermonde_kernel(basis, [(2,), (3,)], self.P)
 
     def test_needs_enough_points(self):
         basis = MonomialBasis([(0,), (1,), (2,)])
         with pytest.raises(ValueError):
-            vandermonde_kernel(basis, [(2,), (2,)])
+            vandermonde_kernel(basis, [(2,), (2,)], self.P)
 
     def test_gfp_rejections_inflate_kernel(self):
         basis = MonomialBasis([(0,), (1,)])
         bad = [(ec.rat(1, 5),), (ec.rat(2, 5),)]
         with pytest.raises(KernelTooBig):
-            vandermonde_kernel(basis, bad, field=5)
+            vandermonde_kernel(basis, bad, 5)
 
     def test_gfp_matches_rational_reduction(self):
         basis = MonomialBasis([(0,), (1,)])
-        assert vandermonde_kernel(basis, [(2,)], field=7) == (1, 3)
+        assert vandermonde_kernel(basis, [(2,)], 7) == (1, 3)
 
 
 class TestImplicitEquation:
@@ -396,29 +403,78 @@ class TestSolveVerified:
         assert isinstance(result, VerificationFailed)
 
 
-def test_crt_tops_up_then_skips_a_bad_prime(monkeypatch):
-    # the first prime asks for more samples and is retried on the grown
-    # set; a later prime that still fails on it is skipped
-    real = interpolate.vandermonde_kernel
+def inflating_gfp_kernel(monkeypatch, inflate):
+    """Patch ec.gfp_kernel to record (prime, rows) per call and to add a
+    second kernel vector on the calls for which inflate(call, prime)
+    holds, as a prime that loses rank would."""
+    real = ec.gfp_kernel
     calls = []
 
-    def flaky(basis, points, field="q"):
-        calls.append((field, len(points)))
-        if len(calls) in (1, 3):
-            raise KernelTooBig("simulated")
-        return real(basis, points, field)
+    def fake(rows, p, ncols=None):
+        calls.append((p, len(rows)))
+        kernel = real(rows, p, ncols)
+        if inflate(len(calls), p):
+            kernel.append(tuple(int(j == ncols - 1) for j in range(ncols)))
+        return kernel
 
-    monkeypatch.setattr(interpolate, "vandermonde_kernel", flaky)
+    monkeypatch.setattr(ec, "gfp_kernel", fake)
+    return calls
+
+
+def test_crt_tops_up_then_skips_a_bad_prime(monkeypatch):
+    # the deciding prime's kernel is too big on the first samples, so
+    # the loop tops them up; the first lift prime then loses rank and
+    # is skipped, and the next one lifts
+    calls = inflating_gfp_kernel(monkeypatch,
+                                 lambda call, p: call in (1, 3))
     poly = implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE, field="crt:2")
     assert poly.coefficients == (1, -4)
     primes = [p for p, _ in calls]
     assert primes[0] == primes[1] == ec.DEFAULT_PRIME
-    assert len(set(primes)) == 3
+    assert primes[2] > primes[3] and len(set(primes)) == 3
     assert [n for _, n in calls] == [1, 11, 11, 11]
+
+    # a lift in which every prime loses rank gives up at the sixth skip
+    calls = inflating_gfp_kernel(
+        monkeypatch, lambda call, p: p < ec.DEFAULT_PRIME)
+    with pytest.raises(ReconstructionFailed):
+        implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE, field="crt:2")
+    assert len(calls) == 1 + MAX_SKIPPED_PRIMES + 1
+
+
+def exact_rows_mod(rows):
+    return lambda q: [[x % q for x in row] for row in rows]
+
+
+def hadamard_bits(rows):
+    return 1 + sum(sum(x * x for x in row).bit_length() for row in rows)
+
+
+def spy_reconstruct(monkeypatch):
+    """Record the primes and the result (or failure) of every call of
+    ec.crt_rational_reconstruct."""
+    real = ec.crt_rational_reconstruct
+    calls = []
+
+    def spy(residues, primes):
+        try:
+            out = real(residues, primes)
+        except ReconstructionFailed:
+            calls.append((len(primes), None))
+            raise
+        calls.append((len(primes), out))
+        return out
+
+    monkeypatch.setattr(ec, "crt_rational_reconstruct", spy)
+    return calls
 
 
 class TestLiftKernelVector:
     P = ec.DEFAULT_PRIME
+
+    def lift(self, rows, residue, min_primes=1):
+        return lift_kernel_vector(exact_rows_mod(rows), self.P, residue,
+                                  hadamard_bits(rows), min_primes)
 
     def test_lifts_over_several_primes(self, monkeypatch):
         # the kernel (a, b, c) of these rows has entries far beyond the
@@ -426,26 +482,119 @@ class TestLiftKernelVector:
         a, b, c = 3 ** 40, -5 ** 30, 7 ** 25
         rows = [[c, 0, -a], [0, c, -b]]
         residue = kernel_vector(ec.gfp_kernel(rows, self.P))
-        real = ec.crt_rational_reconstruct
-        counts = []
-
-        def spy(residues, primes):
-            counts.append(len(primes))
-            return real(residues, primes)
-
-        monkeypatch.setattr(ec, "crt_rational_reconstruct", spy)
-        assert lift_kernel_vector(rows, self.P, residue) == (a, b, c)
+        calls = spy_reconstruct(monkeypatch)
+        assert self.lift(rows, residue) == (a, b, c)
+        counts = [k for k, _ in calls]
         assert counts == list(range(1, counts[-1] + 1)) and counts[-1] > 1
+
+    def test_check_prime_rejects_a_premature_reconstruction(self,
+                                                            monkeypatch):
+        # the kernel (10^6, 1), aligned to (1, 10^-6), reconstructs from
+        # one prime to the wrong fraction 4295/32706; the rows mod the
+        # next prime reject it, and two primes give the true vector
+        rows = [[1, -10 ** 6]]
+        residue = kernel_vector(ec.gfp_kernel(rows, self.P))
+        calls = spy_reconstruct(monkeypatch)
+        assert self.lift(rows, residue) == (10 ** 6, 1)
+        assert calls[0] == (1, (1, ec.rat(4295, 32706)))
+        assert [k for k, _ in calls] == [1, 2]
 
     def test_empty_kernel_at_the_next_prime(self):
         # a residue that is not in the kernel: the rows have full rank,
         # so the next prime finds no kernel vector at all
         rows = [[10 ** 6, 1], [1, 10 ** 6]]
         with pytest.raises(KernelEmpty):
-            lift_kernel_vector(rows, self.P, (1, 0))
+            self.lift(rows, (1, 0))
 
     def test_hadamard_bound_caps_the_primes(self):
         # entries of size 1 reconstruct from one prime, so a lift that
-        # fails the exact check there has no kernel vector to find
+        # fails the check there has no kernel vector to find
         with pytest.raises(ReconstructionFailed):
-            lift_kernel_vector([[1, 0], [0, 1]], self.P, (1, 0))
+            self.lift([[1, 0], [0, 1]], (1, 0))
+
+
+def test_crt_k_reconstructs_first_from_k_primes(monkeypatch):
+    # the samples of b^2 - 4ac bound the lift by three primes: crt:2
+    # starts from two, and a larger count stops at the bound
+    calls = spy_reconstruct(monkeypatch)
+    for field, first in (("q", 1), ("crt:1", 1), ("crt:2", 2),
+                         ("crt:100000", 3)):
+        calls.clear()
+        poly = implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE,
+                                 field=field)
+        assert poly.coefficients == (1, -4)
+        assert calls[0][0] == first
+
+
+@st.composite
+def plane_curves(draw):
+    """Laurent plane curves t -> (x(t), y(t)): up to three terms per
+    component, exponents in [-4, 4] (not all zero), coefficients in
+    [-20, 20]."""
+    components = []
+    for _ in range(2):
+        exps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3,
+                             unique=True).filter(any))
+        components.append([(draw(st.integers(-20, 20).filter(bool)), (e,))
+                           for e in exps])
+    return Parametrization(1, 2, components)
+
+
+def outcome(run):
+    """The equation's basis and coefficients, or the error class."""
+    try:
+        F = run()
+    except TropicalError as exc:
+        return type(exc)
+    return F.basis.exponents, F.coefficients, F.modulus
+
+
+def equation_over_q(f, P, seed=0, height=20):
+    """``implicit_equation`` over Q with the parent's fraction-free solve
+    (``vandermonde_kernel_over_q``) on the same samples."""
+    basis = MonomialBasis.from_polytope(P)
+    if isinstance(f, Parametrization):
+        def sampler(m, s):
+            return sample_points(f, m, height, s)
+    else:
+        def sampler(m, s):
+            return horn_sample(*f, m, height, s)
+
+    def solve(points):
+        return ImplicitPolynomial(basis,
+                                  vandermonde_kernel_over_q(basis, points))
+
+    return solve_verified(len(basis), sampler, solve, seed)
+
+
+class TestExactSolve:
+    """``q`` and ``crt:k`` decide mod p and lift; the parent's
+    fraction-free solve over Q is the reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(plane_curves())
+    def test_q_and_crt_match_fraction_free_reference(self, f):
+        # low sample heights keep the fraction-free reference fast
+        P = reconstruct_polytope(get_tropical_cycle(f.newton_polytopes()))
+        expected = outcome(lambda: equation_over_q(f, P, height=8))
+        for field in ("q", "crt:1", "crt:2", "crt:3"):
+            assert outcome(lambda: implicit_equation(
+                f, P, field, height=8)) == expected
+
+    def test_never_calls_rational_kernel(self, monkeypatch):
+        curve = Parametrization(1, 2, [
+            [(11, (2,)), (5, (3,)), (-1, (4,))],
+            [(11, (0,)), (11, (1,)), (7, (8,))]])
+        P = reconstruct_polytope(get_tropical_cycle(
+            curve.newton_polytopes()))
+        jobs = [(curve, P), ((DISC_A, DISC_B), DISC_POLYTOPE)]
+        expected = [equation_over_q(f, Q).coefficients for f, Q in jobs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rational_kernel called")
+
+        monkeypatch.setattr(ec, "rational_kernel", forbidden)
+        for field in ("q", "crt:2"):
+            assert [implicit_equation(f, Q, field).coefficients
+                    for f, Q in jobs] == expected
