@@ -171,7 +171,20 @@ class MonomialBasis:
 
         Each coordinate's powers over its exponent range are tabulated
         by ``_power_table``; one gather picks every monomial's factors.
+        Up to ec.GFP_PYTHON_COLUMNS monomials the gather runs in Python
+        ints, so that small jobs, as in ``ec.gfp_kernel``, never import
+        numpy.
         """
+        tables = [_power_table(x % p, lo, hi, p)
+                  for x, lo, hi in zip(point, self.lo, self.hi)]
+        if len(self.exponents) <= ec.GFP_PYTHON_COLUMNS:
+            out = []
+            for e in self.exponents:
+                v = 1
+                for t, k, lo in zip(tables, e, self.lo):
+                    v = v * t[k - lo] % p
+                out.append(v)
+            return tuple(out)
         import numpy as np
 
         if self._index is None:
@@ -182,10 +195,8 @@ class MonomialBasis:
             self._index = (np.array(self.exponents, dtype=np.int64)
                            - np.array(self.lo, dtype=np.int64)
                            + start).T.copy()
-        tables = []
-        for x, lo, hi in zip(point, self.lo, self.hi):
-            tables += _power_table(x % p, lo, hi, p)
-        factors = np.array(tables, dtype=np.int64)[self._index]
+        factors = np.array([v for t in tables for v in t],
+                           dtype=np.int64)[self._index]
         vals = np.ones(len(self.exponents), dtype=np.int64)
         for f in factors:
             vals = vals * f % p
@@ -383,10 +394,11 @@ def vandermonde_kernel(basis, points, p):
 def _rows_mod(basis, points, p):
     """Rows of basis monomial values mod p at the rational points.
 
-    A point whose reduction hits a vanishing denominator or a zero
-    residue gives no row.  Each row is a nonzero multiple of the point's
-    row over Q cleared to integers, so the kernel mod p is that of the
-    integer rows.
+    A point gives no row when its reduction hits a vanishing denominator,
+    or a zero residue at a coordinate with a negative exponent, the rule
+    of ``ImplicitPolynomial.evaluate``.  Each row is a nonzero multiple of
+    the point's row over Q cleared to integers, so the kernel mod p is
+    that of the integer rows.
     """
     F = ec.PrimeField(p)
     rows = []
@@ -395,7 +407,7 @@ def _rows_mod(basis, points, p):
             red = F.reduce_vector(pt)
         except ZeroDivisionError:
             continue
-        if any(v == 0 for v in red):
+        if any(x == 0 and lo < 0 for x, lo in zip(red, basis.lo)):
             continue
         rows.append(basis.row_mod(red, p))
     return rows
@@ -513,8 +525,8 @@ def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
     that prime's kernel (exact early termination, Monagan, ISSAC 2004).
     The caller certifies the lift over Q.  A prime with an empty kernel
     proves the kernel over Q empty (KernelEmpty); one with a larger
-    kernel has lost rank and is skipped, at most MAX_SKIPPED_PRIMES
-    times.  By Cramer's rule and Hadamard's bound the lift needs primes
+    kernel has lost rank, or has fewer than len(residue) - 1 rows and
+    checks nothing, and is skipped, at most MAX_SKIPPED_PRIMES times.  By Cramer's rule and Hadamard's bound the lift needs primes
     of product at most 2 H^2 < 2^bound_bits, H the product of the row
     norms; from there on the lift is tried whatever min_primes says, and
     if it fails, ReconstructionFailed.
@@ -528,7 +540,10 @@ def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
         q = next(primes)
         rows = rows_mod(q)
         past_bound = modulus >> bound_bits
-        if len(used) >= min_primes or past_bound:
+        # fewer rows than a one-dimensional kernel needs cannot check a
+        # lift; their kernel is too big, so the prime is skipped below
+        enough = len(rows) >= len(residue) - 1
+        if enough and (len(used) >= min_primes or past_bound):
             unit = next((j for j in range(len(residue))
                          if all(v[j] for v in residues)), None)
             if unit is None:

@@ -71,6 +71,33 @@ def run(argv, capsys=None):
     return rc, capsys.readouterr().out
 
 
+def fresh_run_imports_numpy(argv):
+    """Whether ``main(argv)``, run in a fresh interpreter, imports numpy;
+    the run must exit 0."""
+    src = os.path.dirname(os.path.dirname(tropimpl.__file__))
+    script = ("import sys\n"
+              "from tropimpl.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(rc, 'numpy' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    rc, imported = proc.stdout.split()
+    assert rc == "0", proc.stderr
+    return imported == "True"
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("implicitize", CURVE), ("adisc", {"rows": [[1, 1, 1], [0, 1, 2]]})])
+def test_small_q_job_never_imports_numpy(tmp_path, command, obj):
+    # bases of at most ec.GFP_PYTHON_COLUMNS monomials are evaluated and
+    # solved in Python ints, as in a chow job
+    assert fresh_run_imports_numpy(
+        [command, "--in", write(tmp_path / "in.json", obj),
+         "--out", str(tmp_path / "o.json")]) is False
+
+
 class TestJobSpec:
     def test_defaults_validate(self):
         JobSpec("implicitize", "a.json", "b.json").validate()
@@ -214,18 +241,9 @@ class TestChow:
     def test_chow_job_never_imports_numpy(self, tmp_path):
         # Chow solves are narrow enough for the pure-Python GF(p) kernel,
         # which keeps numpy's memory out of a chow job
-        src = os.path.dirname(os.path.dirname(tropimpl.__file__))
-        script = ("import sys\n"
-                  "from tropimpl.cli import main\n"
-                  "rc = main(sys.argv[1:])\n"
-                  "print(rc, 'numpy' in sys.modules)\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "chow",
-             "--in", write(tmp_path / "c.json", CUSP_JOB),
-             "--out", str(tmp_path / "o.json")],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src))
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert fresh_run_imports_numpy(
+            ["chow", "--in", write(tmp_path / "c.json", CUSP_JOB),
+             "--out", str(tmp_path / "o.json")]) is False
 
     def test_finite_field_rejected(self, tmp_path, capsys):
         rc, out = run(["chow", "--in", write(tmp_path / "c.json", CUSP_JOB),

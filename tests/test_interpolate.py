@@ -33,6 +33,7 @@ from tropimpl.interpolate import (
     ImplicitPolynomial,
     MonomialBasis,
     _is_prime,
+    _primes_descending,
     _verify,
     horn_sample,
     implicit_equation,
@@ -116,6 +117,16 @@ class TestLoopReferences:
         assert basis.row_mod(point, p) == pow_mod_row(basis.exponents,
                                                       point, p)
 
+    def test_row_mod_in_numpy_matches_pow_loop(self):
+        # past ec.GFP_PYTHON_COLUMNS monomials row_mod gathers in numpy
+        p = 2 ** 31 - 1
+        basis = MonomialBasis([(i, j) for i in range(-4, 5)
+                               for j in range(-3, 6)])
+        assert len(basis) > ec.GFP_PYTHON_COLUMNS
+        for point in ((0, 5), (3, 0), (p - 1, 12345), (-7, 3 * p + 2)):
+            assert basis.row_mod(point, p) == pow_mod_row(basis.exponents,
+                                                          point, p)
+
     @REFERENCE
     @given(bases_with_negative_exponents(), st.data())
     def test_evaluate_over_q_matches_fraction_row_sum(self, basis, data):
@@ -197,6 +208,15 @@ class TestVandermondeKernel:
     def test_gfp_matches_rational_reduction(self):
         basis = MonomialBasis([(0,), (1,)])
         assert vandermonde_kernel(basis, [(2,)], 7) == (1, 3)
+
+    def test_zero_residue_gives_a_row_without_negative_exponents(self):
+        # x = p is a root of x - p, whose kernel vector (-p, 1) is (0, 1)
+        # mod p; only a negative power of the zero residue has no value
+        assert vandermonde_kernel(MonomialBasis([(0,), (1,)]), [(self.P,)],
+                                  self.P) == (0, 1)
+        with pytest.raises(KernelTooBig):
+            vandermonde_kernel(MonomialBasis([(-1,), (0,)]), [(self.P,)],
+                               self.P)
 
 
 class TestImplicitEquation:
@@ -499,6 +519,21 @@ class TestLiftKernelVector:
         assert calls[0] == (1, (1, ec.rat(4295, 32706)))
         assert [k for k, _ in calls] == [1, 2]
 
+    def test_prime_with_too_few_rows_is_skipped(self, monkeypatch):
+        # no row reduces mod the first lift prime, so it can neither
+        # accept the wrong one-prime reconstruction nor give a kernel
+        rows = [[1, -10 ** 6]]
+        first = next(_primes_descending(self.P - 1))
+
+        def rows_mod(q):
+            return [] if q == first else exact_rows_mod(rows)(q)
+
+        residue = kernel_vector(ec.gfp_kernel(rows, self.P))
+        kernels = inflating_gfp_kernel(monkeypatch, lambda call, p: False)
+        assert lift_kernel_vector(rows_mod, self.P, residue,
+                                  hadamard_bits(rows)) == (10 ** 6, 1)
+        assert kernels[0] == (first, 0) and [n for _, n in kernels] == [0, 1]
+
     def test_empty_kernel_at_the_next_prime(self):
         # a residue that is not in the kernel: the rows have full rank,
         # so the next prime finds no kernel vector at all
@@ -550,8 +585,8 @@ def outcome(run):
 
 
 def equation_over_q(f, P, seed=0, height=20):
-    """``implicit_equation`` over Q with the parent's fraction-free solve
-    (``vandermonde_kernel_over_q``) on the same samples."""
+    """``implicit_equation`` over Q with the fraction-free solve
+    ``vandermonde_kernel_over_q`` on the same samples."""
     basis = MonomialBasis.from_polytope(P)
     if isinstance(f, Parametrization):
         def sampler(m, s):
@@ -568,8 +603,8 @@ def equation_over_q(f, P, seed=0, height=20):
 
 
 class TestExactSolve:
-    """``q`` and ``crt:k`` decide mod p and lift; the parent's
-    fraction-free solve over Q is the reference."""
+    """``q`` and ``crt:k`` decide mod p and lift; the fraction-free
+    solve over Q is the reference."""
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -598,3 +633,15 @@ class TestExactSolve:
         for field in ("q", "crt:2"):
             assert [implicit_equation(f, Q, field).coefficients
                     for f, Q in jobs] == expected
+
+    def test_coefficient_divisible_by_the_deciding_prime(self):
+        # t -> (p t, t^2) has the equation p^2 y - x^2: every sample's x
+        # vanishes mod p, which only a negative exponent of x would forbid
+        p = ec.DEFAULT_PRIME
+        f = Parametrization(1, 2, [[(p, (1,))], [(1, (2,))]])
+        P = reconstruct_polytope(get_tropical_cycle(f.newton_polytopes()))
+        expected = equation_over_q(f, P)
+        assert expected.terms() == [(p * p, (0, 1)), (-1, (2, 0))]
+        for field in ("q", "crt:2"):
+            assert implicit_equation(f, P, field).coefficients == \
+                expected.coefficients
