@@ -11,8 +11,9 @@ outer normal fan of the Chow polytope, with edge lattice lengths as
 weights.  The pipeline here runs that route: build the fan, reconstruct a
 translate of the polytope with the vertex oracle, search for the missing
 translation, and interpolate the Chow form from random planes through
-random points of the variety.  The interpolation runs the one
-sample -> solve -> top up -> verify policy of
+random points of the variety.  One ``PluckerStream`` per search draws
+those samples once for every candidate translation.  The interpolation
+runs the one sample -> solve -> top up -> verify policy of
 ``interpolate.solve_verified``, with the same constants as the implicit
 equation.  Samples are integer Pluecker vectors, so each solve first
 decides mod one word-size prime: the kernel vector mod p must vanish mod
@@ -60,6 +61,7 @@ from .interpolate import (
 )
 from .tropical import stable_sum, standard_linear_cycle
 
+# the shift search of chow_polytope tries Chow forms up to this degree
 DEFAULT_MAX_DEGREE = 12
 
 
@@ -234,60 +236,39 @@ def chow_fan(C, d):
     return stable_sum(C, standard_linear_cycle(n - d - 1, n, negated=True))
 
 
-def chow_polytope(C, d, f, degree_hint=None, seed=0, height=20,
-                  max_degree=DEFAULT_MAX_DEGREE, cfg=None, report_all=False):
-    """Chow polytope of the variety parametrized by f, from its tropical
-    cycle C.  Returns (translated, shift, polytope, form), form being the
-    Chow form interpolated on the accepted polytope.
+def chow_polytope(fan, d, f, seed=0, height=20):
+    """Chow polytope of the d-dimensional variety parametrized by f, from
+    its Chow fan (``chow_fan``).  Returns (translated, shift, polytope,
+    form), form being the Chow form interpolated on the accepted polytope.
 
-    The vertex oracle reconstructs the polytope only up to a translation
-    that pins it against the coordinate hyperplanes.  The true position is
-    recovered by a bounded search: candidate shifts s >= 0 are enumerated
-    by increasing total |s| = (d+1)*deg - (vertex coordinate sum), then
-    lexicographically, sweeping deg up to max_degree unless degree_hint
-    fixes it; a candidate is accepted when Chow-form interpolation over the
-    shifted polytope yields a one-dimensional kernel that survives fresh
-    samples.  With report_all, every accepted shift of the winning degree
-    is returned in place of the single shift, and polytope and form
-    belong to the first of them.
+    The vertex oracle, run with the seed, reconstructs the polytope only
+    up to a translation that pins it against the coordinate hyperplanes.
+    The true position is recovered by a bounded search: candidate shifts
+    s >= 0 are enumerated by increasing total |s| = (d+1)*deg - (vertex
+    coordinate sum), then lexicographically, sweeping deg up to
+    DEFAULT_MAX_DEGREE; the first candidate on which ``chow_form`` yields
+    a one-dimensional kernel that survives fresh samples is accepted.
+    Every candidate reads its samples from one ``PluckerStream``, so each
+    sample is drawn once per call.
     """
-    n = C.ambient_dim - 1
-    if f.d != d or f.n != n:
-        raise DimensionMismatch(
-            f"parametrization has {f.d} parameters and {f.n} components; "
-            f"expected {d} and {n}")
-    fan = chow_fan(C, d)
-    translated = reconstruct_polytope(fan.negated(), cfg)
+    n = fan.ambient_dim - 1
+    stream = PluckerStream(f, d, n, height)
+    translated = reconstruct_polytope(fan.negated(), seed)
     sums = {sum(v) for v in translated.vertices}
     if len(sums) != 1:
         raise OracleInconsistent(
             f"translated vertices have unequal coordinate sums {sorted(sums)}")
     base = sums.pop()
-    if degree_hint is not None:
-        degrees = [degree_hint]
-    else:
-        degrees = range(max(1, -(-base // (d + 1))), max_degree + 1)
-    accepted = []
-    for deg in degrees:
-        total = (d + 1) * deg - base
-        if total < 0:
-            continue
-        for s in _compositions(total, n + 1):
+    for deg in range(max(1, -(-base // (d + 1))), DEFAULT_MAX_DEGREE + 1):
+        for s in _compositions((d + 1) * deg - base, n + 1):
             candidate = translated.translate(s)
             try:
-                form = chow_form(f, candidate, d, n, seed=seed, height=height)
+                form = chow_form(stream, candidate, seed)
             except (KernelEmpty, KernelTooBig, VerificationFailed):
                 continue
-            if not report_all:
-                return translated, s, candidate, form
-            accepted.append((s, candidate, form))
-        if accepted:
-            break
-    if not accepted:
-        raise ShiftSearchFailed(
-            f"no shift up to degree {degrees[-1]} admits a Chow form")
-    _, candidate, form = accepted[0]
-    return translated, [s for s, _, _ in accepted], candidate, form
+            return translated, s, candidate, form
+    raise ShiftSearchFailed(
+        f"no shift up to degree {DEFAULT_MAX_DEGREE} admits a Chow form")
 
 
 def _compositions(total, parts):
@@ -372,51 +353,64 @@ def _draw_pluecker(f, d, n, rng, height):
     return tuple(ec.canonicalize_rational_vector(_primal_pluecker(rows, d, n)))
 
 
-def chow_sample(f, d, n, seed=0, height=20):
-    """One random point of the Chow hypersurface: the Pluecker vector of a
-    random (n-d-1)-plane through a random point of the variety."""
-    if f.d != d or f.n != n:
-        raise DimensionMismatch(
-            f"parametrization has {f.d} parameters and {f.n} components; "
-            f"expected {d} and {n}")
-    rng = random.Random(seed)
-    for _ in range(100):
-        p = _draw_pluecker(f, d, n, rng, height)
-        if p is not None:
-            return p
-    raise SamplingExhausted("no generic plane found in 100 draws")
+class PluckerStream:
+    """Samples of the Chow hypersurface of the variety parametrized by f:
+    Pluecker vectors of random (n-d-1)-planes through random points of the
+    variety, each a mapping from index tuples to integer coordinates.
 
+    ``stream(count, seed)``, the sampler of ``solve_verified``, returns
+    the first count distinct generic draws of random.Random(seed).  The
+    draws of every seed are kept, so each sample is drawn once however
+    often, and in whatever order of counts, it is asked for.
+    SamplingExhausted when count distinct samples take more than
+    100 * count draws.
+    """
 
-def _sample_batch(f, d, n, count, rng, height):
-    """Draw count distinct samples, skipping degenerate draws."""
-    out = []
-    seen = set()
-    budget = 100 * max(count, 1)
-    while len(out) < count and budget > 0:
-        budget -= 1
-        p = _draw_pluecker(f, d, n, rng, height)
-        if p is None or p in seen:
-            continue
-        seen.add(p)
-        out.append(p)
-    if len(out) < count:
-        raise SamplingExhausted(
-            f"only {len(out)} of {count} samples within the draw budget")
-    return out
+    def __init__(self, f, d, n, height=20):
+        if f.d != d or f.n != n:
+            raise DimensionMismatch(
+                f"parametrization has {f.d} parameters and {f.n} components; "
+                f"expected {d} and {n}")
+        self.f = f
+        self.d = d
+        self.n = n
+        self.height = height
+        self._positions = list(itertools.combinations(range(n + 1), d + 1))
+        self._streams = {}   # seed -> (rng, samples, their vectors)
+        self._draws = {}     # seed -> draws so far
+
+    def __call__(self, count, seed):
+        if seed not in self._streams:
+            self._streams[seed] = (random.Random(seed), [], set())
+        rng, samples, seen = self._streams[seed]
+        draws = self._draws.get(seed, 0)
+        while len(samples) < count and draws < 100 * max(count, 1):
+            draws += 1
+            p = _draw_pluecker(self.f, self.d, self.n, rng, self.height)
+            if p is None or p in seen:
+                continue
+            seen.add(p)
+            samples.append(dict(zip(self._positions, p)))
+        self._draws[seed] = draws
+        if len(samples) < count:
+            raise SamplingExhausted(
+                f"only {len(samples)} of {count} samples within the draw "
+                f"budget")
+        return samples[:count]
 
 
 # ---------------------------------------------------------------------------
 # interpolation
 
-def chow_form(f, C_X, d, n, seed=0, height=20):
-    """Interpolate the Chow form from a candidate Chow polytope.
+def chow_form(stream, C_X, seed=0):
+    """Interpolate the Chow form from a candidate Chow polytope C_X.
 
     The ansatz takes every standard monomial whose weight is a lattice
-    point of C_X; rows are evaluations at random Chow-hypersurface
-    samples, which are integer Pluecker vectors.  ``solve_verified`` tops
-    the samples up while the kernel is more than one-dimensional.  Each
-    solve first decides mod the word-size prime p = ec.DEFAULT_PRIME: the
-    one kernel vector of the rows mod p must vanish mod p on the fresh
+    point of C_X; rows are evaluations at samples of the PluckerStream,
+    which are integer Pluecker vectors.  ``solve_verified`` tops the
+    samples up while the kernel is more than one-dimensional.  Each solve
+    first decides mod the word-size prime p = ec.DEFAULT_PRIME: the one
+    kernel vector of the rows mod p must vanish mod p on the fresh
     samples that ``_verify`` checks, else VerificationFailed.  The kernel
     over Q is at most as large as mod p, and a nonzero value mod p is
     nonzero over Q, so a wrong candidate polytope is rejected exactly
@@ -425,9 +419,10 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
     the same rows reduced mod each further prime, until the lift
     annihilates the rows mod the next prime.  The lift must then
     annihilate every sampled row exactly, else ReconstructionFailed, and
-    ``_verify`` checks it over Q on the fresh samples.
+    ``_verify`` checks it over Q on the same fresh samples.
     """
-    unknowns, sampler = _chow_ansatz(f, C_X, d, n, height)
+    d, n = stream.d, stream.n
+    unknowns = _chow_ansatz(C_X, d, n)
     p = ec.DEFAULT_PRIME
 
     def rows_mod_p(samples):
@@ -441,7 +436,7 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
     def solve(samples):
         residue = kernel_vector(
             ec.gfp_kernel(rows_mod_p(samples), p, len(unknowns)))
-        for row in rows_mod_p(sampler(VERIFY_SAMPLES, seed + 1000)):
+        for row in rows_mod_p(stream(VERIFY_SAMPLES, seed + 1000)):
             if ec.dot(row, residue) % p:
                 raise VerificationFailed(
                     f"candidate Chow form is nonzero mod {p} at a fresh "
@@ -457,18 +452,12 @@ def chow_form(f, C_X, d, n, seed=0, height=20):
         return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
                                   if c])
 
-    return solve_verified(len(unknowns), sampler, solve, seed)
+    return solve_verified(len(unknowns), stream, solve, seed)
 
 
-def _chow_ansatz(f, C_X, d, n, height):
-    """The unknowns of the Chow form on C_X, standard monomials ordered
-    by weight (lexicographically largest first), and the sampler of
-    ``solve_verified``: count distinct samples from a seed, each a
-    mapping from index tuples to integer Pluecker coordinates."""
-    if f.d != d or f.n != n:
-        raise DimensionMismatch(
-            f"parametrization has {f.d} parameters and {f.n} components; "
-            f"expected {d} and {n}")
+def _chow_ansatz(C_X, d, n):
+    """The unknowns of the Chow form on C_X: standard monomials ordered
+    by weight, lexicographically largest first."""
     if C_X.ambient_dim != n + 1:
         raise DimensionMismatch(
             f"polytope in R^{C_X.ambient_dim}; weights live in R^{n + 1}")
@@ -485,13 +474,7 @@ def _chow_ansatz(f, C_X, d, n, height):
         unknowns.extend(standard_monomials_of_weight(u, d, n))
     if not unknowns:
         raise KernelEmpty("no standard monomials on the candidate polytope")
-    positions = list(itertools.combinations(range(n + 1), d + 1))
-
-    def sampler(count, s):
-        batch = _sample_batch(f, d, n, count, random.Random(s), height)
-        return [dict(zip(positions, p)) for p in batch]
-
-    return unknowns, sampler
+    return unknowns
 
 
 # ---------------------------------------------------------------------------

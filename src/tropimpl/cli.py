@@ -37,7 +37,6 @@ from .errors import (
     VerificationFailed,
 )
 from .implicitize import (
-    OracleConfig,
     Parametrization,
     get_trop_a_disc,
     get_tropical_cycle,
@@ -92,7 +91,7 @@ COMMAND_FLAGS = {
     "newton": ("--seed", "--delta", "--force"),
     "implicitize": ("--field", "--seed", "--height", "--delta",
                     "--polytope-only", "--force"),
-    "chow": ("--field", "--seed", "--height", "--delta", "--polytope-only"),
+    "chow": ("--seed", "--height", "--delta", "--polytope-only"),
     "mfp-search": ("--seed", "--delta"),
 }
 
@@ -152,10 +151,6 @@ def _write_atomic(path, text):
 
 def _dumps(obj):
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _oracle_cfg(seed):
-    return OracleConfig(rng_seed=seed)
 
 
 def _trial_seed(master, index):
@@ -235,14 +230,14 @@ def cmd_newton(spec, obj):
         C = _as_cycle(obj)
     else:
         C = get_tropical_cycle(_input_polytopes(obj), spec.delta)
-    P = reconstruct_polytope(C, _oracle_cfg(spec.seed))
+    P = reconstruct_polytope(C, spec.seed)
     return {"polytope": _polytope_artifact(P, spec.force)}
 
 
 def cmd_implicitize(spec, obj):
     f = Parametrization.from_json(obj)
     C = get_tropical_cycle(f.newton_polytopes(), spec.delta)
-    P = reconstruct_polytope(C, _oracle_cfg(spec.seed))
+    P = reconstruct_polytope(C, spec.seed)
     out = {"cycle": C.to_json(),
            "polytope": _polytope_artifact(P, spec.force)}
     if not spec.polytope_only:
@@ -256,7 +251,7 @@ def cmd_implicitize(spec, obj):
 def cmd_adisc(spec, obj):
     A = _as_matrix(obj)
     C = get_trop_a_disc(A)
-    P = reconstruct_polytope(C, _oracle_cfg(spec.seed))
+    P = reconstruct_polytope(C, spec.seed)
     out = {"cycle": C.to_json(),
            "polytope": _polytope_artifact(P, spec.force)}
     if not spec.polytope_only:
@@ -269,9 +264,6 @@ def cmd_adisc(spec, obj):
 
 
 def cmd_chow(spec, obj):
-    kind, _ = parse_field(spec.field)
-    if kind != "q":
-        raise InputFormatError("chow runs over exact rationals; use --field q")
     if not isinstance(obj, dict) or "parametrization" not in obj:
         raise InputFormatError("chow input needs a parametrization")
     f = Parametrization.from_json(obj["parametrization"])
@@ -290,11 +282,10 @@ def cmd_chow(spec, obj):
     out = {"fan": fan.to_json()}
     if spec.polytope_only:
         out["translated_polytope"] = reconstruct_polytope(
-            fan.negated(), _oracle_cfg(spec.seed)).to_json()
+            fan.negated(), spec.seed).to_json()
         return out
     translated, shift, P, form = chow_polytope(
-        C, d, f, seed=spec.seed, height=spec.height,
-        cfg=_oracle_cfg(spec.seed))
+        fan, d, f, seed=spec.seed, height=spec.height)
     _check_newton_polytope(P, set(form.weights()),
                            "the weight of a term of the Chow form")
     out["translated_polytope"] = translated.to_json()
@@ -364,7 +355,7 @@ def cmd_mfp_search(spec, obj):
                 polys = [Polytope(p) for p in pts]
                 C = get_tropical_cycle(polys, spec.delta)
                 P = reconstruct_polytope(
-                    C, _oracle_cfg(spec.seed if s is None else s))
+                    C, spec.seed if s is None else s)
                 nv = len(P.vertices)
                 if P.dim <= 1 and nv > 2:
                     raise OracleInconsistent(

@@ -14,7 +14,6 @@ Three pipelines feed the Newton polytope oracle:
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import exactcore as ec
 from .errors import (
@@ -36,19 +35,10 @@ from .tropical import (
 )
 
 
-@dataclass
-class OracleConfig:
-    """Knobs for the vertex oracle and polytope reconstruction."""
-
-    rng_seed: int = 0
-    perturbation_height: int = 16
-    max_retries: int = 12
-
-    def __post_init__(self):
-        if self.perturbation_height < 1:
-            raise ValueError("perturbation_height must be at least 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be nonnegative")
+# the vertex oracle's perturbation of a degenerate query: entries of the
+# random offset, and retries before GenericityExhausted
+PERTURBATION_HEIGHT = 16
+MAX_RETRIES = 12
 
 
 class Parametrization:
@@ -348,7 +338,7 @@ def get_trop_a_disc(A):
     return push_forward_cycle(berg, V)
 
 
-def get_vertex(C, w, cfg=None):
+def get_vertex(C, w, seed=0):
     """Vertex of the Newton polytope dual to C minimizing direction w.
 
     C must be a pure codimension-one cycle in R^n and w a nonzero integer
@@ -356,12 +346,11 @@ def get_vertex(C, w, cfg=None):
     the ray w + R_+ e_i through the cycle, each crossing contributing the
     cone weight times the i-th coordinate of the primitive normal of the
     cone's hyperplane.  Queries that graze a cone boundary or run inside
-    a hyperplane are retried with a magnified perturbed direction chosen
-    so the answer still minimizes the original w; GenericityExhausted
-    after cfg.max_retries retries.
+    a hyperplane are retried with a magnified direction, perturbed by a
+    random offset of entries in 1..PERTURBATION_HEIGHT drawn from
+    random.Random(seed), and chosen so the answer still minimizes the
+    original w; GenericityExhausted after MAX_RETRIES retries.
     """
-    if cfg is None:
-        cfg = OracleConfig()
     n = C.ambient_dim
     if C.pure_dim != n - 1:
         raise DimensionMismatch(
@@ -385,19 +374,19 @@ def get_vertex(C, w, cfg=None):
         bound += mult * max(abs(x) for x in nu)
     if not data:
         return (0,) * n
-    rng = random.Random(cfg.rng_seed)
-    big = 2 * n * cfg.perturbation_height * bound + 1
+    rng = random.Random(seed)
+    big = 2 * n * PERTURBATION_HEIGHT * bound + 1
     base = probe
-    for attempt in range(cfg.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         v = _crossing_counts(data, probe, n)
         if v is not None:
             return v
-        delta = tuple(rng.randint(1, cfg.perturbation_height)
+        delta = tuple(rng.randint(1, PERTURBATION_HEIGHT)
                       for _ in range(n))
         probe = tuple(big * wi + di for wi, di in zip(base, delta))
     raise GenericityExhausted(
         f"no generic perturbation of {tuple(w)} found after "
-        f"{cfg.max_retries} retries")
+        f"{MAX_RETRIES} retries")
 
 
 def _crossing_counts(data, w, n):
@@ -430,7 +419,7 @@ def _crossing_counts(data, w, n):
     return tuple(v)
 
 
-def reconstruct_polytope(C, cfg=None):
+def reconstruct_polytope(C, seed=0):
     """Newton polytope of the hypersurface with tropicalization C.
 
     Runs the vertex oracle inside a beneath-beyond loop: maintain the hull
@@ -438,19 +427,18 @@ def reconstruct_polytope(C, cfg=None):
     facet by querying its outer normal, and add the answer as a new vertex
     whenever it lies beyond.  Confirmed facets are kept as certificates;
     an oracle answer violating one raises OracleInconsistent.  The result
-    is the translate with all coordinate minima at zero.
+    is the translate with all coordinate minima at zero.  The seed drives
+    the random probe directions and the oracle's perturbations.
     """
-    if cfg is None:
-        cfg = OracleConfig()
     n = C.ambient_dim
     if C.pure_dim != n - 1:
         raise DimensionMismatch(
             f"cycle is pure dimension {C.pure_dim}, need {n - 1}")
     merged = C.consolidated()
-    return _reconstruct(lambda w: get_vertex(merged, w, cfg), n, cfg)
+    return _reconstruct(lambda w: get_vertex(merged, w, seed), n, seed)
 
 
-def _reconstruct(oracle, n, cfg):
+def _reconstruct(oracle, n, seed):
     pts = set()
     certified = set()
 
@@ -469,7 +457,7 @@ def _reconstruct(oracle, n, cfg):
         pts.add(v)
         return v
 
-    rng = random.Random(f"reconstruct-{cfg.rng_seed}")
+    rng = random.Random(f"reconstruct-{seed}")
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         ask(e)

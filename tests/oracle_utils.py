@@ -6,19 +6,21 @@ than shared mistakes.  The planar and modular references share no code with
 the package; the cone and fan references build on its exact linear algebra
 primitives and return package cones and cycles for comparison, the
 Chow-form reference shares the ansatz and the sample -> solve -> verify
-loop with the package but solves over Q, the Vandermonde reference solves
-the package's exact monomial rows by fraction-free elimination, and the
-mixed-volume reference measures every Minkowski subsum with the package's
-polytopes.
+loop with the package but solves over Q, the Pluecker batch reference
+redraws each batch from a fresh generator with the package's single draw,
+the Vandermonde reference solves the package's exact monomial rows by
+fraction-free elimination, and the mixed-volume reference measures every
+Minkowski subsum with the package's polytopes.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 from tropimpl import exactcore as ec
-from tropimpl.chow import PluckerPoly, _chow_ansatz
-from tropimpl.errors import DimensionMismatch, LoopyMatroid
+from tropimpl.chow import PluckerPoly, _chow_ansatz, _draw_pluecker
+from tropimpl.errors import DimensionMismatch, LoopyMatroid, SamplingExhausted
 from tropimpl.interpolate import kernel_vector, solve_verified
 from tropimpl.polyhedra import Cone, minkowski_sum, normalized_volume
 from tropimpl.tropical import BERGMAN_SIGN, TropicalCycle, indicator
@@ -158,13 +160,14 @@ def vandermonde_kernel_over_q(basis, points):
                                             len(basis)))
 
 
-def chow_form_over_q(f, C_X, d, n, seed=0, height=20):
+def chow_form_over_q(stream, C_X, seed=0):
     """The Chow form by fraction-free elimination over Q: the ansatz,
     samples and verification of ``chow.chow_form``, but each solve is one
     ``ec.rational_kernel`` of the exact rows.  The reference for the
     modular solve, which must return the same form and reject a wrong
     candidate polytope with the same exception class."""
-    unknowns, sampler = _chow_ansatz(f, C_X, d, n, height)
+    d, n = stream.d, stream.n
+    unknowns = _chow_ansatz(C_X, d, n)
 
     def solve(samples):
         rows = [[mono.evaluate(values) for mono in unknowns]
@@ -173,7 +176,30 @@ def chow_form_over_q(f, C_X, d, n, seed=0, height=20):
         return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
                                   if c])
 
-    return solve_verified(len(unknowns), sampler, solve, seed)
+    return solve_verified(len(unknowns), stream, solve, seed)
+
+
+def pluecker_batch(f, d, n, count, seed, height=20):
+    """count distinct Chow-hypersurface samples drawn afresh from
+    random.Random(seed), with a budget of 100 * count draws, each a
+    mapping from index tuples to Pluecker coordinates.  The reference for
+    ``chow.PluckerStream``, which keeps its draws between calls and must
+    return the same batch for every count and seed."""
+    rng = random.Random(seed)
+    out = []
+    seen = set()
+    for _ in range(100 * max(count, 1)):
+        if len(out) == count:
+            break
+        p = _draw_pluecker(f, d, n, rng, height)
+        if p is not None and p not in seen:
+            seen.add(p)
+            out.append(p)
+    if len(out) < count:
+        raise SamplingExhausted(
+            f"only {len(out)} of {count} samples within the draw budget")
+    positions = list(combinations(range(n + 1), d + 1))
+    return [dict(zip(positions, p)) for p in out]
 
 
 def mixed_volume_by_subsums(polys, lattice=None):

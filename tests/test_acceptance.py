@@ -175,7 +175,7 @@ def test_criterion_07_chow_pipeline():
     assert len(fan) == 16
     assert all(cone.dim == 3 and cone.lineality_dim == 1 for cone, _ in fan)
 
-    translated, shift, P, form = chow_polytope(C, 1, QUARTIC, seed=0)
+    translated, shift, P, form = chow_polytope(fan, 1, QUARTIC, seed=0)
     assert sorted(translated.vertices) == QUARTIC_TRANSLATED
     assert shift == (1, 0, 0, 1)
     assert sorted(P.vertices) == QUARTIC_CHOW

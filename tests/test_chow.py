@@ -7,20 +7,21 @@ line, all with weight one.  Its Chow form is known in closed form and is
 frozen below; the hypersurface cross-check uses the cuspidal cubic.
 """
 
+import itertools
 import random
 
 import pytest
 
-from oracle_utils import chow_form_over_q
+from oracle_utils import chow_form_over_q, pluecker_batch
 from tropimpl import chow
 from tropimpl import exactcore as ec
 from tropimpl.chow import (
     PluckerMonomial,
     PluckerPoly,
+    PluckerStream,
     chow_fan,
     chow_form,
     chow_polytope,
-    chow_sample,
     chow_to_equations,
     standard_monomials_of_weight,
     _primal_pluecker,
@@ -28,7 +29,10 @@ from tropimpl.chow import (
 from tropimpl.errors import (
     DimensionMismatch,
     InputFormatError,
+    KernelEmpty,
+    KernelTooBig,
     ReconstructionFailed,
+    SamplingExhausted,
     ShiftSearchFailed,
     TropicalError,
     VerificationFailed,
@@ -114,9 +118,10 @@ def quartic_cycle():
         4, 2, [(Cone([r], [ONES4], 4), 1) for r in QUARTIC_RAYS])
 
 
-def pluecker_positions(d, n):
-    from itertools import combinations
-    return list(combinations(range(n + 1), d + 1))
+def first_sample(f, d, n, seed):
+    """The first generic Chow-hypersurface sample of random.Random(seed),
+    as a mapping from index tuples to Pluecker coordinates."""
+    return PluckerStream(f, d, n)(1, seed)[0]
 
 
 class TestPluckerMonomial:
@@ -260,9 +265,8 @@ class TestChowFan:
 
 class TestChowSample:
     def test_pluecker_relation_gr24(self):
-        pos = pluecker_positions(1, 3)
         for seed in range(5):
-            p = dict(zip(pos, chow_sample(QUARTIC, 1, 3, seed=seed)))
+            p = first_sample(QUARTIC, 1, 3, seed)
             rel = (p[(0, 1)] * p[(2, 3)] - p[(0, 2)] * p[(1, 3)]
                    + p[(0, 3)] * p[(1, 2)])
             assert rel == 0
@@ -271,22 +275,19 @@ class TestChowSample:
         from itertools import combinations
         f = Parametrization(1, 4, [
             [(1, (1,))], [(1, (2,))], [(1, (3,))], [(2, (4,)), (1, (1,))]])
-        pos = pluecker_positions(1, 4)
         for seed in range(3):
-            p = dict(zip(pos, chow_sample(f, 1, 4, seed=seed)))
+            p = first_sample(f, 1, 4, seed)
             for a, b, c, d in combinations(range(5), 4):
                 rel = (p[(a, b)] * p[(c, d)] - p[(a, c)] * p[(b, d)]
                        + p[(a, d)] * p[(b, c)])
                 assert rel == 0
 
     def test_quartic_chow_form_vanishes_on_samples(self):
-        pos = pluecker_positions(1, 3)
         terms = [(PluckerMonomial(fs, 1, 3), c)
                  for fs, c in QUARTIC_CHOW_FORM.items()]
         form = PluckerPoly(1, 3, terms)
         for seed in range(10):
-            values = dict(zip(pos, chow_sample(QUARTIC, 1, 3, seed=seed)))
-            assert form.evaluate(values) == 0
+            assert form.evaluate(first_sample(QUARTIC, 1, 3, seed)) == 0
 
     def test_primal_from_span_matches_dual_minors(self):
         # the primal coordinates of the plane spanned by alpha and x are
@@ -310,13 +311,58 @@ class TestChowSample:
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
-            chow_sample(QUARTIC, 1, 4, seed=0)
+            PluckerStream(QUARTIC, 1, 4)
+
+    def test_stream_matches_per_call_batches(self):
+        # counts out of order, and seeds interleaved, as the shift search
+        # and the verification ask for them
+        stream = PluckerStream(QUARTIC, 1, 3)
+        for count, seed in [(12, 0), (5, 0), (10, 1000), (30, 0), (3, 1000),
+                            (30, 0), (0, 1), (7, 1), (20, 0)]:
+            assert stream(count, seed) == pluecker_batch(
+                QUARTIC, 1, 3, count, seed)
+
+    def test_draw_budget_exhausted(self, monkeypatch):
+        # every draw degenerate: 100 draws per sample asked for, then
+        # SamplingExhausted, also when a later call asks for more
+        draws = []
+
+        def degenerate(*args):
+            draws.append(1)
+
+        monkeypatch.setattr(chow, "_draw_pluecker", degenerate)
+        stream = PluckerStream(QUARTIC, 1, 3)
+        with pytest.raises(SamplingExhausted):
+            stream(2, 0)
+        assert len(draws) == 200
+        with pytest.raises(SamplingExhausted):
+            stream(3, 0)
+        assert len(draws) == 300
+
+    def test_search_draws_each_sample_once(self, monkeypatch):
+        # every candidate shift, its top-ups and its verification read
+        # one stream, so no Pluecker vector is drawn twice
+        drawn = []
+        draw = chow._draw_pluecker
+
+        def spy(*args):
+            p = draw(*args)
+            if p is not None:
+                drawn.append(p)
+            return p
+
+        monkeypatch.setattr(chow, "_draw_pluecker", spy)
+        _, shift, _, _ = chow_polytope(chow_fan(quartic_cycle(), 1), 1,
+                                       QUARTIC, seed=1)
+        assert shift == (1, 0, 0, 1)
+        assert drawn
+        assert len(set(drawn)) == len(drawn)
 
 
 class TestChowPolytope:
     def test_quartic_full_pipeline(self):
         translated, shift, P, form = chow_polytope(
-            quartic_cycle(), 1, QUARTIC)
+            chow_fan(quartic_cycle(), 1), 1, QUARTIC)
         assert sorted(translated.vertices) == TRANSLATED_VERTICES
         assert shift == (1, 0, 0, 1)
         assert sorted(P.vertices) == CHOW_VERTICES
@@ -325,20 +371,34 @@ class TestChowPolytope:
         assert {sum(u) for u in P.lattice_points()} == {8}
 
     def test_degree_hint_and_report_all(self):
-        translated, shifts, P, form = chow_polytope(
-            quartic_cycle(), 1, QUARTIC, degree_hint=4, report_all=True)
-        assert shifts == [(1, 0, 0, 1)]
-        assert sorted(P.vertices) == CHOW_VERTICES
+        # every shift of degree 4, not only the first the search accepts:
+        # the translate's coordinates sum to 6, so the shifts sum to 2
+        translated = Polytope(TRANSLATED_VERTICES)
+        stream = PluckerStream(QUARTIC, 1, 3)
+        accepted = {}
+        for s in itertools.product(range(3), repeat=4):
+            if sum(s) != 2:
+                continue
+            try:
+                accepted[s] = chow_form(stream, translated.translate(s))
+            except (KernelEmpty, KernelTooBig, VerificationFailed):
+                continue
+        assert list(accepted) == [(1, 0, 0, 1)]
+        assert sorted(translated.translate((1, 0, 0, 1)).vertices) \
+            == CHOW_VERTICES
+        form = accepted[(1, 0, 0, 1)]
         assert {m.factors: c for m, c in form.terms} == QUARTIC_CHOW_FORM
 
-    def test_wrong_degree_hint_fails(self):
+    def test_wrong_degree_hint_fails(self, monkeypatch):
+        # the quartic has degree 4; a sweep that stops at 3 finds nothing
+        monkeypatch.setattr(chow, "DEFAULT_MAX_DEGREE", 3)
         with pytest.raises(ShiftSearchFailed):
-            chow_polytope(quartic_cycle(), 1, QUARTIC, degree_hint=3)
+            chow_polytope(chow_fan(quartic_cycle(), 1), 1, QUARTIC)
 
     def test_hypersurface_case(self):
         affine = get_tropical_cycle(CUSP.newton_polytopes())
         C = homogenize_cycle(affine)
-        translated, shift, P, _ = chow_polytope(C, 1, CUSP)
+        translated, shift, P, _ = chow_polytope(chow_fan(C, 1), 1, CUSP)
         assert sorted(translated.vertices) == [(0, 3, 0), (1, 0, 2)]
         assert shift == (2, 0, 1)
         assert sorted(P.vertices) == [(2, 3, 1), (3, 0, 3)]
@@ -346,32 +406,32 @@ class TestChowPolytope:
 
 class TestChowForm:
     def test_quartic_matches_frozen_form(self):
-        form = chow_form(QUARTIC, Polytope(CHOW_VERTICES), 1, 3, seed=0)
+        form = chow_form(PluckerStream(QUARTIC, 1, 3), Polytope(CHOW_VERTICES),
+                         seed=0)
         got = {m.factors: c for m, c in form.terms}
         assert got == QUARTIC_CHOW_FORM
 
     def test_seed_invariance(self):
         P = Polytope(CHOW_VERTICES)
-        a = chow_form(QUARTIC, P, 1, 3, seed=1)
-        b = chow_form(QUARTIC, P, 1, 3, seed=99)
+        a = chow_form(PluckerStream(QUARTIC, 1, 3), P, seed=1)
+        b = chow_form(PluckerStream(QUARTIC, 1, 3), P, seed=99)
         assert a == b
 
     def test_thirty_fresh_samples_vanish(self):
-        form = chow_form(QUARTIC, Polytope(CHOW_VERTICES), 1, 3, seed=0)
-        pos = pluecker_positions(1, 3)
+        form = chow_form(PluckerStream(QUARTIC, 1, 3), Polytope(CHOW_VERTICES),
+                         seed=0)
         for seed in range(1000, 1030):
-            values = dict(zip(pos, chow_sample(QUARTIC, 1, 3, seed=seed)))
-            assert form.evaluate(values) == 0
+            assert form.evaluate(first_sample(QUARTIC, 1, 3, seed)) == 0
 
     def test_matches_rational_reference_on_quartic(self):
         P = Polytope(CHOW_VERTICES)
-        assert chow_form(QUARTIC, P, 1, 3, seed=0) == \
-            chow_form_over_q(QUARTIC, P, 1, 3, seed=0)
+        assert chow_form(PluckerStream(QUARTIC, 1, 3), P, seed=0) == \
+            chow_form_over_q(PluckerStream(QUARTIC, 1, 3), P, seed=0)
 
     def test_matches_rational_reference_on_cusp(self):
         P = Polytope([(2, 3, 1), (3, 0, 3)])
-        assert chow_form(CUSP, P, 1, 2, seed=0) == \
-            chow_form_over_q(CUSP, P, 1, 2, seed=0)
+        assert chow_form(PluckerStream(CUSP, 1, 2), P, seed=0) == \
+            chow_form_over_q(PluckerStream(CUSP, 1, 2), P, seed=0)
 
     def test_wrong_shift_rejected_mod_p_as_over_q(self, monkeypatch):
         # the first shift the quartic's search tries: over Q its form
@@ -381,7 +441,7 @@ class TestChowForm:
 
         def failure(solver):
             with pytest.raises(TropicalError) as info:
-                solver(QUARTIC, P, 1, 3, seed=0)
+                solver(PluckerStream(QUARTIC, 1, 3), P, seed=0)
             return type(info.value)
 
         assert failure(chow_form_over_q) is VerificationFailed
@@ -405,15 +465,15 @@ class TestChowForm:
 
         monkeypatch.setattr(chow, "lift_kernel_vector", off_by_one)
         with pytest.raises(ReconstructionFailed):
-            chow_form(CUSP, P, 1, 2, seed=0)
+            chow_form(PluckerStream(CUSP, 1, 2), P, seed=0)
 
     def test_hypersurface_matches_plane_curve_pipeline(self):
         # the Chow form of a plane curve is its defining polynomial under
         # x_j -> (-1)^(n-j) p_(complement of j), up to one global sign
         affine = get_tropical_cycle(CUSP.newton_polytopes())
         C = homogenize_cycle(affine)
-        _, _, P, _ = chow_polytope(C, 1, CUSP)
-        form = chow_form(CUSP, P, 1, 2, seed=0)
+        _, _, P, _ = chow_polytope(chow_fan(C, 1), 1, CUSP)
+        form = chow_form(PluckerStream(CUSP, 1, 2), P, seed=0)
 
         F = implicit_equation(CUSP, Polytope([(0, 0), (3, 0), (0, 2)]))
         degree = 3

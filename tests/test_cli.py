@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import tropimpl
-from tropimpl import cli
+from tropimpl import chow, cli
 from tropimpl.chow import PluckerPoly
 from tropimpl.cli import JobSpec, _trial_seed, main
 from tropimpl.errors import InputFormatError
@@ -238,6 +238,22 @@ class TestChow:
         assert sorted(json.loads(out.read_text())) \
             == ["fan", "translated_polytope"]
 
+    def test_chow_fan_built_once_per_job(self, tmp_path, monkeypatch):
+        # cmd_chow hands its fan to chow_polytope, which must not rebuild it
+        calls = []
+        fan = chow.chow_fan
+
+        def spy(*args):
+            calls.append(args)
+            return fan(*args)
+
+        monkeypatch.setattr(chow, "chow_fan", spy)
+        monkeypatch.setattr(cli, "chow_fan", spy)
+        rc, _ = run(["chow", "--in", write(tmp_path / "c.json", QUARTIC_JOB),
+                     "--out", str(tmp_path / "o.json")])
+        assert rc == 0
+        assert len(calls) == 1
+
     def test_chow_job_never_imports_numpy(self, tmp_path):
         # Chow solves are narrow enough for the pure-Python GF(p) kernel,
         # which keeps numpy's memory out of a chow job
@@ -320,6 +336,10 @@ class TestGoldenArtifacts:
     QUADRATIC = {"rows": [[1, 1, 1], [0, 1, 2]]}
     QUADRATIC_OVER_Q = (
         "92e76add0662aba1d1a01ede825e99bdc433e605195a06d77ad47f45fe671c9e")
+    CUSP_CHOW = (
+        "9a11ca07c2aa7ab7de6d5e096c5d56205de25079445a4203605e249dea994ca0")
+    QUARTIC_CHOW = (
+        "2e472333dc6d4d12e0b9fc3e55bbf52512813cceed5b0f7b59114de2f4ba05aa")
     # 6-point discriminant, 205 monomials, over Q from 4 word-size primes
     SIX_POINTS = {"rows": [[1, 1, 1, 1, 1, 1], [2, 3, 5, 7, 11, 13],
                            [7, 6, 4, 3, 2, 1]]}
@@ -349,14 +369,17 @@ class TestGoldenArtifacts:
         ("adisc", QUADRATIC, [], QUADRATIC_OVER_Q),
         ("adisc", QUADRATIC, ["--field", "gf:101"],
          "d6d7011e8416f46e723f49d3b43e354c13e75556b4ba62f6e0a5a5fc18953d34"),
-        ("chow", CUSP_JOB, [],
-         "9a11ca07c2aa7ab7de6d5e096c5d56205de25079445a4203605e249dea994ca0"),
+        ("chow", CUSP_JOB, [], CUSP_CHOW),
         ("adisc", SIX_POINTS, ["--field", "crt:2"],
          "ce0b58c751d48af087d5f5efb2473525b582117b2ce20e7c0f877291d063a2a9"),
         ("newton", PRISM_CYCLE, [],
          "df07b324d9d976091ba4ebfc2d8cb13b21a33ac19aa64c41016a8db1684257c5"),
-        ("chow", QUARTIC_JOB, [],
-         "2e472333dc6d4d12e0b9fc3e55bbf52512813cceed5b0f7b59114de2f4ba05aa"),
+        ("chow", QUARTIC_JOB, [], QUARTIC_CHOW),
+        # the Chow form, its polytope and shift do not depend on the seed
+        *[("chow", job, ["--seed", seed], digest)
+          for job, digest in ((CUSP_JOB, CUSP_CHOW),
+                              (QUARTIC_JOB, QUARTIC_CHOW))
+          for seed in ("1", "7")],
     ]
 
     @pytest.mark.parametrize("command,obj,flags,digest", JOBS)
@@ -576,7 +599,8 @@ class TestErrorContract:
                        ["--polytope-only"])],
         *[(command, ["--force"])
           for command in ("trop-cycle", "mfp-search", "chow")],
-        ("trop-cycle", ["--seed", "1"])])
+        ("trop-cycle", ["--seed", "1"]),
+        ("chow", ["--field", "q"])])
     def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys,
                                               command, flag):
         target = tmp_path / "o.json"

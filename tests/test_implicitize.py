@@ -13,6 +13,7 @@ import sympy
 
 from oracle_utils import bergman_fan
 from tropimpl import exactcore as ec
+from tropimpl import implicitize
 from tropimpl.errors import (
     DimensionMismatch,
     GenericityExhausted,
@@ -23,7 +24,6 @@ from tropimpl.errors import (
     RowSpanMissingOnes,
 )
 from tropimpl.implicitize import (
-    OracleConfig,
     Parametrization,
     _matroid_components,
     _maximal_nested_sets,
@@ -253,11 +253,11 @@ class TestVertexOracle:
         C = TropicalCycle(2, 1, [])
         assert get_vertex(C, (3, -4)) == (0, 0)
 
-    def test_degenerate_direction_without_retries(self):
+    def test_degenerate_direction_without_retries(self, monkeypatch):
         C = TropicalCycle(2, 1, [(Cone([(1, 0)], [], 2), 1)])
-        cfg = OracleConfig(max_retries=0)
+        monkeypatch.setattr(implicitize, "MAX_RETRIES", 0)
         with pytest.raises(GenericityExhausted):
-            get_vertex(C, (1, 0), cfg)
+            get_vertex(C, (1, 0))
 
     def test_direction_validation(self):
         C = curve_cycle()
@@ -309,7 +309,7 @@ class TestReconstruct:
             return min(sorted(verts), key=lambda v: ec.dot(w, v))
 
         with pytest.raises(OracleInconsistent):
-            _reconstruct(oracle, 2, OracleConfig())
+            _reconstruct(oracle, 2, 0)
 
     def test_sylvester_resultant_agrees(self):
         # x = 3 + 5t + 7t^3, y = 2 + t^2; independent check via sympy.
@@ -365,17 +365,3 @@ class TestParametrization:
             Parametrization.from_json(
                 {"d": 1, "n": 1,
                  "components": [{"terms": [{"coeff": 0, "exp": [1]}]}]})
-
-
-class TestOracleConfig:
-    def test_defaults(self):
-        cfg = OracleConfig()
-        assert cfg.rng_seed == 0
-        assert cfg.perturbation_height == 16
-        assert cfg.max_retries == 12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(perturbation_height=0)
-        with pytest.raises(ValueError):
-            OracleConfig(max_retries=-1)
