@@ -194,9 +194,10 @@ class PluckerPoly:
     @staticmethod
     def from_json(obj):
         try:
-            d = int(obj["d"])
-            n = int(obj["n"])
-            terms = [(PluckerMonomial(t["factors"], d, n),
+            d = ec.int_from_json(obj["d"])
+            n = ec.int_from_json(obj["n"])
+            terms = [(PluckerMonomial([[ec.int_from_json(i) for i in T]
+                                       for T in t["factors"]], d, n),
                       ec.rat_from_json(t["coeff"]))
                      for t in obj["terms"]]
             return PluckerPoly(d, n, terms)

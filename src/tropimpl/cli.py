@@ -161,7 +161,7 @@ def _trial_seed(master, index):
 
 def _as_matrix(obj):
     try:
-        rows = [[int(x) for x in row] for row in obj["rows"]]
+        rows = [[ec.int_from_json(x) for x in row] for row in obj["rows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad matrix: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -307,9 +307,9 @@ def cmd_mfp_search(spec, obj):
     if not isinstance(obj, dict):
         raise InputFormatError("search config must be a JSON object")
     try:
-        counts = [int(v) for v in obj["vertex_counts"]]
-        coord_height = int(obj.get("height", 100))
-        trials = int(obj.get("trials", 0))
+        counts = [ec.int_from_json(v) for v in obj["vertex_counts"]]
+        coord_height = ec.int_from_json(obj.get("height", 100))
+        trials = ec.int_from_json(obj.get("trials", 0))
         fixed = list(obj.get("fixed", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad search config: {exc}") from exc
@@ -321,7 +321,8 @@ def cmd_mfp_search(spec, obj):
     jobs = []
     for pts in fixed:
         try:
-            pts = [[tuple(int(x) for x in p) for p in poly] for poly in pts]
+            pts = [[tuple(ec.int_from_json(x) for x in p) for p in poly]
+                   for poly in pts]
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"bad fixed configuration: {exc}") from exc
         if len(pts) != len(counts) or any(

@@ -72,6 +72,15 @@ def rat_from_json(v):
     raise ValueError(f"not a rational: {v!r}")
 
 
+def int_from_json(v):
+    """Parse an integer wire field as ``rat_from_json`` does; ValueError
+    unless the value is integral, so a float or "3/2" is never cut."""
+    q = rat_from_json(v)
+    if not isinstance(q, int):
+        raise ValueError(f"not an integer: {v!r}")
+    return q
+
+
 def rat_to_json(q):
     if isinstance(q, int):
         return q

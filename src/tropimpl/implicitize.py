@@ -73,10 +73,12 @@ class Parametrization:
     @classmethod
     def from_json(cls, obj):
         try:
-            comps = [[(ec.rat_from_json(t["coeff"]), t["exp"])
+            comps = [[(ec.rat_from_json(t["coeff"]),
+                       [ec.int_from_json(e) for e in t["exp"]])
                       for t in comp["terms"]]
                      for comp in obj["components"]]
-            return cls(int(obj["d"]), int(obj["n"]), comps)
+            return cls(ec.int_from_json(obj["d"]), ec.int_from_json(obj["n"]),
+                       comps)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad parametrization: {exc}") from exc
 
@@ -117,10 +119,11 @@ def get_graph_cycle(newton_polytopes):
 
     Takes the coordinate Newton polytopes Q_1 .. Q_n in Z^d and returns a
     pure d-dimensional cycle in R^(n+d), coordinates ordered image-first.
-    The weight of a d-dimensional normal-fan cone is the mixed volume of
-    the matching faces of the lifted polytopes conv(e_i, 0 x Q_i), taken
-    in the affine lattice of the face; cones whose face directions do not
-    span rank n are dropped.
+    The weight of a d-dimensional normal-fan cone of the Minkowski sum of
+    the lifted polytopes conv(e_i, 0 x Q_i) is the mixed volume of their
+    faces at a witness of the cone.  That face of the sum has dimension n,
+    so the summand faces span its rank n lattice, in which the mixed
+    volume is taken.
     """
     polys = list(newton_polytopes)
     n = len(polys)
@@ -136,12 +139,9 @@ def get_graph_cycle(newton_polytopes):
         apex = tuple(1 if j == i else 0 for j in range(n)) + (0,) * d
         pts = [apex] + [(0,) * n + tuple(v) for v in Q.vertices]
         lifted.append(Polytope(pts))
-    P = minkowski_sum(lifted)
     items = []
-    for cone, face, _w in normal_fan_cones(P, d):
-        if face.lattice.rank != n:
-            continue
-        m = mixed_volume(list(face.summands), face.lattice)
+    for cone, w in normal_fan_cones(minkowski_sum(lifted), d):
+        m = mixed_volume([Q.face_of(w) for Q in lifted])
         if m > 0:
             items.append((cone, int(m)))
     return TropicalCycle(amb, d, items)

@@ -239,20 +239,17 @@ class ImplicitPolynomial:
         monomial x^e, with lo <= 0 <= hi the basis's exponent range there,
         so the sum stays in integers and is divided once, by the product
         of a^-lo b^hi.  A negative power of a zero coordinate, or of a
-        coordinate that vanishes mod p, raises ZeroDivisionError.
+        coordinate that vanishes mod p, raises ZeroDivisionError, as does
+        a denominator that vanishes mod p: the rule of ``_rows_mod``.
         """
         if self.modulus is not None:
             p = self.modulus
-            reduced = ec.PrimeField(p).reduce_vector(point)
-            if any(x == 0 and lo < 0
-                   for x, lo in zip(reduced, self.basis.lo)):
+            rows = _rows_mod(self.basis, [point], p)
+            if not rows:
                 raise ZeroDivisionError(
-                    f"negative power of a coordinate that vanishes mod {p}")
-            total = 0
-            for c, v in zip(self.coefficients,
-                            self.basis.row_mod(reduced, p)):
-                total += c * v
-            return total % p
+                    f"a denominator, or a coordinate with a negative "
+                    f"power, vanishes mod {p}")
+            return sum(c * v for c, v in zip(self.coefficients, rows[0])) % p
         basis = self.basis
         tables = []
         den = 1
@@ -395,10 +392,10 @@ def _rows_mod(basis, points, p):
     """Rows of basis monomial values mod p at the rational points.
 
     A point gives no row when its reduction hits a vanishing denominator,
-    or a zero residue at a coordinate with a negative exponent, the rule
-    of ``ImplicitPolynomial.evaluate``.  Each row is a nonzero multiple of
-    the point's row over Q cleared to integers, so the kernel mod p is
-    that of the integer rows.
+    or a zero residue at a coordinate with a negative exponent, where
+    ``ImplicitPolynomial.evaluate`` has no value.  Each row is a nonzero
+    multiple of the point's row over Q cleared to integers, so the kernel
+    mod p is that of the integer rows.
     """
     F = ec.PrimeField(p)
     rows = []

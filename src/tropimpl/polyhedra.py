@@ -130,7 +130,7 @@ class Polytope:
     """Convex hull of finitely many rational points, possibly lower
     dimensional in its ambient space."""
 
-    def __init__(self, points, summands=None):
+    def __init__(self, points):
         pts = sorted({tuple(x if isinstance(x, int) else ec.rat(x)
                             for x in p) for p in points})
         if not pts:
@@ -138,24 +138,14 @@ class Polytope:
         self.ambient_dim = len(pts[0])
         if any(len(p) != self.ambient_dim for p in pts):
             raise DimensionMismatch("points of mixed length")
-        self.summands = tuple(summands) if summands is not None else None
 
         p0 = pts[0]
-        directions = [ec.vec_sub(p, p0) for p in pts[1:] if any(ec.vec_sub(p, p0))]
+        directions = [ec.vec_sub(p, p0) for p in pts[1:]]
         self._chart_base = p0
         self._lattice = ec.saturate(directions, self.ambient_dim) \
             if directions else ec.LatticeBasis(self.ambient_dim, ())
         self.dim = self._lattice.rank
-
-        cols = ec.transpose(list(self._lattice)) if self.dim else []
-        self._chart_points = []
-        for p in pts:
-            d = ec.vec_sub(p, p0)
-            if self.dim:
-                y = ec.solve_linear(cols, d)
-            else:
-                y = ()
-            self._chart_points.append(y)
+        self._chart_points = _lattice_coords(pts, list(self._lattice))
 
         if self.dim == 0:
             self.vertices = (pts[0],)
@@ -220,28 +210,18 @@ class Polytope:
         return True
 
     def face_of(self, w):
-        """The face minimizing the linear functional w, as a polytope.
-
-        Faces of a polytope without summands are built once per vertex
-        subset and shared between calls, so callers must not modify them.
-        """
+        """The face minimizing the linear functional w, as a polytope,
+        built once per vertex subset and shared between calls."""
         vals = [ec.dot(w, v) for v in self.vertices]
         lo = min(vals)
         sub = tuple(v for v, s in zip(self.vertices, vals) if s == lo)
-        if self.summands is None:
-            face = self._faces_by_vertices.get(sub)
-            if face is None:
-                face = self._faces_by_vertices[sub] = Polytope(sub)
-            return face
-        face = Polytope(sub)
-        face.summands = tuple(s.face_of(w) for s in self.summands)
+        face = self._faces_by_vertices.get(sub)
+        if face is None:
+            face = self._faces_by_vertices[sub] = Polytope(sub)
         return face
 
     def translate(self, t):
-        moved = Polytope([ec.vec_add(v, t) for v in self.vertices])
-        if self.summands is not None:
-            moved.summands = self.summands
-        return moved
+        return Polytope([ec.vec_add(v, t) for v in self.vertices])
 
     # -- serialization -----------------------------------------------------
 
@@ -283,15 +263,6 @@ class Polytope:
             by_dim[d].sort(key=sorted)
         self._faces_by_dim = by_dim
         return by_dim
-
-    def faces(self, dim):
-        """Faces of the given dimension as vertex tuples (proper faces and
-        the polytope itself)."""
-        if dim < 0 or dim > self.dim:
-            return []
-        by_dim = self._face_sets()
-        return [tuple(self.vertices[i] for i in sorted(f))
-                for f in by_dim.get(dim, [])]
 
     def f_vector(self):
         """Counts of faces of dimension 0 .. dim-1."""
@@ -479,14 +450,15 @@ def normalized_volume(P, lattice=None):
 
 
 def minkowski_sum(polys):
-    """Minkowski sum, with the summands kept for face decomposition."""
+    """Minkowski sum of polytopes in one ambient space.  Its face at w is
+    the sum of the faces at w of the polytopes added."""
     polys = list(polys)
     if not polys:
         raise ValueError("empty Minkowski sum")
     pts = [tuple(0 for _ in range(polys[0].ambient_dim))]
     for P in polys:
         pts = [ec.vec_add(p, v) for p in pts for v in P.vertices]
-    return Polytope(pts, summands=polys)
+    return Polytope(pts)
 
 
 def mixed_volume(polys, lattice=None):
@@ -650,10 +622,10 @@ class Cone:
 def normal_fan_cones(P, cone_dim):
     """Cones of the inner normal fan of P with the given dimension.
 
-    Returns (cone, face, witness) triples: the face of P normal to the cone
-    and an integer point in the cone's relative interior.  Works for lower
-    dimensional polytopes; every normal cone then contains the lineality
-    spanned by the affine hull equation normals.
+    Returns (cone, witness) pairs, the witness an integer point in the
+    cone's relative interior, so P.face_of(witness) is the face of P normal
+    to the cone.  Works for lower dimensional polytopes; every normal cone
+    then contains the lineality spanned by the affine hull equation normals.
     """
     amb = P.ambient_dim
     face_dim = amb - cone_dim
@@ -661,18 +633,11 @@ def normal_fan_cones(P, cone_dim):
         return []
     eqs = [list(c) for c, _ in P.equations()]
     if face_dim == P.dim:
-        cone = Cone([], eqs, amb)
-        face = Polytope(P.vertices)
-        if P.summands is not None:
-            face.summands = P.summands
-        return [(cone, face, tuple(0 for _ in range(amb)))]
+        return [(Cone([], eqs, amb), tuple(0 for _ in range(amb)))]
     out = []
     facets = P.facets()
-    by_dim = P._face_sets()
-    for fset in by_dim.get(face_dim, []):
+    for fset in P._face_sets().get(face_dim, []):
         normals = [tuple(-x for x in a) for a, b, inc in facets if fset <= inc]
-        cone = Cone(normals, eqs, amb)
         w = tuple(sum(col) for col in zip(*normals))
-        face = P.face_of(w)
-        out.append((cone, face, w))
+        out.append((Cone(normals, eqs, amb), w))
     return out

@@ -76,20 +76,23 @@ class TropicalCycle:
 
     @staticmethod
     def from_json(obj):
-        """Parse the wire form; InputFormatError when a ray or lineality
-        vector is not of length ambient_dim."""
-        n = obj["ambient_dim"]
+        """Parse the wire form; ValueError when an integer field is not
+        integral, InputFormatError when a ray or lineality vector is not
+        of length ambient_dim."""
+        n = ec.int_from_json(obj["ambient_dim"])
         items = []
         for it in obj["items"]:
-            rays = [tuple(int(x) for x in r) for r in it["cone"]["rays"]]
-            lin = [tuple(int(x) for x in l)
+            rays = [tuple(ec.int_from_json(x) for x in r)
+                    for r in it["cone"]["rays"]]
+            lin = [tuple(ec.int_from_json(x) for x in l)
                    for l in it["cone"].get("lineality", [])]
             for v in rays + lin:
                 if len(v) != n:
                     raise InputFormatError(
                         f"cone generator {list(v)} is not of length {n}")
-            items.append((Cone(rays, lin, ambient_dim=n), int(it["weight"])))
-        return TropicalCycle(n, obj["pure_dim"], items)
+            items.append((Cone(rays, lin, ambient_dim=n),
+                          ec.int_from_json(it["weight"])))
+        return TropicalCycle(n, ec.int_from_json(obj["pure_dim"]), items)
 
     def __repr__(self):
         return (f"TropicalCycle(ambient={self.ambient_dim}, "

@@ -353,6 +353,13 @@ class TestGoldenArtifacts:
         {"cone": {"rays": X_AXIS + [[0, 1, 0]]}, "weight": 1},
         {"cone": {"rays": X_AXIS + [[0, 0, 1]]}, "weight": 1},
         {"cone": {"rays": X_AXIS + [[0, -1, -1]]}, "weight": 1}]}
+    # three triangles in Z^2: the image cycle from two-dimensional normal
+    # cones of a Minkowski sum in R^5, its Newton polytope of f-vector
+    # (12, 22, 12)
+    THREE_TRIANGLES = {"polytopes": [
+        {"vertices": [[0, 0], [3, 1], [1, 4]]},
+        {"vertices": [[0, 0], [2, -1], [-1, 3]]},
+        {"vertices": [[1, 1], [-2, 0], [0, -3]]}]}
     JOBS = [
         ("trop-cycle", CURVE, [],
          "318b47e349f85973993dd38addc3adabdf185f8ccb54c0752629f6ac1fbe3c43"),
@@ -380,6 +387,10 @@ class TestGoldenArtifacts:
           for job, digest in ((CUSP_JOB, CUSP_CHOW),
                               (QUARTIC_JOB, QUARTIC_CHOW))
           for seed in ("1", "7")],
+        ("trop-cycle", THREE_TRIANGLES, [],
+         "baae97565650e8399d2f246022c380b9c654b4ec37de538e24e1f8ae8e3ed3ca"),
+        ("newton", THREE_TRIANGLES, [],
+         "d67c94a93071abf6988052c4d54c7b1e1c67804cac20483fb0120675bb189594"),
     ]
 
     @pytest.mark.parametrize("command,obj,flags,digest", JOBS)
@@ -459,6 +470,33 @@ class TestErrorContract:
         err = json.loads(out)
         assert err["error"] == "parse"
         assert "denominator" in err["message"]
+
+    # a float or boolean in an integer field is refused, never cut to an
+    # int that would make the job answer a different question
+    TROPICAL_LINE = {"ambient_dim": 2, "pure_dim": 1, "items": [
+        {"cone": {"rays": [ray]}, "weight": 1}
+        for ray in ([1, 0], [0, 1], [-1, -1])]}
+
+    @pytest.mark.parametrize("command,obj", [
+        ("adisc", {"rows": [[1, 1, 1], [0, 1.7, 2]]}),
+        ("implicitize", {**CURVE, "components": [
+            {"terms": [{"coeff": 11, "exp": [1.9]}]},
+            *CURVE["components"][1:]]}),
+        ("newton", {**TROPICAL_LINE, "items": [
+            {"cone": {"rays": [[1.5, 0]]}, "weight": 1},
+            *TROPICAL_LINE["items"][1:]]}),
+        ("newton", {**TROPICAL_LINE, "items": [
+            {"cone": {"rays": [[1, 0]]}, "weight": True},
+            *TROPICAL_LINE["items"][1:]]}),
+        ("mfp-search", {"vertex_counts": [3, 3, 3.5], "trials": 0}),
+    ])
+    def test_non_integral_integer_field_exits_2(self, tmp_path, capsys,
+                                                command, obj):
+        rc, out = run([command, "--in", write(tmp_path / "in.json", obj),
+                       "--out", str(tmp_path / "o.json")], capsys)
+        assert rc == 2
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["error"] == "parse"
 
     def test_prime_above_word_size_exits_2(self, tmp_path, capsys):
         # int64 elimination mod this prime overflows: the equation found

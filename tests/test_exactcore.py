@@ -117,6 +117,13 @@ def test_rat_json_round_trip():
             ec.rat_from_json(bad)
 
 
+def test_int_from_json_rejects_what_is_not_an_integer():
+    assert [ec.int_from_json(x) for x in (3, -7, "6/2", "-5")] == [3, -7, 3, -5]
+    for bad in (True, 1.7, 2.0, "3/2", "1/0", None):
+        with pytest.raises(ValueError):
+            ec.int_from_json(bad)
+
+
 def test_div_exact_mixed_types():
     assert ec.div_exact(6, 3) == 2
     assert ec.div_exact(ec.rat(1, 2), 3) == ec.rat(1, 6)

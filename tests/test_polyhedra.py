@@ -170,13 +170,13 @@ def test_normal_fan_of_square():
     assert len(edges) == 4
     corners = ph.normal_fan_cones(P, 2)
     assert len(corners) == 4
-    for cone, face, w in corners:
-        assert face.dim == 0
+    for cone, w in corners:
+        assert P.face_of(w).dim == 0
         assert cone.contains_relint(w)
-        assert face == P.face_of(w)
-    keys = {cone.canonical_key() for cone, _, _ in corners}
+    keys = {cone.canonical_key() for cone, _ in corners}
     assert len(keys) == 4
-    origin_cone = next(c for c, f, _ in corners if f.vertices == ((0, 0),))
+    origin_cone = next(c for c, w in corners
+                       if P.face_of(w).vertices == ((0, 0),))
     assert set(origin_cone.rays) == {(0, 1), (1, 0)}
 
 
@@ -184,14 +184,39 @@ def test_normal_fan_lower_dim_segment():
     P = ph.Polytope([(0, 0), (1, 1)])
     full = ph.normal_fan_cones(P, 1)
     assert len(full) == 1
-    cone, face, w = full[0]
+    cone, w = full[0]
     assert cone.lineality == ((1, -1),) and cone.rays == ()
+    assert P.face_of(w) == P
     verts = ph.normal_fan_cones(P, 2)
     assert len(verts) == 2
-    for cone, face, w in verts:
+    for cone, w in verts:
         assert cone.dim == 2 and cone.lineality_dim == 1
-        assert face.dim == 0
+        assert P.face_of(w).dim == 0
         assert cone.contains_relint(w)
+
+
+def test_summand_faces_at_a_witness_sum_to_the_face():
+    # supports of points, segments and triangles in R^1..R^3, lifted as in
+    # the graph cycle to conv(e_i, 0 x Q_i): at a witness of every normal
+    # cone of dimension d the summand faces add up to the face of the sum,
+    # and their own lattice is the face's, of rank n
+    rng = random.Random(9)
+    shapes = [(d, n) for d in (1, 2, 3) for n in (1, 2, 3) if n + d <= 5]
+    for d, n in shapes * 2:
+        lifted = []
+        for i in range(n):
+            pts = [tuple(rng.randint(-2, 2) for _ in range(d))
+                   for _ in range(rng.choice([1, 2, 3]))]
+            apex = tuple(1 if j == i else 0 for j in range(n)) + (0,) * d
+            lifted.append(ph.Polytope([apex] + [(0,) * n + p for p in pts]))
+        P = ph.minkowski_sum(lifted)
+        for _, w in ph.normal_fan_cones(P, d):
+            faces = [Q.face_of(w) for Q in lifted]
+            face = P.face_of(w)
+            assert ph.minkowski_sum(faces).vertices == face.vertices
+            assert face.lattice.rank == n
+            assert ph.mixed_volume(faces) == \
+                ph.mixed_volume(faces, face.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +407,15 @@ def test_mixed_volume_matches_subsum_reference(data):
 
 
 def test_minkowski_sum_keeps_summands():
+    # the sum is a plain polytope; its faces are the sums of summand faces
     P = ph.Polytope([(0, 0), (1, 0)])
     Q = ph.Polytope([(0, 0), (0, 1)])
     S = ph.minkowski_sum([P, Q])
     assert set(S.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert S.summands == (P, Q)
-    face = S.face_of((-1, -1))
-    assert face.vertices == ((1, 1),)
-    assert [f.vertices for f in face.summands] == [((1, 0),), ((0, 1),)]
+    faces = [P.face_of((-1, -1)), Q.face_of((-1, -1))]
+    assert [f.vertices for f in faces] == [((1, 0),), ((0, 1),)]
+    assert ph.minkowski_sum(faces) == S.face_of((-1, -1))
+    assert S.face_of((-1, -1)).vertices == ((1, 1),)
 
 
 # ---------------------------------------------------------------------------
