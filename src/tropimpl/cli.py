@@ -34,6 +34,7 @@ from .errors import (
     InputFormatError,
     OracleInconsistent,
     TropicalError,
+    UnbalancedCycle,
     VerificationFailed,
 )
 from .implicitize import (
@@ -170,10 +171,32 @@ def _as_matrix(obj):
 
 
 def _as_cycle(obj):
+    """Parse a cycle and check that it is balanced when every cone is one
+    ray r_i over a common lineality L.  With k_i the index of L + Z r_i in
+    its saturation, r_i / k_i generates the cone's lattice modulo L, so the
+    sum of w_i r_i / k_i must lie in span_Q(L) (Maclagan, Sturmfels,
+    Introduction to Tropical Geometry, 3.3).  Other cycles pass unchecked.
+    """
     try:
-        return TropicalCycle.from_json(obj)
+        C = TropicalCycle.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad cycle: {exc}") from exc
+    cones = [cone for cone, _ in C]
+    if cones and all(len(c.rays) == 1 and c.lineality == cones[0].lineality
+                     for c in cones):
+        L = list(cones[0].lineality)
+        total = (0,) * C.ambient_dim
+        for cone, w in C:
+            gens = L + [cone.rays[0]]
+            k = ec.lattice_index(ec.saturate(gens, C.ambient_dim), gens)
+            total = ec.vec_add(
+                total, tuple(ec.div_exact(w * x, k) for x in cone.rays[0]))
+        if ec.rational_rank(L + [total]) > len(L):
+            raise UnbalancedCycle(
+                "cycle is not balanced: its weighted primitive ray "
+                f"generators sum to {[ec.rat_to_json(x) for x in total]}, "
+                "outside the span of the lineality")
+    return C
 
 
 def _input_polytopes(obj):

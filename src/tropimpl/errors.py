@@ -33,6 +33,12 @@ class DimensionMismatch(TropicalError):
     exit_code = PRECONDITION_ERROR
 
 
+class UnbalancedCycle(TropicalError):
+    """The weighted primitive generators of a cycle's rays do not sum into
+    the span of their common lineality."""
+    exit_code = PRECONDITION_ERROR
+
+
 class LatticeMismatch(TropicalError):
     """Polytope directions leave the span of the reference lattice."""
     exit_code = PRECONDITION_ERROR

@@ -1,9 +1,11 @@
 """Exact linear algebra over Q, Z and GF(p).
 
 Everything downstream (polytopes, fans, interpolation) runs on the primitives
-in this module: arbitrary-precision rationals, integer normal forms with
-unimodular transforms, saturated kernel lattices, fraction-free kernels and
-Chinese-remainder rational reconstruction.  No floating point anywhere.
+in this module: arbitrary-precision rationals, saturated kernel lattices,
+fraction-free kernels and Chinese-remainder rational reconstruction.  No
+floating point anywhere.  The row Hermite form with its unimodular transform
+is the one integer normal form: integer kernels, saturation, lattice
+indices, integer solves and reduction modulo a subspace all run on it.
 """
 
 from __future__ import annotations
@@ -203,84 +205,6 @@ def row_hermite(M):
     return H, U
 
 
-def smith_normal_form(M):
-    """Smith form with transforms: returns (D, U, V) with D = U*M*V.
-
-    Diagonal entries are nonnegative and satisfy d1 | d2 | ... ; the product
-    of the nonzero d_i equals |det| for square nonsingular input.
-    """
-    A = [list(map(int, row)) for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row_i += q * row_j
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, q):  # col_i += q * col_j
-        for row in A:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    add_row(i, t, -(A[i][t] // A[t][t]))
-            rows_dirty = [i for i in range(t + 1, m) if A[i][t]]
-            if rows_dirty:
-                swap_rows(t, rows_dirty[0])
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    add_col(j, t, -(A[t][j] // A[t][t]))
-            cols_dirty = [j for j in range(t + 1, n) if A[t][j]]
-            if cols_dirty:
-                swap_cols(t, cols_dirty[0])
-                continue
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(t, culprit, 1)
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return A, U, V
-
-
 def integer_kernel(M, ncols=None):
     """Basis of the saturated lattice {v in Z^n : M v = 0}, Hermite-reduced."""
     if ncols is None:
@@ -340,27 +264,28 @@ def saturate(generators, ambient_dim=None):
 
 
 def solve_integer(M, b):
-    """One integer solution x of M x = b, or None.
+    """One integer solution x of M x = b, or None; b may be rational.
 
-    b may be rational; a solution exists only if it is integral in the Smith
-    coordinates.
+    Runs on the row Hermite form H = U M^T, the one integer normal form:
+    with x = U^T y the system becomes H^T y = b, which forward substitution
+    on the pivots of H solves.  A pivot quotient that is not an integer, or
+    an equation left unsatisfied, means there is no integer solution.
     """
     if not M:
         return ()
-    m, n = len(M), len(M[0])
-    D, U, V = smith_normal_form(M)
-    c = mat_vec(U, tuple(b))
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < n else 0
-        if d:
-            q = div_exact(c[i], d)
-            if not isinstance(q, int):
-                return None
-            y[i] = q
-        elif c[i] != 0:
+    H, U = row_hermite(transpose(M))
+    y = []
+    for row in H:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            break
+        q = div_exact(b[c] - sum(h[c] * t for h, t in zip(H, y)), row[c])
+        if not isinstance(q, int):
             return None
-    return mat_vec(V, tuple(y))
+        y.append(q)
+    if any(sum(h[i] * t for h, t in zip(H, y)) != b[i] for i in range(len(M))):
+        return None
+    return tuple(sum(u[j] * t for u, t in zip(U, y)) for j in range(len(M[0])))
 
 
 def lattice_index(super_basis, sub_generators):
@@ -513,35 +438,19 @@ def solve_linear(M, b):
     return tuple(x)
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form over Q; returns (rows, pivot_cols).
+def reduce_mod_subspace(v, basis):
+    """Canonical representative of v modulo the row space of a basis in
+    row Hermite form, the one integer normal form.
 
-    Pivot entries are 1 and pivot columns are cleared elsewhere; zero rows
-    are dropped.
+    v is reduced against each row in turn at that row's pivot, its first
+    nonzero entry, so the result is zero at every pivot and v minus the
+    result lies in the span.
     """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [], []
-    n = ncols if ncols is not None else len(rows[0])
-    ech, piv = _bareiss_echelon(_integer_rows(rows))
-    out = [[div_exact(x, row[c]) for x in row]
-           for row, c in zip(ech, piv)]
-    for k in range(len(piv) - 1, -1, -1):
-        c = piv[k]
-        for i in range(k):
-            f = out[i][c]
-            if f:
-                out[i] = [a - f * b for a, b in zip(out[i], out[k])]
-    return [tuple(r) for r in out], piv
-
-
-def reduce_mod_subspace(v, rref_rows, pivots):
-    """Canonical representative of v modulo the row space of an rref basis:
-    the pivot coordinates of the result are zero."""
     w = list(v)
-    for row, c in zip(rref_rows, pivots):
-        f = w[c]
-        if f:
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        if w[c]:
+            f = div_exact(w[c], row[c])
             w = [a - f * b for a, b in zip(w, row)]
     return tuple(w)
 

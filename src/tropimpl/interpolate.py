@@ -523,8 +523,9 @@ def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
     The caller certifies the lift over Q.  A prime with an empty kernel
     proves the kernel over Q empty (KernelEmpty); one with a larger
     kernel has lost rank, or has fewer than len(residue) - 1 rows and
-    checks nothing, and is skipped, at most MAX_SKIPPED_PRIMES times.  By Cramer's rule and Hadamard's bound the lift needs primes
-    of product at most 2 H^2 < 2^bound_bits, H the product of the row
+    checks nothing, and is skipped, at most MAX_SKIPPED_PRIMES times.
+    By Cramer's rule and Hadamard's bound the lift needs primes of
+    product at most 2 H^2 < 2^bound_bits, H the product of the row
     norms; from there on the lift is tried whatever min_primes says, and
     if it fails, ReconstructionFailed.
     """

@@ -188,12 +188,11 @@ class Polytope:
         if self._ambient_facets is not None:
             return self._ambient_facets
         eq_normals = [c for c, _ in self.equations()]
-        R, piv = ec.rref(eq_normals, self.ambient_dim)
         L = [list(v) for v in self._lattice]
         out = []
         for u, _, inc in self._chart_facets:
             a = ec.solve_integer(L, u)
-            a = ec.reduce_mod_subspace(a, R, piv)
+            a = ec.reduce_mod_subspace(a, eq_normals)
             a = ec.primitive_vector(a)
             b = max(ec.dot(a, v) for v in self.vertices)
             out.append((a, b, inc))
@@ -528,10 +527,9 @@ class Cone:
         self.ambient_dim = ambient_dim
         lin = [l for l in lineality if any(l)]
         self.lineality = tuple(ec.saturate(lin, ambient_dim)) if lin else ()
-        rref, piv = ec.rref([list(l) for l in self.lineality], ambient_dim)
         cleaned = set()
         for r in rays:
-            red = ec.reduce_mod_subspace(r, rref, piv)
+            red = ec.reduce_mod_subspace(r, self.lineality)
             if any(red):
                 cleaned.add(ec.primitive_vector(red))
         self.rays = tuple(sorted(cleaned))
@@ -571,10 +569,9 @@ class Cone:
         lin = self.lineality
         if hidden:
             lin = tuple(ec.saturate(list(lin) + hidden, self.ambient_dim))
-        rref, piv = ec.rref([list(l) for l in lin], self.ambient_dim)
         q = self.dim - len(lin)
         extreme = {
-            ec.primitive_vector(ec.reduce_mod_subspace(r, rref, piv))
+            ec.primitive_vector(ec.reduce_mod_subspace(r, lin))
             for r in self.rays
             if ec.rational_rank([list(u) for u in facets
                                  if ec.dot(u, r) == 0]) == q - 1}

@@ -241,9 +241,8 @@ class SubsetCone:
         rays = [tuple(r) for r in rays]
         while True:
             lin = list(ec.saturate(lin, n)) if lin else []
-            rref, piv = ec.rref([list(l) for l in lin], n)
             rays = sorted({ec.primitive_vector(red) for red in (
-                ec.reduce_mod_subspace(r, rref, piv) for r in rays)
+                ec.reduce_mod_subspace(r, lin) for r in rays)
                 if any(red)})
             span = list(ec.saturate(rays + lin, n)) if rays or lin else []
             self.span = span

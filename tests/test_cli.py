@@ -555,6 +555,37 @@ class TestErrorContract:
         assert err["error"] == "parse"
         assert "length 2" in err["message"]
 
+    def test_unbalanced_cycle_exits_3(self, tmp_path, capsys):
+        # a single ray in R^2 is not balanced; it used to reach the oracle
+        # and exit 4 with OracleInconsistent
+        cycle = {"ambient_dim": 2, "pure_dim": 1, "items": [
+            {"cone": {"rays": [[1, 0]]}, "weight": 1}]}
+        target = tmp_path / "o.json"
+        rc, out = run(["newton", "--in", write(tmp_path / "c.json", cycle),
+                       "--out", str(target)], capsys)
+        assert rc == 3
+        assert not target.exists()
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "precondition"
+        assert err["type"] == "UnbalancedCycle"
+
+    def test_cycle_balanced_only_with_lattice_indices_exits_0(self,
+                                                              tmp_path):
+        # rays modulo the lineality (2, 1, 0) are (0, -1, 0), (0, 0, 1) and
+        # (0, 1, -2), of lattice indices 2, 1 and 2 over it: they balance
+        # only once divided by their indices
+        lin = [[2, 1, 0]]
+        cycle = {"ambient_dim": 3, "pure_dim": 2, "items": [
+            {"cone": {"rays": [ray], "lineality": lin}, "weight": 1}
+            for ray in ([1, 0, 0], [0, 0, 1], [-1, 0, -1])]}
+        target = tmp_path / "o.json"
+        rc, _ = run(["newton", "--in", write(tmp_path / "c.json", cycle),
+                     "--out", str(target)])
+        assert rc == 0
+        P = json.loads(target.read_text())["polytope"]
+        assert P["vertices"] == [[0, 2, 0], [0, 2, 1], [1, 0, 0]]
+
     @pytest.mark.parametrize("field,code", [
         ("q", 4), ("crt:2", 4), ("gf:101", 0)])
     def test_vertex_without_coefficient_fails(self, tmp_path, capsys,

@@ -141,7 +141,7 @@ def test_primitive_vector_and_canonical_sign():
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith forms
+# Hermite form and integer solves
 
 def test_row_hermite_transform_and_shape():
     rng = random.Random(20240)
@@ -165,7 +165,19 @@ def test_row_hermite_transform_and_shape():
                 assert 0 <= H[i][c] < H[k][c]
 
 
+def oracle_integer_solvable(M, b):
+    """M x = b has an integer solution iff b is integral, rank M equals
+    rank [M | b], and the products of their invariant factors (the gcds
+    of their maximal nonzero minors) are equal."""
+    if not all(isinstance(x, int) for x in b):
+        return False
+    inv = oracle_smith_invariants(M)
+    inv_b = oracle_smith_invariants([row + [x] for row, x in zip(M, b)])
+    return len(inv) == len(inv_b) and math.prod(inv) == math.prod(inv_b)
+
+
 def test_smith_form_matches_minor_gcd_oracle():
+    # the decision of solve_integer against the invariant factors
     cases = [
         [[2, 4], [6, 8]],
         [[1, 2], [3, 4]],
@@ -178,29 +190,45 @@ def test_smith_form_matches_minor_gcd_oracle():
         m = rng.randint(1, 3)
         n = rng.randint(1, 3)
         cases.append([[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)])
+    seen = set()
     for M in cases:
-        D, U, V = ec.smith_normal_form(M)
-        assert mat_mul(mat_mul(U, M), V) == D
-        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-        diag = [d for d in diag if d]
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
-        assert diag == oracle_smith_invariants(M)
+        rhs = [list(b) for b in product(range(-3, 4), repeat=len(M))]
+        rhs += [[ec.rat(rng.randint(-9, 9), 2) for _ in M] for _ in range(3)]
+        for b in rhs:
+            x = ec.solve_integer(M, b)
+            solvable = oracle_integer_solvable(M, b)
+            assert (x is not None) == solvable
+            if x is not None:
+                assert all(isinstance(t, int) for t in x)
+                assert list(ec.mat_vec(M, x)) == b
+            seen.add(solvable)
+    assert seen == {True, False}
 
 
 def test_smith_form_frozen_examples():
-    D, _, _ = ec.smith_normal_form([[2, 4], [6, 8]])
-    assert [D[0][0], D[1][1]] == [2, 4]
-    D, _, _ = ec.smith_normal_form([[1, 2], [3, 4]])
-    assert [D[0][0], D[1][1]] == [1, 2]
+    # invariant factors (2, 4): the column lattice has index 8 in Z^2
+    M = [[2, 4], [6, 8]]
+    for b in [(2, 6), (0, 4), (2, 2)]:
+        assert ec.mat_vec(M, ec.solve_integer(M, b)) == b
+    for b in [(1, 0), (0, 2), (ec.rat(1, 2), 3)]:
+        assert ec.solve_integer(M, b) is None
+    # invariant factors (1, 2)
+    M = [[1, 2], [3, 4]]
+    assert ec.mat_vec(M, ec.solve_integer(M, (1, 1))) == (1, 1)
+    assert ec.solve_integer(M, (0, 1)) is None
 
 
 def test_lattice_normal_form_dispatch():
+    # one normal form: the row Hermite form of M and of its transpose,
+    # the latter with its transform deciding and solving M x = b
     M = [[2, 4], [6, 8]]
     H, U = ec.row_hermite(M)
     assert H == [[2, 0], [0, 4]] and mat_mul(U, M) == H
-    D, U, V = ec.smith_normal_form(M)
-    assert D == [[2, 0], [0, 4]] and mat_mul(mat_mul(U, M), V) == D
+    Ht, Ut = ec.row_hermite(ec.transpose(M))
+    assert Ht == [[2, 2], [0, 4]] and mat_mul(Ut, ec.transpose(M)) == Ht
+    assert ec.solve_integer(M, (2, 6)) == (1, 0)
+    assert ec.solve_integer(M, (0, 4)) == (2, -1)
+    assert ec.solve_integer(M, (0, 2)) is None
 
 
 def test_det_matches_cofactor_oracle():
@@ -476,16 +504,36 @@ def test_gale_dual_rank_deficient():
 
 
 def test_rref_and_subspace_reduction():
-    R, piv = ec.rref([[2, 4, 6], [1, 2, 4]])
-    assert piv == [0, 2]
-    assert R == [(1, 2, 0), (0, 0, 1)]
-    for v in [(3, 6, 10), (0, 0, 0), (1, 0, 0)]:
-        red = ec.reduce_mod_subspace(v, R, piv)
-        assert red[0] == 0 and red[2] == 0
-    # reduction is invariant on cosets
-    a = ec.reduce_mod_subspace((5, 1, 2), R, piv)
-    b = ec.reduce_mod_subspace(ec.vec_add((5, 1, 2), (3, 6, 10)), R, piv)
-    assert a == b
+    # reduce_mod_subspace on saturated (Hermite) bases, pivots above 1 too
+    rng = random.Random(4747)
+    bases = [ec.saturate([(2, 4, 6), (1, 2, 4)]), ec.saturate([(2, 1, 0)]),
+             ec.saturate([(3, 0, 1, 2), (0, 2, 1, 0)])]
+    assert list(bases[1]) == [(2, 1, 0)]
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n))
+                for _ in range(rng.randint(1, n - 1))]
+        if any(any(g) for g in gens):
+            bases.append(ec.saturate(gens, n))
+    for L in bases:
+        L = list(L)
+        n = len(L[0])
+        pivots = [next(j for j, x in enumerate(row) if x) for row in L]
+        vs = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(4)]
+        vs += [tuple(ec.rat(rng.randint(-9, 9), 3) for _ in range(n))]
+        vs += [(0,) * n, L[-1]]
+        for v in vs:
+            red = ec.reduce_mod_subspace(v, L)
+            assert all(red[c] == 0 for c in pivots)
+            diff = ec.vec_sub(v, red)
+            assert ec.rational_rank(L + [list(diff)]) == len(L)
+            shift = [rng.randint(-5, 5) for _ in L]
+            w = v
+            for c, row in zip(shift, L):
+                w = ec.vec_add(w, tuple(c * x for x in row))
+            assert ec.reduce_mod_subspace(w, L) == red
+    assert ec.reduce_mod_subspace((1, 0, 0), [(2, 1, 0)]) == \
+        (0, ec.rat(-1, 2), 0)
 
 
 def test_solve_linear_consistency():

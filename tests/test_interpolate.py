@@ -6,7 +6,6 @@ independently via sympy.
 """
 
 import math
-import random
 from fractions import Fraction
 
 import pytest

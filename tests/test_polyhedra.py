@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,6 +13,7 @@ from tropimpl.errors import DimensionMismatch, LatticeMismatch
 from oracle_utils import (
     SubsetCone,
     area2d,
+    contains2d,
     hull2d,
     lattice_points2d,
     mixed_area,
@@ -279,6 +279,37 @@ def test_lattice_points_match_brute_force_3d():
                      math.ceil(max(p[i] for p in pts)) + 1) for i in range(3)]
         expected = [q for q in product(*box) if P.contains(q)]
         assert P.lattice_points() == expected
+
+    # Polygons with half-integer free coordinates on a plane a.x = c, so
+    # the integral basepoint comes from solve_integer.  Checked without
+    # Polytope.facets: a lattice point is an integer point of the plane
+    # whose projection, coordinate k dropped, lies in the planar hull.
+    def on_plane(a, c, k, free):
+        x = list(free)
+        x.insert(k, 0)
+        x[k] = ec.div_exact(c - ec.dot(a, x), a[k])
+        return tuple(x)
+
+    solved = 0
+    for a, c, k in [((1, 2, -1), 1, 2), ((3, 2, -6), 1, 2), ((2, 2, 0), 1, 0)]:
+        for _ in range(4):
+            free = [tuple(ec.rat(rng.randint(-7, 7), 2) for _ in range(2))
+                    for _ in range(rng.randint(3, 5))]
+            P = ph.Polytope([on_plane(a, c, k, f) for f in free])
+            solved += not all(isinstance(x, int) for x in P.vertices[0])
+            box = [range(math.floor(min(f[i] for f in free)),
+                         math.ceil(max(f[i] for f in free)) + 1)
+                   for i in range(2)]
+            expected = sorted(
+                q for q in (on_plane(a, c, k, f) for f in product(*box)
+                            if contains2d(free, f))
+                if all(isinstance(x, int) for x in q))
+            assert P.lattice_points() == expected
+            if a == (2, 2, 0):
+                # 2x + 2y = 1 holds no lattice point
+                assert P.integral_affine_basepoint() is None
+                assert expected == []
+    assert solved >= 8
 
 
 # ---------------------------------------------------------------------------
