@@ -205,9 +205,16 @@ def _input_polytopes(obj):
         return Parametrization.from_json(obj).newton_polytopes()
     if isinstance(obj, dict) and "polytopes" in obj:
         try:
-            return [Polytope.from_json(p) for p in obj["polytopes"]]
+            polys = [Polytope.from_json(p) for p in obj["polytopes"]]
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"bad polytope list: {exc}") from exc
+        for P in polys:
+            for v in P.vertices:
+                if not all(isinstance(x, int) for x in v):
+                    raise InputFormatError(
+                        "Newton polytope vertex "
+                        f"{[ec.rat_to_json(x) for x in v]} is not integral")
+        return polys
     raise InputFormatError(
         "input needs a parametrization (components) or a polytope list")
 

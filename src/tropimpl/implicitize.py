@@ -3,8 +3,13 @@
 Three pipelines feed the Newton polytope oracle:
 
 * ``get_tropical_cycle`` computes the tropicalization of the closed image
-  of a Laurent parametrization from its coordinate Newton polytopes, by
-  projecting a graph cycle built from mixed volumes of normal-fan faces.
+  of a Laurent parametrization from its coordinate Newton polytopes Q_i,
+  by projecting the graph cycle of Sturmfels, Tevelev and Yu: the normal
+  cones of the sum of the lifted polytopes conv(e_i, 0 x Q_i), weighted by
+  mixed volumes of their faces.  Each lifted face is a vertex, a face of
+  Q_i or their join, so the cones of positive weight are enumerated from
+  the normal fan of the sum of the Q_i in R^d, one per choice of summands
+  whose face is that of Q_i alone.
 * ``get_trop_a_disc`` computes the tropical A-discriminant as a projected
   Bergman fan.
 * ``get_vertex`` / ``reconstruct_polytope`` turn any hypersurface cycle
@@ -118,12 +123,27 @@ def get_graph_cycle(newton_polytopes):
     """Tropicalization of the graph of a generic parametrization.
 
     Takes the coordinate Newton polytopes Q_1 .. Q_n in Z^d and returns a
-    pure d-dimensional cycle in R^(n+d), coordinates ordered image-first.
-    The weight of a d-dimensional normal-fan cone of the Minkowski sum of
-    the lifted polytopes conv(e_i, 0 x Q_i) is the mixed volume of their
-    faces at a witness of the cone.  That face of the sum has dimension n,
-    so the summand faces span its rank n lattice, in which the mixed
-    volume is taken.
+    pure d-dimensional cycle in R^(n+d), coordinates ordered image-first:
+    the d-dimensional normal cones of the Minkowski sum of the lifted
+    polytopes conv(e_i, 0 x Q_i), each weighted by the mixed volume of the
+    lifted faces at a witness of the cone (Sturmfels, Tevelev, Yu, The
+    Newton polytope of the implicit equation, 2007).
+
+    Neither the lifted sum nor a lifted face is built.  At w = (u, v) the
+    face of conv(e_i, 0 x Q_i) is {e_i}, 0 x F_i or their join as u_i is
+    below, above or at min v.Q_i, with F_i the face of Q_i at v.  A point
+    summand has mixed volume zero, so the cones of positive weight are the
+    pairs (C, B): C a c-dimensional normal cone of Q_1 + .. + Q_n, and B a
+    set of d - c indices whose F_i is no point, where the face is 0 x F_i
+    and elsewhere the join.  The cone is the image of C x R_+^B under
+    (v, t) -> (v.f_1 + t_1, .., v.f_n + t_n, v) for fixed f_i in F_i.
+    Every summand but the join at j lies in the hyperplane x_j = 0, across
+    which the join has lattice width one, so it drops out of the mixed
+    volume (Schneider, Convex Bodies, ch. 5): the weight is the mixed
+    volume of the F_i, i in B, in the lattice of the face F_1 + .. + F_n.
+    Items keep the order of the sorted vertex lists of the lifted faces'
+    sum, which for each S in the join indices holds e_S plus the vertices
+    of the sum of the F_i outside S.
     """
     polys = list(newton_polytopes)
     n = len(polys)
@@ -133,18 +153,45 @@ def get_graph_cycle(newton_polytopes):
     for Q in polys:
         if Q.ambient_dim != d:
             raise DimensionMismatch("Newton polytopes in mixed dimensions")
-    amb = n + d
-    lifted = []
-    for i, Q in enumerate(polys):
-        apex = tuple(1 if j == i else 0 for j in range(n)) + (0,) * d
-        pts = [apex] + [(0,) * n + tuple(v) for v in Q.vertices]
-        lifted.append(Polytope(pts))
-    items = []
-    for cone, w in normal_fan_cones(minkowski_sum(lifted), d):
-        m = mixed_volume([Q.face_of(w) for Q in lifted])
-        if m > 0:
-            items.append((cone, int(m)))
-    return TropicalCycle(amb, d, items)
+    full = tuple(range(n))
+    unit = [tuple(int(j == i) for j in range(n + d)) for i in full]
+    subsums = {(): Polytope([(0,) * d])}
+    subsums.update(((i,), Q) for i, Q in enumerate(polys))
+
+    def subsum(T):
+        if T not in subsums:
+            subsums[T] = minkowski_sum([polys[i] for i in T])
+        return subsums[T]
+
+    cells = []
+    for c in range(max(0, d - n), d + 1):
+        for C, v in normal_fan_cones(subsum(full), c):
+            face = subsum(full).face_vertices(v)
+            lattice = ec.saturate([ec.vec_sub(p, face[0]) for p in face[1:]],
+                                  d)
+            faces = [Q.face_vertices(v) for Q in polys]
+
+            def lift(x):
+                return tuple(ec.dot(x, f[0]) for f in faces) + tuple(x)
+
+            rays = [lift(r) for r in C.rays]
+            lineality = [lift(l) for l in C.lineality]
+            wide = [i for i in full if len(faces[i]) > 1]
+            for B in itertools.combinations(wide, d - c):
+                m = mixed_volume([polys[i].face_of(v) for i in B], lattice)
+                if m == 0:
+                    continue
+                join = [i for i in full if i not in B]
+                key = sorted(
+                    tuple(int(i in S) for i in full) + p
+                    for r in range(len(join) + 1)
+                    for S in itertools.combinations(join, r)
+                    for p in subsum(tuple(i for i in full if i not in S))
+                    .face_vertices(v))
+                cone = Cone(rays + [unit[i] for i in B], lineality, n + d)
+                cells.append((key, cone, m))
+    cells.sort(key=lambda cell: cell[0])
+    return TropicalCycle(n + d, d, [(cone, m) for _, cone, m in cells])
 
 
 def get_tropical_cycle(newton_polytopes, delta=1):

@@ -208,12 +208,16 @@ class Polytope:
                 return False
         return True
 
+    def face_vertices(self, w):
+        """Vertices of the face minimizing the linear functional w."""
+        vals = [ec.dot(w, v) for v in self.vertices]
+        lo = min(vals)
+        return tuple(v for v, s in zip(self.vertices, vals) if s == lo)
+
     def face_of(self, w):
         """The face minimizing the linear functional w, as a polytope,
         built once per vertex subset and shared between calls."""
-        vals = [ec.dot(w, v) for v in self.vertices]
-        lo = min(vals)
-        sub = tuple(v for v, s in zip(self.vertices, vals) if s == lo)
+        sub = self.face_vertices(w)
         face = self._faces_by_vertices.get(sub)
         if face is None:
             face = self._faces_by_vertices[sub] = Polytope(sub)
@@ -469,7 +473,8 @@ def mixed_volume(polys, lattice=None):
     exactly when every subfamily's Minkowski sum has dimension at least its
     size (Schneider, Convex Bodies, 5.1), so a rank test on the edge
     directions of each subfamily returns most zeros without a hull.  k
-    segments give |det| of their edge vectors; any other family takes
+    segments give |det| of their edge vectors, and the empty family in a
+    rank 0 lattice gives 1; any other family takes
     inclusion-exclusion over the Minkowski subsums of full dimension, each
     one hull of its chart points.
     """
@@ -496,7 +501,7 @@ def mixed_volume(polys, lattice=None):
             if rank < r:
                 return 0
             ranks[S] = rank
-    if k and all(len(e) == 1 for e in edges):
+    if all(len(e) == 1 for e in edges):
         return abs(ec.det([e[0] for e in edges]))
     total = 0
     for S, rank in ranks.items():

@@ -9,8 +9,9 @@ Chow-form reference shares the ansatz and the sample -> solve -> verify
 loop with the package but solves over Q, the Pluecker batch reference
 redraws each batch from a fresh generator with the package's single draw,
 the Vandermonde reference solves the package's exact monomial rows by
-fraction-free elimination, and the mixed-volume reference measures every
-Minkowski subsum with the package's polytopes.
+fraction-free elimination, the mixed-volume reference measures every
+Minkowski subsum with the package's polytopes, and the graph-cycle
+reference reads the normal fan of the lifted polytopes' sum in R^(n+d).
 """
 
 import math
@@ -22,7 +23,14 @@ from tropimpl import exactcore as ec
 from tropimpl.chow import PluckerPoly, _chow_ansatz, _draw_pluecker
 from tropimpl.errors import DimensionMismatch, LoopyMatroid, SamplingExhausted
 from tropimpl.interpolate import kernel_vector, solve_verified
-from tropimpl.polyhedra import Cone, minkowski_sum, normalized_volume
+from tropimpl.polyhedra import (
+    Cone,
+    Polytope,
+    minkowski_sum,
+    mixed_volume,
+    normal_fan_cones,
+    normalized_volume,
+)
 from tropimpl.tropical import BERGMAN_SIGN, TropicalCycle, indicator
 
 
@@ -227,6 +235,33 @@ def mixed_volume_by_subsums(polys, lattice=None):
             Q = minkowski_sum([polys[i] for i in S]) if r > 1 else polys[S[0]]
             total += sign * normalized_volume(Q, lattice)
     return ec.div_exact(total, math.factorial(k))
+
+
+def graph_cycle_by_lifted_sum(newton_polytopes):
+    """Graph cycle read off the Minkowski sum of the lifted polytopes
+    conv(e_i, 0 x Q_i) in R^(n+d): every d-dimensional normal cone of the
+    sum, in the order of its faces, weighted by the mixed volume of the
+    lifted faces at its witness.  The reference for
+    implicitize.get_graph_cycle, raising the same errors."""
+    polys = list(newton_polytopes)
+    n = len(polys)
+    if n == 0:
+        raise ValueError("need at least one Newton polytope")
+    d = polys[0].ambient_dim
+    for Q in polys:
+        if Q.ambient_dim != d:
+            raise DimensionMismatch("Newton polytopes in mixed dimensions")
+    lifted = []
+    for i, Q in enumerate(polys):
+        apex = tuple(1 if j == i else 0 for j in range(n)) + (0,) * d
+        pts = [apex] + [(0,) * n + tuple(v) for v in Q.vertices]
+        lifted.append(Polytope(pts))
+    items = []
+    for cone, w in normal_fan_cones(minkowski_sum(lifted), d):
+        m = mixed_volume([Q.face_of(w) for Q in lifted])
+        if m > 0:
+            items.append((cone, m))
+    return TropicalCycle(n + d, d, items)
 
 
 class SubsetCone:

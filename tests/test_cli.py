@@ -353,9 +353,9 @@ class TestGoldenArtifacts:
         {"cone": {"rays": X_AXIS + [[0, 1, 0]]}, "weight": 1},
         {"cone": {"rays": X_AXIS + [[0, 0, 1]]}, "weight": 1},
         {"cone": {"rays": X_AXIS + [[0, -1, -1]]}, "weight": 1}]}
-    # three triangles in Z^2: the image cycle from two-dimensional normal
-    # cones of a Minkowski sum in R^5, its Newton polytope of f-vector
-    # (12, 22, 12)
+    # three triangles in Z^2: the image cycle projected from the graph
+    # cycle in R^5, whose cones come from the normal fan of the triangles'
+    # sum in R^2; its Newton polytope has f-vector (12, 22, 12)
     THREE_TRIANGLES = {"polytopes": [
         {"vertices": [[0, 0], [3, 1], [1, 4]]},
         {"vertices": [[0, 0], [2, -1], [-1, 3]]},
@@ -470,6 +470,24 @@ class TestErrorContract:
         err = json.loads(out)
         assert err["error"] == "parse"
         assert "denominator" in err["message"]
+
+    @pytest.mark.parametrize("command", ["trop-cycle", "newton"])
+    def test_non_integral_newton_polytope_exits_2(self, tmp_path, capsys,
+                                                  command):
+        # a fractional vertex once gave a fractional mixed volume, cut to
+        # a zero weight and reported as a violated precondition
+        obj = {"polytopes": [{"vertices": [[0, 0], ["1/2", 1], [1, 3]]},
+                             {"vertices": [[0, 0], [2, 1]]}]}
+        target = tmp_path / "o.json"
+        rc, out = run([command, "--in", write(tmp_path / "p.json", obj),
+                       "--out", str(target)], capsys)
+        assert rc == 2
+        assert not target.exists()
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert err["type"] == "InputFormatError"
+        assert "1/2" in err["message"]
 
     # a float or boolean in an integer field is refused, never cut to an
     # int that would make the job answer a different question

@@ -10,10 +10,13 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import bergman_fan
+from oracle_utils import bergman_fan, graph_cycle_by_lifted_sum
 from tropimpl import exactcore as ec
 from tropimpl import implicitize
+from tropimpl import polyhedra
 from tropimpl.errors import (
     DimensionMismatch,
     GenericityExhausted,
@@ -45,6 +48,12 @@ def keyed(cycle):
 
 # Plane curve parametrized by x = 11t^2 + 5t^3 - t^4, y = 11 + 11t + 7t^8.
 CURVE_SUPPORTS = [Polytope([(2,), (3,), (4,)]), Polytope([(0,), (1,), (8,)])]
+
+
+# three triangles in Z^2, whose image cycle the golden artifacts record
+THREE_TRIANGLES = [Polytope([(0, 0), (3, 1), (1, 4)]),
+                   Polytope([(0, 0), (2, -1), (-1, 3)]),
+                   Polytope([(1, 1), (-2, 0), (0, -3)])]
 
 
 def curve_cycle():
@@ -83,6 +92,69 @@ class TestGraphCycle:
     def test_mixed_ambient_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             get_graph_cycle([Polytope([(0,)]), Polytope([(0, 0)])])
+
+    def test_no_hull_in_the_graph_space(self, monkeypatch):
+        # the cycle comes from hulls in R^d and mixed volumes of faces in
+        # R^d; the lifted sum would be a hull of dimension n + d = 5
+        dims = []
+        hull = polyhedra._hull_full_dim
+
+        def recording(points):
+            dims.append(len(points[0]))
+            return hull(points)
+
+        monkeypatch.setattr(polyhedra, "_hull_full_dim", recording)
+        G = get_graph_cycle(THREE_TRIANGLES)
+        assert len(G) > 0 and dims
+        assert max(dims) <= 3
+
+    def test_point_in_dimension_zero(self):
+        polys = [Polytope([()])]
+        assert items_of(get_graph_cycle, polys) == \
+            items_of(graph_cycle_by_lifted_sum, polys)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_matches_lifted_sum_reference(self, data):
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 5 - d))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        # one direction shared by the parallel segments, so the sum of the
+        # supports can be lower dimensional
+        axis = tuple(rng.randint(-2, 2) for _ in range(d))
+
+        def point():
+            return tuple(rng.randint(-3, 3) for _ in range(d))
+
+        polys = []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(
+                ["point", "segment", "parallel", "triangle", "full"]))
+            base = point()
+            if kind == "point":
+                pts = [base]
+            elif kind == "segment":
+                pts = [base, point()]
+            elif kind == "parallel":
+                k = rng.randint(1, 3)
+                pts = [base, tuple(b + k * a for b, a in zip(base, axis))]
+            elif kind == "triangle":
+                pts = [base, point(), point()]
+            else:
+                pts = [point() for _ in range(d + 1 + rng.randint(0, 3))]
+            polys.append(Polytope(pts))
+        assert items_of(get_graph_cycle, polys) == \
+            items_of(graph_cycle_by_lifted_sum, polys)
+
+
+def items_of(graph_cycle, polys):
+    """The cycle's items in order, or the class of the error raised."""
+    try:
+        G = graph_cycle(polys)
+    except Exception as exc:
+        return type(exc)
+    return [(cone.rays, cone.lineality, cone.span, w) for cone, w in G]
 
 
 class TestTropicalCycle:

@@ -359,6 +359,8 @@ def test_mixed_volume_unit_segments_and_diagonal():
     a, b = 3, 5
     segs = [ph.Polytope([(0, 0), (a, 0)]), ph.Polytope([(0, 0), (0, b)])]
     assert ph.mixed_volume(segs) == a * b
+    # no summands in a rank 0 lattice: the empty determinant
+    assert ph.mixed_volume([], ec.saturate([], 2)) == 1
 
 
 def test_mixed_volume_matches_volume_polynomial_oracle():
