@@ -82,7 +82,7 @@ FLAGS = {
     "--polytope-only": {"action": "store_true",
                         "help": "stop after polytope reconstruction"},
     "--force": {"action": "store_true",
-                "help": "lift the lattice enumeration size guard"},
+                "help": "lift the lattice-point sweep budget"},
 }
 
 # the flags each subcommand reads; it rejects any other

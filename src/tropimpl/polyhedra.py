@@ -6,6 +6,10 @@ polytopes in a high ambient space cost no more than full dimensional ones.
 Chart points of integer polytopes are integers, and each facet normal is a
 vector of integer minors, so a hull never forms a fraction.  Mixed volumes
 skip hulls where a rank test or one determinant decides them.
+Lattice points are swept one chart coordinate at a time, bounded by the
+facets of the projections to the leading coordinates; a projection of a
+polytope is the hull of its projected vertices (Ziegler, Lectures on
+Polytopes, Lecture 1), so the same hull gives every bound.
 Cones carry rays plus a lineality space; their integer equations and facet
 normals are read off, lazily, from the same hull of the origin, the rays and
 both signs of the lineality vectors, so membership is a few dot products.
@@ -25,7 +29,6 @@ from .errors import (
 )
 
 LATTICE_POINT_BUDGET = 10 ** 8
-FM_INEQUALITY_CAP = 20000
 
 
 def _affine_rank(points):
@@ -159,6 +162,7 @@ class Polytope:
                 for a, b, inc in merged]
         self._faces_by_dim = None
         self._ambient_facets = None
+        self._lattice_points = None
         self._faces_by_vertices = {}
 
     # -- basic geometry ----------------------------------------------------
@@ -286,7 +290,20 @@ class Polytope:
         return ec.solve_integer(M, rhs)
 
     def lattice_points(self, force=False):
-        """All integer points of the polytope, sorted, exact enumeration."""
+        """All integer points of the polytope, sorted, exact enumeration.
+
+        Enumerated once and kept; each call returns a new list.  The sweep
+        fixes one chart coordinate at a time, each within the bounds of the
+        projection to the coordinates fixed so far.  Raises
+        EnumerationTooLarge when the sweep visits more than
+        LATTICE_POINT_BUDGET integer values; force lifts that budget and
+        nothing else.
+        """
+        if self._lattice_points is None:
+            self._lattice_points = tuple(self._enumerate_lattice_points(force))
+        return list(self._lattice_points)
+
+    def _enumerate_lattice_points(self, force):
         if self.dim == 0:
             v = self.vertices[0]
             return [v] if all(isinstance(x, int) for x in v) else []
@@ -297,24 +314,24 @@ class Polytope:
         L = [list(v) for v in self._lattice]
         cols = ec.transpose(L)
         shift = ec.solve_linear(cols, ec.vec_sub(self._chart_base, base))
-        # inequalities in coordinates y around the integral basepoint
-        ineqs = []
-        for u, b, _ in self._chart_facets:
-            ineqs.append((u, b + ec.dot(u, shift)))
+        # systems[j] bounds the first j coordinates y around the integral
+        # basepoint: the facets of the projection of the chart polytope,
+        # which is the hull of the projected vertices.  vertices[0] is the
+        # chart base, so shift moves their chart coordinates to the basepoint
+        ys = [ec.vec_add(y, shift) for y in _lattice_coords(self.vertices, L)]
         systems = [None] * (k + 1)
-        systems[k] = _fm_dedupe(ineqs)
-        for j in range(k - 1, 0, -1):
-            systems[j] = _fm_eliminate(systems[j + 1], j, force)
+        systems[k] = [(u, b + ec.dot(u, shift))
+                      for u, b, _ in self._chart_facets]
+        for j in range(1, k):
+            _, facets, _ = _hull_full_dim(sorted({y[:j] for y in ys}))
+            systems[j] = [(u, b) for u, b, _ in facets]
 
         budget = [LATTICE_POINT_BUDGET]
         out = []
         y = [0] * k
 
         def sweep(j):
-            lo, hi = _fm_bounds(systems[j + 1], y, j)
-            if lo is None:
-                return
-            for t in range(lo, hi + 1):
+            for t in _coordinate_range(systems[j + 1], y, j):
                 y[j] = t
                 budget[0] -= 1
                 if budget[0] < 0 and not force:
@@ -346,67 +363,16 @@ class Polytope:
         return hash(self.vertices)
 
 
-def _fm_dedupe(ineqs):
-    best = {}
+def _coordinate_range(ineqs, y, j):
+    """The integers t with u.(y[0..j-1], t) <= b for every (u, b) of a
+    bounded system in j + 1 variables whose projection holds y[0..j-1]."""
+    lo, hi = [], []
     for u, b in ineqs:
-        key = tuple(u)
-        if not any(key) and b >= 0:
-            continue  # vacuous 0 <= b
-        if key not in best or b < best[key]:
-            best[key] = b
-    return sorted(best.items())
-
-
-def _fm_eliminate(ineqs, nvars, force):
-    """Project out the last variable of a system in nvars+1 variables."""
-    keep, pos, neg = [], [], []
-    for u, b in ineqs:
-        c = u[nvars]
-        trunc = tuple(u[:nvars])
-        if c == 0:
-            keep.append((trunc, b))
-        elif c > 0:
-            pos.append((trunc, c, b))
-        else:
-            neg.append((trunc, -c, b))
-    out = list(keep)
-    for up, cp, bp in pos:
-        for un, cn, bn in neg:
-            u = tuple(cn * a + cp * d for a, d in zip(up, un))
-            b = cn * bp + cp * bn
-            if any(u):
-                g = ec.vec_gcd(u)
-                out.append((tuple(x // g for x in u), ec.div_exact(b, g)))
-            else:
-                # a pure condition on the prefix; b < 0 marks infeasibility
-                out.append((u, b))
-    out = _fm_dedupe(out)
-    if len(out) > FM_INEQUALITY_CAP and not force:
-        raise EnumerationTooLarge("projection produced too many inequalities")
-    return out
-
-
-def _fm_bounds(ineqs, y, j):
-    """Integer range of variable j given fixed values y[0..j-1]; (None, None)
-    if empty."""
-    lo, hi = None, None
-    for u, b in ineqs:
-        s = b - sum(u[i] * y[i] for i in range(j))
         c = u[j]
-        if c == 0:
-            if s < 0:
-                return None, None
-            continue
-        bound = ec.div_exact(s, c)
-        if c > 0:
-            ihi = bound if isinstance(bound, int) else math.floor(bound)
-            hi = ihi if hi is None else min(hi, ihi)
-        else:
-            ilo = bound if isinstance(bound, int) else math.ceil(bound)
-            lo = ilo if lo is None else max(lo, ilo)
-    if lo is None or hi is None or lo > hi:
-        return None, None
-    return lo, hi
+        if c:
+            bound = ec.div_exact(b - sum(u[i] * y[i] for i in range(j)), c)
+            (hi if c > 0 else lo).append(bound)
+    return range(math.ceil(max(lo)), math.floor(min(hi)) + 1)
 
 
 # ---------------------------------------------------------------------------

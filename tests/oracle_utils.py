@@ -10,14 +10,18 @@ loop with the package but solves over Q, the Pluecker batch reference
 redraws each batch from a fresh generator with the package's single draw,
 the Vandermonde reference solves the package's exact monomial rows by
 fraction-free elimination, the mixed-volume reference measures every
-Minkowski subsum with the package's polytopes, and the graph-cycle
-reference reads the normal fan of the lifted polytopes' sum in R^(n+d).
+Minkowski subsum with the package's polytopes, the graph-cycle
+reference reads the normal fan of the lifted polytopes' sum in R^(n+d), and
+the box count filters every integer point of the bounding box by the
+polytope's own equations and facets.
 """
 
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from tropimpl import exactcore as ec
 from tropimpl.chow import PluckerPoly, _chow_ansatz, _draw_pluecker
@@ -114,6 +118,33 @@ def lattice_points2d(points):
             if contains2d(points, (x, y)):
                 out.append((x, y))
     return sorted(out)
+
+
+def lattice_points_in_box(P):
+    """Integer points of P, sorted: every integer point of its bounding
+    box, kept when it satisfies the equations and facets of P, one numpy
+    slab per value of the first coordinate."""
+    d = P.ambient_dim
+    lo = [math.floor(min(v[i] for v in P.vertices)) for i in range(d)]
+    hi = [math.ceil(max(v[i] for v in P.vertices)) for i in range(d)]
+    rows, rhs = [], []
+    for c, c0 in P.equations():
+        if not isinstance(c0, int):
+            return []
+        rows += [list(c), [-x for x in c]]
+        rhs += [c0, -c0]
+    for a, b, _ in P.facets():
+        rows.append(list(a))
+        rhs.append(math.floor(b))
+    A, b = np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64)
+    rest = np.indices([h - l + 1 for l, h in zip(lo[1:], hi[1:])])
+    rest = rest.reshape(d - 1, -1).T + np.array(lo[1:], dtype=np.int64)
+    out = []
+    for x0 in range(lo[0], hi[0] + 1):
+        X = np.hstack([np.full((len(rest), 1), x0, dtype=np.int64), rest])
+        out.extend(tuple(int(x) for x in row)
+                   for row in X[(X @ A.T <= b).all(axis=1)])
+    return out
 
 
 def pow_mod_row(exponents, point, p):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import tropimpl
-from tropimpl import chow, cli
+from tropimpl import chow, cli, polyhedra
 from tropimpl.chow import PluckerPoly
 from tropimpl.cli import JobSpec, _trial_seed, main
 from tropimpl.errors import InputFormatError
@@ -213,6 +213,37 @@ class TestADisc:
         terms = {tuple(t["exp"]): t["coeff"]
                  for t in art["polynomial"]["terms"]}
         assert terms == {(0, 2, 0): 1, (1, 0, 1): 97}
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("implicitize", CURVE),
+    # discriminant of the binary quartic: 16 lattice points
+    ("adisc", {"rows": [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]]})])
+def test_force_reaches_the_equation(tmp_path, monkeypatch, command, obj):
+    # with the sweep budget below the lattice point count, --force must
+    # lift it for the Newton polytope's enumeration and for the monomial
+    # basis of the equation, which is the same enumeration
+    src = write(tmp_path / "in.json", obj)
+    plain, forced = tmp_path / "plain.json", tmp_path / "forced.json"
+    assert run([command, "--in", src, "--out", str(plain)])[0] == 0
+    monkeypatch.setattr(polyhedra, "LATTICE_POINT_BUDGET", 10)
+    assert run([command, "--in", src, "--out", str(forced)])[0] == 4
+    assert not forced.exists()
+    assert run([command, "--in", src, "--out", str(forced), "--force"])[0] == 0
+    assert forced.read_bytes() == plain.read_bytes()
+
+    # one enumeration per job, shared by the artifact and the equation
+    enumerate_points = polyhedra.Polytope._enumerate_lattice_points
+    calls = []
+
+    def counted(self, force):
+        calls.append(force)
+        return enumerate_points(self, force)
+
+    monkeypatch.setattr(polyhedra.Polytope, "_enumerate_lattice_points",
+                        counted)
+    assert run([command, "--in", src, "--out", str(forced), "--force"])[0] == 0
+    assert calls == [True]
 
 
 class TestChow:

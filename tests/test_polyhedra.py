@@ -3,7 +3,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropimpl import exactcore as ec
@@ -16,6 +16,7 @@ from oracle_utils import (
     contains2d,
     hull2d,
     lattice_points2d,
+    lattice_points_in_box,
     mixed_area,
     mixed_volume_by_subsums,
 )
@@ -244,6 +245,45 @@ def test_lattice_points_hand_cases():
     pt = ph.Polytope([(2, 5)])
     assert pt.lattice_points() == [(2, 5)]
     assert ph.Polytope([(ec.rat(1, 2), 5)]).lattice_points() == []
+
+
+@st.composite
+def polytopes_in_r4_r5(draw):
+    """At most 8 points in R^4 or R^5: integer, half-integer, or integer on
+    a hyperplane whose lattice is not a coordinate sublattice."""
+    d = draw(st.sampled_from([4, 5]))
+    kind = draw(st.sampled_from(["integer", "half", "flat"]))
+    n = draw(st.integers(d - 1, 8))
+    if kind == "flat":
+        c = draw(st.lists(st.integers(-2, 2), min_size=d - 1,
+                          max_size=d - 1))
+        xs = draw(st.lists(st.lists(st.integers(-4, 4), min_size=d - 1,
+                                    max_size=d - 1),
+                           min_size=n, max_size=n))
+        return [tuple(x + [ec.dot(c, x) + 1]) for x in xs]
+    den = 2 if kind == "half" else 1
+    coord = st.integers(-6 * den, 6 * den).map(lambda m: ec.rat(m, den))
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+
+
+# 8 points in R^5 whose projections, eliminated by Fourier-Motzkin without
+# redundancy removal, pass 20000 inequalities
+R5_INTEGER = [(0, 9, 6, 7, 3), (9, -8, 6, -2, 3), (4, -4, 2, 8, 2),
+              (-7, 5, 7, -6, -4), (7, 3, 2, 6, -9), (6, -8, 0, 10, 9),
+              (9, 3, -4, -4, 7), (-2, -9, -3, 8, 8)]
+R5_HALF = [tuple(ec.rat(m, 2) for m in p) for p in [
+    (12, 11, 5, 6, -13), (19, -15, -10, -15, 15), (13, 18, -2, -3, 18),
+    (3, 5, 5, 7, 1), (11, 20, 3, 16, 14), (-8, -17, -9, -2, -4),
+    (18, -10, -11, -7, 8), (-15, -12, 16, -1, -12)]]
+
+
+@REFERENCE
+@given(polytopes_in_r4_r5())
+@example(R5_INTEGER)
+@example(R5_HALF)
+def test_lattice_points_match_box_count_r4_r5(pts):
+    P = ph.Polytope(pts)
+    assert P.lattice_points() == lattice_points_in_box(P)
 
 
 def test_lattice_points_3d():

@@ -30,3 +30,34 @@ def test_no_unused_imports():
     found = {f"{path.relative_to(ROOT)}:{line}": name
              for path in SOURCES for line, name in unused_imports(path)}
     assert found == {}
+
+
+def private_definitions(path):
+    """(line, name) of every underscore-prefixed function, method or class
+    a module defines, dunder methods aside."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [(node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def names_read(path):
+    """Every bare name and attribute a module loads."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_unreferenced_private_helpers():
+    package = sorted(ROOT.glob("src/tropimpl/*.py"))
+    read = set().union(*(names_read(path) for path in package))
+    defined = {f"{path.relative_to(ROOT)}:{line}": name
+               for path in package
+               for line, name in private_definitions(path)}
+    assert len(defined) > 20
+    assert {at: name for at, name in defined.items()
+            if name not in read} == {}
