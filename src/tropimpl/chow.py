@@ -9,19 +9,18 @@ monomials, and that polytope is reachable from the tropicalization alone:
 the stable sum of trop(X) with a negated standard linear space is the
 outer normal fan of the Chow polytope, with edge lattice lengths as
 weights.  The pipeline here runs that route: build the fan, reconstruct a
-translate of the polytope with the vertex oracle, search for the missing
-translation, and interpolate the Chow form from random planes through
-random points of the variety.  One ``PluckerStream`` per search draws
-those samples once for every candidate translation.  The interpolation
-runs the one sample -> solve -> top up -> verify policy of
-``interpolate.solve_verified``, with the same constants as the implicit
-equation.  Samples are integer Pluecker vectors, so each solve first
-decides mod one word-size prime: the kernel vector mod p must vanish mod
-p on the fresh verification samples, which rejects a wrong shift at the
-cost of one modular kernel.  Only an accepted form is lifted to Q, by
-Chinese remaindering over further primes until the lift annihilates
-the rows mod the next prime; it is then checked on every sampled row
-and verified over Q.
+translate of the polytope with the vertex oracle, pin the translation in
+closed form (Kapranov, Sturmfels, Zelevinsky 1992; Fink 2013), and
+interpolate the Chow form once from random planes through random points
+of the variety.  The interpolation runs the one sample -> solve -> top up
+-> verify policy of ``interpolate.solve_verified``, with the same
+constants as the implicit equation.  Samples are integer Pluecker
+vectors, so each solve first decides mod one word-size prime: the kernel
+vector mod p must vanish mod p on the fresh verification samples, which
+rejects a wrong polytope at the cost of one modular kernel.  Only an
+accepted form is lifted to Q, by Chinese remaindering over further primes
+until the lift annihilates the rows mod the next prime; it is then
+checked on every sampled row and verified over Q.
 
 Two conventions are fixed at this module boundary.  First, chow_fan
 returns the outer normal fan; the vertex oracle reads inner normal fans
@@ -42,7 +41,6 @@ from .errors import (
     DimensionMismatch,
     InputFormatError,
     KernelEmpty,
-    KernelTooBig,
     OracleInconsistent,
     ReconstructionFailed,
     SamplingExhausted,
@@ -61,7 +59,7 @@ from .interpolate import (
 )
 from .tropical import stable_sum, standard_linear_cycle
 
-# the shift search of chow_polytope tries Chow forms up to this degree
+# chow_polytope interpolates Chow forms up to this degree
 DEFAULT_MAX_DEGREE = 12
 
 
@@ -240,46 +238,43 @@ def chow_fan(C, d):
 def chow_polytope(fan, d, f, seed=0, height=20):
     """Chow polytope of the d-dimensional variety parametrized by f, from
     its Chow fan (``chow_fan``).  Returns (translated, shift, polytope,
-    form), form being the Chow form interpolated on the accepted polytope.
+    form), form being the Chow form interpolated on the polytope.
 
-    The vertex oracle, run with the seed, reconstructs the polytope only
-    up to a translation that pins it against the coordinate hyperplanes.
-    The true position is recovered by a bounded search: candidate shifts
-    s >= 0 are enumerated by increasing total |s| = (d+1)*deg - (vertex
-    coordinate sum), then lexicographically, sweeping deg up to
-    DEFAULT_MAX_DEGREE; the first candidate on which ``chow_form`` yields
-    a one-dimensional kernel that survives fresh samples is accepted.
-    Every candidate reads its samples from one ``PluckerStream``, so each
-    sample is drawn once per call.
+    The vertex oracle, run with the seed, reconstructs the polytope up to
+    the translation that puts every coordinate minimum at zero.  The shift
+    back is pinned, not searched: for X of degree delta the polytope lies
+    in delta * Delta(d+1, n+1) (Kapranov, Sturmfels, Zelevinsky, Duke
+    Math. J. 67, 1992) and depends on trop(X) alone (Fink, Beitr. Algebra
+    Geom. 54, 2013); X meets the torus, so a generic plane in {x_i = 0}
+    misses it and max u_i = delta for every i.  So with top the translate's
+    coordinate maxima and base its coordinate sum, delta = (sum(top) -
+    base) / (n - d) and shift = delta - top, certified by one ``chow_form``.
     """
     n = fan.ambient_dim - 1
     stream = PluckerStream(f, d, n, height)
     translated = reconstruct_polytope(fan.negated(), seed)
+    shift = _pinned_shift(translated, d)
+    P = translated.translate(shift)
+    return translated, shift, P, chow_form(stream, P, seed)
+
+
+def _pinned_shift(translated, d):
+    """The shift of ``chow_polytope`` from the translate's coordinate
+    maxima; ShiftSearchFailed unless they pin an integer degree in
+    1..DEFAULT_MAX_DEGREE that no maximum exceeds."""
     sums = {sum(v) for v in translated.vertices}
     if len(sums) != 1:
         raise OracleInconsistent(
             f"translated vertices have unequal coordinate sums {sorted(sums)}")
     base = sums.pop()
-    for deg in range(max(1, -(-base // (d + 1))), DEFAULT_MAX_DEGREE + 1):
-        for s in _compositions((d + 1) * deg - base, n + 1):
-            candidate = translated.translate(s)
-            try:
-                form = chow_form(stream, candidate, seed)
-            except (KernelEmpty, KernelTooBig, VerificationFailed):
-                continue
-            return translated, s, candidate, form
-    raise ShiftSearchFailed(
-        f"no shift up to degree {DEFAULT_MAX_DEGREE} admits a Chow form")
-
-
-def _compositions(total, parts):
-    """Nonnegative integer tuples with the given sum, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    top = [max(x) for x in zip(*translated.vertices)]
+    degree, rest = divmod(sum(top) - base, translated.ambient_dim - 1 - d)
+    if rest or not 1 <= degree <= DEFAULT_MAX_DEGREE \
+            or any(not isinstance(t, int) or t > degree for t in top):
+        raise ShiftSearchFailed(
+            f"coordinate maxima {top} and sum {base} pin no Chow polytope "
+            f"of degree 1..{DEFAULT_MAX_DEGREE}")
+    return tuple(degree - t for t in top)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ class VerificationFailed(TropicalError):
 
 
 class ShiftSearchFailed(TropicalError):
-    """No translate of the candidate polytope admits the Chow form."""
+    """The reconstructed translate pins no Chow polytope of bounded degree."""
     exit_code = COMPUTATION_ERROR
 
 

@@ -194,12 +194,11 @@ class Polytope:
         eq_normals = [c for c, _ in self.equations()]
         L = [list(v) for v in self._lattice]
         out = []
-        for u, _, inc in self._chart_facets:
-            a = ec.solve_integer(L, u)
-            a = ec.reduce_mod_subspace(a, eq_normals)
-            a = ec.primitive_vector(a)
-            b = max(ec.dot(a, v) for v in self.vertices)
-            out.append((a, b, inc))
+        for a, _, inc in self._chart_facets:
+            if eq_normals:  # else the lattice basis is the identity
+                a = ec.solve_integer(L, a)
+                a = ec.primitive_vector(ec.reduce_mod_subspace(a, eq_normals))
+            out.append((a, max(ec.dot(a, v) for v in self.vertices), inc))
         self._ambient_facets = out
         return out
 
@@ -312,8 +311,7 @@ class Polytope:
             return []
         k = self.dim
         L = [list(v) for v in self._lattice]
-        cols = ec.transpose(L)
-        shift = ec.solve_linear(cols, ec.vec_sub(self._chart_base, base))
+        shift = _lattice_coords([base, self._chart_base], L)[1]
         # systems[j] bounds the first j coordinates y around the integral
         # basepoint: the facets of the projection of the chart polytope,
         # which is the hull of the projected vertices.  vertices[0] is the
@@ -380,8 +378,13 @@ def _coordinate_range(ineqs, y, j):
 
 def _lattice_coords(vertices, basis):
     """Coordinates of v - vertices[0] in the lattice basis, for every
-    vertex v; LatticeMismatch when one leaves the span of the lattice."""
-    cols = ec.transpose([list(v) for v in basis])
+    vertex v, read off in the identity basis of a full dimensional
+    polytope; LatticeMismatch when one leaves the span of the lattice."""
+    rows = [list(v) for v in basis]
+    if rows == ec.identity_matrix(len(vertices[0])):
+        return [tuple(x if isinstance(x, int) else ec.rat(x)
+                      for x in ec.vec_sub(v, vertices[0])) for v in vertices]
+    cols = ec.transpose(rows)
     out = []
     for v in vertices:
         d = ec.vec_sub(v, vertices[0])

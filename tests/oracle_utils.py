@@ -11,9 +11,10 @@ redraws each batch from a fresh generator with the package's single draw,
 the Vandermonde reference solves the package's exact monomial rows by
 fraction-free elimination, the mixed-volume reference measures every
 Minkowski subsum with the package's polytopes, the graph-cycle
-reference reads the normal fan of the lifted polytopes' sum in R^(n+d), and
-the box count filters every integer point of the bounding box by the
-polytope's own equations and facets.
+reference reads the normal fan of the lifted polytopes' sum in R^(n+d), the
+box count filters every integer point of the bounding box by the
+polytope's own equations and facets, and the Chow shift reference searches
+the translations that the package computes in closed form.
 """
 
 import math
@@ -24,8 +25,21 @@ from itertools import combinations
 import numpy as np
 
 from tropimpl import exactcore as ec
-from tropimpl.chow import PluckerPoly, _chow_ansatz, _draw_pluecker
-from tropimpl.errors import DimensionMismatch, LoopyMatroid, SamplingExhausted
+from tropimpl.chow import (
+    DEFAULT_MAX_DEGREE,
+    PluckerPoly,
+    _chow_ansatz,
+    _draw_pluecker,
+    chow_form,
+)
+from tropimpl.errors import (
+    DimensionMismatch,
+    KernelEmpty,
+    KernelTooBig,
+    LoopyMatroid,
+    SamplingExhausted,
+    VerificationFailed,
+)
 from tropimpl.interpolate import kernel_vector, solve_verified
 from tropimpl.polyhedra import (
     Cone,
@@ -216,6 +230,34 @@ def chow_form_over_q(stream, C_X, seed=0):
                                   if c])
 
     return solve_verified(len(unknowns), stream, solve, seed)
+
+
+def chow_shift_by_sweep(translated, d, stream, seed=0):
+    """The shift of a translated Chow polytope by search, or None: every
+    shift s >= 0 with (d+1)*deg - (vertex coordinate sum) entries in total,
+    by increasing deg up to DEFAULT_MAX_DEGREE, then lexicographically, until
+    ``chow.chow_form`` on the translate by s has a one-dimensional kernel
+    that vanishes on fresh samples.  The reference for the closed-form
+    shift of ``chow.chow_polytope``."""
+    base = sum(translated.vertices[0])
+    for deg in range(max(1, -(-base // (d + 1))), DEFAULT_MAX_DEGREE + 1):
+        for s in _compositions((d + 1) * deg - base, stream.n + 1):
+            try:
+                chow_form(stream, translated.translate(s), seed)
+            except (KernelEmpty, KernelTooBig, VerificationFailed):
+                continue
+            return s
+    return None
+
+
+def _compositions(total, parts):
+    """Nonnegative integer tuples with the given sum, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def pluecker_batch(f, d, n, count, seed, height=20):

@@ -11,8 +11,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import chow_form_over_q, pluecker_batch
+from oracle_utils import chow_form_over_q, chow_shift_by_sweep, pluecker_batch
 from tropimpl import chow
 from tropimpl import exactcore as ec
 from tropimpl.chow import (
@@ -24,6 +26,7 @@ from tropimpl.chow import (
     chow_polytope,
     chow_to_equations,
     standard_monomials_of_weight,
+    _pinned_shift,
     _primal_pluecker,
 )
 from tropimpl.errors import (
@@ -37,7 +40,11 @@ from tropimpl.errors import (
     TropicalError,
     VerificationFailed,
 )
-from tropimpl.implicitize import Parametrization, get_tropical_cycle
+from tropimpl.implicitize import (
+    Parametrization,
+    get_tropical_cycle,
+    reconstruct_polytope,
+)
 from tropimpl.interpolate import implicit_equation
 from tropimpl.polyhedra import Cone, Polytope
 from tropimpl.tropical import TropicalCycle, homogenize_cycle
@@ -111,6 +118,21 @@ QUARTIC_CHOW_FORM = {
 }
 
 CUSP = Parametrization(1, 2, [[(1, (2,))], [(1, (3,))]])
+
+TWISTED_CUBIC = Parametrization(1, 3, [[(1, (1,))], [(1, (2,))], [(1, (3,))]])
+
+# x = (t, t^3, t^4 + 1), a second rational quartic in P^3
+QUARTIC_2 = Parametrization(1, 3, [
+    [(1, (1,))], [(1, (3,))], [(1, (4,)), (1, (0,))]])
+
+# x = (t, t^2, t + 1), a conic in the plane x3 = x0 + x1 of P^3
+CONIC = Parametrization(1, 3, [
+    [(1, (1,))], [(1, (2,))], [(1, (1,)), (1, (0,))]])
+
+# x = (s, t, st, s^2 + t + 1), a surface in P^4
+SURFACE = Parametrization(2, 4, [
+    [(1, (1, 0))], [(1, (0, 1))], [(1, (1, 1))],
+    [(1, (2, 0)), (1, (0, 1)), (1, (0, 0))]])
 
 
 def quartic_cycle():
@@ -314,8 +336,8 @@ class TestChowSample:
             PluckerStream(QUARTIC, 1, 4)
 
     def test_stream_matches_per_call_batches(self):
-        # counts out of order, and seeds interleaved, as the shift search
-        # and the verification ask for them
+        # counts out of order, and seeds interleaved, as top-ups and the
+        # verification ask for them
         stream = PluckerStream(QUARTIC, 1, 3)
         for count, seed in [(12, 0), (5, 0), (10, 1000), (30, 0), (3, 1000),
                             (30, 0), (0, 1), (7, 1), (20, 0)]:
@@ -340,8 +362,8 @@ class TestChowSample:
         assert len(draws) == 300
 
     def test_search_draws_each_sample_once(self, monkeypatch):
-        # every candidate shift, its top-ups and its verification read
-        # one stream, so no Pluecker vector is drawn twice
+        # the solve, its top-ups and its verification read one stream, so
+        # no Pluecker vector is drawn twice
         drawn = []
         draw = chow._draw_pluecker
 
@@ -404,6 +426,80 @@ class TestChowPolytope:
         assert sorted(P.vertices) == [(2, 3, 1), (3, 0, 3)]
 
 
+def pluecker_weight(factors, n):
+    u = [0] * (n + 1)
+    for T in factors:
+        for i in T:
+            u[i] += 1
+    return tuple(u)
+
+
+@st.composite
+def hypersimplex_polytopes(draw):
+    """(n, d, degree, points): weights of degree-many (d+1)-subsets of
+    {0..n}, so every point lies in degree * Delta(d+1, n+1), and for each
+    coordinate i one point whose subsets all contain i, so every
+    coordinate maximum is the degree."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, n - 1))
+    degree = draw(st.integers(1, 5))
+    subsets = list(itertools.combinations(range(n + 1), d + 1))
+
+    def weights(choices):
+        return st.lists(st.sampled_from(choices), min_size=degree,
+                        max_size=degree).map(
+                            lambda fs: pluecker_weight(fs, n))
+
+    points = [draw(weights([T for T in subsets if i in T]))
+              for i in range(n + 1)]
+    points += draw(st.lists(weights(subsets), max_size=4))
+    return n, d, degree, points
+
+
+class TestPinnedShift:
+    @pytest.mark.parametrize("f,seed", [
+        (CUSP, 0), (QUARTIC, 0), (QUARTIC, 1), (QUARTIC, 7),
+        (TWISTED_CUBIC, 0), (QUARTIC_2, 0), (CONIC, 0), (SURFACE, 0),
+    ], ids=["cusp", "quartic-0", "quartic-1", "quartic-7", "twisted-cubic",
+            "quartic-2", "conic", "surface"])
+    def test_pin_matches_sweep(self, f, seed):
+        # the quartic from its given cycle, as criterion 07 runs it; the
+        # others from the tropicalization, as a chow job without a cycle
+        C = quartic_cycle() if f is QUARTIC else homogenize_cycle(
+            get_tropical_cycle(f.newton_polytopes()))
+        fan = chow_fan(C, f.d)
+        translated, shift, P, form = chow_polytope(fan, f.d, f, seed=seed)
+        assert translated == reconstruct_polytope(fan.negated(), seed)
+        assert shift == chow_shift_by_sweep(
+            translated, f.d, PluckerStream(f, f.d, f.n), seed)
+        assert P == translated.translate(shift)
+        assert set(form.weights()) <= set(P.lattice_points())
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(hypersimplex_polytopes())
+    def test_pin_recovers_degree_and_minima(self, case):
+        n, d, degree, points = case
+        P = Polytope(points)
+        minima = tuple(min(v[i] for v in P.vertices) for i in range(n + 1))
+        translated = P.translate(tuple(-m for m in minima))
+        shift = _pinned_shift(translated, d)
+        assert shift == minima
+        assert sum(translated.vertices[0]) + sum(shift) == (d + 1) * degree
+
+    @pytest.mark.parametrize("vertices", [
+        # coordinate maxima 6 and sum 3: the degree would be 3/2
+        [(2, 0, 0, 1), (0, 2, 1, 0)],
+        # degree (4 - 2)/2 = 1, below the maximum 2 of coordinate 0
+        [(2, 0, 0, 0), (0, 1, 1, 0)],
+        # a point at the origin pins degree 0
+        [(0, 0, 0, 0)],
+    ], ids=["non-integral", "maximum-above-degree", "degree-zero"])
+    def test_translates_no_chow_polytope_has(self, vertices):
+        with pytest.raises(ShiftSearchFailed):
+            _pinned_shift(Polytope(vertices), 1)
+
+
 class TestChowForm:
     def test_quartic_matches_frozen_form(self):
         form = chow_form(PluckerStream(QUARTIC, 1, 3), Polytope(CHOW_VERTICES),
@@ -434,7 +530,7 @@ class TestChowForm:
             chow_form_over_q(PluckerStream(CUSP, 1, 2), P, seed=0)
 
     def test_wrong_shift_rejected_mod_p_as_over_q(self, monkeypatch):
-        # the first shift the quartic's search tries: over Q its form
+        # the first shift a sweep of the quartic tries: over Q its form
         # fails on fresh samples, and mod p it must fail there too,
         # before any lift
         P = Polytope(TRANSLATED_VERTICES).translate((0, 0, 0, 2))

@@ -285,6 +285,83 @@ class TestChow:
         assert rc == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("job", [QUARTIC_JOB, CUSP_JOB],
+                             ids=["quartic", "cusp"])
+    def test_one_chow_form_per_job(self, tmp_path, monkeypatch, job):
+        # the shift is pinned, not searched: one translate, one solve
+        forms, translates = [], []
+        chow_form, translate = chow.chow_form, polyhedra.Polytope.translate
+
+        def form_spy(*args):
+            forms.append(args)
+            return chow_form(*args)
+
+        def translate_spy(*args):
+            translates.append(args)
+            return translate(*args)
+
+        monkeypatch.setattr(chow, "chow_form", form_spy)
+        monkeypatch.setattr(polyhedra.Polytope, "translate", translate_spy)
+        rc, _ = run(["chow", "--in", write(tmp_path / "c.json", job),
+                     "--out", str(tmp_path / "o.json")])
+        assert rc == 0
+        assert (len(forms), len(translates)) == (1, 1)
+
+    def test_doubled_cycle_fails_fast(self, tmp_path):
+        # twice the quartic's cycle pins degree 8 and twice its polytope,
+        # whose ansatz has a kernel of many forms: one solve, then exit 4
+        job = json.loads(json.dumps(QUARTIC_JOB))
+        for item in job["cycle"]["items"]:
+            item["weight"] *= 2
+        src = os.path.dirname(os.path.dirname(tropimpl.__file__))
+        target = tmp_path / "o.json"
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom tropimpl.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n",
+             "chow", "--in", write(tmp_path / "c.json", job),
+             "--out", str(target)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert time.monotonic() - start < 30
+        assert proc.returncode == 4
+        assert proc.stderr == ""
+        line, = proc.stdout.splitlines()
+        assert json.loads(line)["error"] == "computation"
+        assert not target.exists()
+
+    # a balanced curve cycle whose Chow polytope has degree 13
+    DEGREE_13_CYCLE = {"ambient_dim": 4, "pure_dim": 2, "items": [
+        {"cone": {"rays": [ray], "lineality": [[1, 1, 1, 1]]},
+         "weight": weight}
+        for ray, weight in (([0, -1, 0, 1], 2), ([0, 1, -2, 1], 1),
+                            ([0, -2, 2, 1], 2), ([0, 5, -2, -5], 1))]}
+
+    @pytest.mark.parametrize("translate", [
+        None,
+        # coordinate maxima (2, 2, 1, 1) and sum 3 pin degree 3/2
+        [(2, 0, 0, 1), (0, 2, 1, 0)],
+        # pinned degree 1, below the maximum 2 of coordinate 0
+        [(2, 0, 0, 0), (0, 1, 1, 0)],
+    ], ids=["degree-13", "non-integral", "maximum-above-degree"])
+    def test_unpinnable_translate_exits_4(self, tmp_path, capsys,
+                                          monkeypatch, translate):
+        job = dict(QUARTIC_JOB, cycle=self.DEGREE_13_CYCLE)
+        if translate is not None:
+            # a translate no balanced curve cycle was seen to give
+            job = QUARTIC_JOB
+            monkeypatch.setattr(chow, "reconstruct_polytope",
+                                lambda *args: polyhedra.Polytope(translate))
+        target = tmp_path / "o.json"
+        rc, out = run(["chow", "--in", write(tmp_path / "c.json", job),
+                       "--out", str(target)], capsys)
+        assert rc == 4
+        assert not target.exists()
+        err = json.loads(out)
+        assert (err["error"], err["type"]) == ("computation",
+                                               "ShiftSearchFailed")
+
     def test_chow_job_never_imports_numpy(self, tmp_path):
         # Chow solves are narrow enough for the pure-Python GF(p) kernel,
         # which keeps numpy's memory out of a chow job

@@ -138,6 +138,42 @@ def test_hull_facets_are_primitive_integer_and_valid(pts):
     assert sum((-1) ** i * c for i, c in enumerate(f)) == 1 - (-1) ** P.dim
 
 
+@REFERENCE
+@given(point_sets())
+def test_full_dimensional_charts_need_no_solves(pts):
+    # a full dimensional polytope's lattice basis is the identity: its
+    # chart coordinates are differences and its chart normals are ambient,
+    # as the general change of basis finds them, with no solve at all
+    calls = []
+
+    def no_solve(name):
+        def record(*args):
+            calls.append(name)
+        return record
+
+    P = ph.Polytope(pts)
+    if P.dim < P.ambient_dim:
+        return
+    L = [list(v) for v in P.lattice]
+    coords = [tuple(ec.solve_linear(ec.transpose(L), ec.vec_sub(v, pts[0])))
+              for v in pts]
+    normals = [ec.primitive_vector(ec.solve_integer(L, u))
+               for u, _, _ in P._chart_facets]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("solve_linear", "solve_integer", "reduce_mod_subspace"):
+            mp.setattr(ec, name, no_solve(name))
+        fresh = ph.Polytope(pts)
+        got = ph._lattice_coords(pts, L)
+        facets = fresh.facets()
+    assert calls == []
+    assert got == coords
+    assert [tuple(type(x) for x in y) for y in got] \
+        == [tuple(type(x) for x in y) for y in coords]
+    assert [a for a, _, _ in facets] == normals
+    assert [b for _, b, _ in facets] \
+        == [max(ec.dot(a, v) for v in P.vertices) for a in normals]
+
+
 def test_lower_dimensional_embedding():
     # a square sitting on the plane x+y+z = 2 in 3-space
     pts = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (ec.rat(2, 3),) * 3]
