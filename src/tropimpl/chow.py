@@ -13,14 +13,12 @@ translate of the polytope with the vertex oracle, pin the translation in
 closed form (Kapranov, Sturmfels, Zelevinsky 1992; Fink 2013), and
 interpolate the Chow form once from random planes through random points
 of the variety.  The interpolation runs the one sample -> solve -> top up
--> verify policy of ``interpolate.solve_verified``, with the same
-constants as the implicit equation.  Samples are integer Pluecker
-vectors, so each solve first decides mod one word-size prime: the kernel
-vector mod p must vanish mod p on the fresh verification samples, which
-rejects a wrong polytope at the cost of one modular kernel.  Only an
-accepted form is lifted to Q, by Chinese remaindering over further primes
-until the lift annihilates the rows mod the next prime; it is then
-checked on every sampled row and verified over Q.
+-> verify loop of ``interpolate.solve_verified``, as the implicit
+equation does: the kernel vector is decided mod one word-size prime and
+must vanish mod p on fresh samples.  It is then lifted to Q, by Chinese
+remaindering over further primes until the lift annihilates the rows mod
+the next prime, checked on every sampled row and certified over Q on the
+same fresh samples.
 
 Two conventions are fixed at this module boundary.  First, chow_fan
 returns the outer normal fan; the vertex oracle reads inner normal fans
@@ -34,7 +32,6 @@ integers with the leading nonzero one positive.
 
 import itertools
 import math
-import random
 
 from . import exactcore as ec
 from .errors import (
@@ -43,16 +40,14 @@ from .errors import (
     KernelEmpty,
     OracleInconsistent,
     ReconstructionFailed,
-    SamplingExhausted,
     ShiftSearchFailed,
-    VerificationFailed,
 )
 from .implicitize import reconstruct_polytope
 from .interpolate import (
-    VERIFY_SAMPLES,
     ImplicitPolynomial,
     MonomialBasis,
-    kernel_vector,
+    _verify,
+    distinct_samples,
     lift_kernel_vector,
     random_rational,
     solve_verified,
@@ -194,7 +189,7 @@ class PluckerPoly:
         try:
             d = ec.int_from_json(obj["d"])
             n = ec.int_from_json(obj["n"])
-            terms = [(PluckerMonomial([[ec.int_from_json(i) for i in T]
+            terms = [(PluckerMonomial([ec.vec_from_json(T)
                                        for T in t["factors"]], d, n),
                       ec.rat_from_json(t["coeff"]))
                      for t in obj["terms"]]
@@ -355,11 +350,8 @@ class PluckerStream:
     variety, each a mapping from index tuples to integer coordinates.
 
     ``stream(count, seed)``, the sampler of ``solve_verified``, returns
-    the first count distinct generic draws of random.Random(seed).  The
-    draws of every seed are kept, so each sample is drawn once however
-    often, and in whatever order of counts, it is asked for.
-    SamplingExhausted when count distinct samples take more than
-    100 * count draws.
+    the first count distinct generic draws of random.Random(seed)
+    (``distinct_samples``).
     """
 
     def __init__(self, f, d, n, height=20):
@@ -372,27 +364,12 @@ class PluckerStream:
         self.n = n
         self.height = height
         self._positions = list(itertools.combinations(range(n + 1), d + 1))
-        self._streams = {}   # seed -> (rng, samples, their vectors)
-        self._draws = {}     # seed -> draws so far
 
     def __call__(self, count, seed):
-        if seed not in self._streams:
-            self._streams[seed] = (random.Random(seed), [], set())
-        rng, samples, seen = self._streams[seed]
-        draws = self._draws.get(seed, 0)
-        while len(samples) < count and draws < 100 * max(count, 1):
-            draws += 1
-            p = _draw_pluecker(self.f, self.d, self.n, rng, self.height)
-            if p is None or p in seen:
-                continue
-            seen.add(p)
-            samples.append(dict(zip(self._positions, p)))
-        self._draws[seed] = draws
-        if len(samples) < count:
-            raise SamplingExhausted(
-                f"only {len(samples)} of {count} samples within the draw "
-                f"budget")
-        return samples[:count]
+        vectors = distinct_samples(
+            lambda rng: _draw_pluecker(self.f, self.d, self.n, rng,
+                                       self.height), count, seed)
+        return [dict(zip(self._positions, p)) for p in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -403,52 +380,41 @@ def chow_form(stream, C_X, seed=0):
 
     The ansatz takes every standard monomial whose weight is a lattice
     point of C_X; rows are evaluations at samples of the PluckerStream,
-    which are integer Pluecker vectors.  ``solve_verified`` tops the
-    samples up while the kernel is more than one-dimensional.  Each solve
-    first decides mod the word-size prime p = ec.DEFAULT_PRIME: the one
-    kernel vector of the rows mod p must vanish mod p on the fresh
-    samples that ``_verify`` checks, else VerificationFailed.  The kernel
-    over Q is at most as large as mod p, and a nonzero value mod p is
-    nonzero over Q, so a wrong candidate polytope is rejected exactly
-    where elimination over Q would reject it, at the cost of one prime.
-    Only an accepted form is lifted to Q by ``lift_kernel_vector``, on
-    the same rows reduced mod each further prime, until the lift
-    annihilates the rows mod the next prime.  The lift must then
-    annihilate every sampled row exactly, else ReconstructionFailed, and
-    ``_verify`` checks it over Q on the same fresh samples.
+    which are integer Pluecker vectors.  ``solve_verified`` decides the
+    one kernel vector on the rows mod ec.DEFAULT_PRIME, topping the
+    samples up while the kernel is more than one-dimensional, and checks
+    it mod p on fresh samples.  The vector is lifted to Q by
+    ``lift_kernel_vector`` on the same rows reduced mod each further
+    prime, until the lift annihilates the rows mod the next prime.  The
+    lift must then annihilate every sampled row exactly, else
+    ReconstructionFailed, and vanish over Q on the fresh samples
+    (``interpolate._verify``).
     """
     d, n = stream.d, stream.n
     unknowns = _chow_ansatz(C_X, d, n)
-    p = ec.DEFAULT_PRIME
 
-    def rows_mod_p(samples):
+    def rows_mod(samples, q):
         out = []
         for values in samples:
-            reduced = {T: x % p for T, x in values.items()}
-            out.append([math.prod(reduced[T] for T in mono.factors) % p
+            reduced = {T: x % q for T, x in values.items()}
+            out.append([math.prod(reduced[T] for T in mono.factors) % q
                         for mono in unknowns])
         return out
 
-    def solve(samples):
-        residue = kernel_vector(
-            ec.gfp_kernel(rows_mod_p(samples), p, len(unknowns)))
-        for row in rows_mod_p(stream(VERIFY_SAMPLES, seed + 1000)):
-            if ec.dot(row, residue) % p:
-                raise VerificationFailed(
-                    f"candidate Chow form is nonzero mod {p} at a fresh "
-                    f"sample")
-        rows = [[math.prod(values[T] for T in mono.factors)
-                 for mono in unknowns] for values in samples]
-        coeffs = lift_kernel_vector(
-            lambda q: [[x % q for x in row] for row in rows], p, residue,
-            1 + sum(sum(x * x for x in row).bit_length() for row in rows))
-        if any(ec.dot(row, coeffs) for row in rows):
-            raise ReconstructionFailed(
-                "the lifted Chow form does not vanish on every sample")
-        return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
-                                  if c])
-
-    return solve_verified(len(unknowns), stream, solve, seed)
+    residue, samples, fresh = solve_verified(len(unknowns), stream,
+                                             rows_mod, seed)
+    rows = [[math.prod(values[T] for T in mono.factors)
+             for mono in unknowns] for values in samples]
+    coeffs = lift_kernel_vector(
+        lambda q: [[x % q for x in row] for row in rows], ec.DEFAULT_PRIME,
+        residue, 1 + sum(sum(x * x for x in row).bit_length()
+                         for row in rows))
+    if any(ec.dot(row, coeffs) for row in rows):
+        raise ReconstructionFailed(
+            "the lifted Chow form does not vanish on every sample")
+    form = PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs) if c])
+    _verify(form.evaluate, fresh)
+    return form
 
 
 def _chow_ansatz(C_X, d, n):

@@ -74,7 +74,7 @@ class JobSpec:
 
 # add_argument keywords of each optional flag; the defaults are JobSpec's
 FLAGS = {
-    "--field": {"help": "q, gf:<prime> or crt:<count>"},
+    "--field": {"help": "q, gf:<prime>, or crt:<count> as an alias of q"},
     "--seed": {"type": int},
     "--height": {"type": int, "help": "height of random rational samples"},
     "--delta": {"type": int,
@@ -162,7 +162,7 @@ def _trial_seed(master, index):
 
 def _as_matrix(obj):
     try:
-        rows = [[ec.int_from_json(x) for x in row] for row in obj["rows"]]
+        rows = [list(ec.vec_from_json(row)) for row in obj["rows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad matrix: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -170,13 +170,20 @@ def _as_matrix(obj):
     return rows
 
 
-def _as_cycle(obj):
-    """Parse a cycle and check that it is balanced when every cone is one
-    ray r_i over a common lineality L.  With k_i the index of L + Z r_i in
-    its saturation, r_i / k_i generates the cone's lattice modulo L, so the
-    sum of w_i r_i / k_i must lie in span_Q(L) (Maclagan, Sturmfels,
-    Introduction to Tropical Geometry, 3.3).  Other cycles pass unchecked.
+def _as_cycle(obj, delta):
+    """Parse a given cycle and check that it is balanced when every cone
+    is one ray r_i over a common lineality L.  With k_i the index of
+    L + Z r_i in its saturation, r_i / k_i generates the cone's lattice
+    modulo L, so the sum of w_i r_i / k_i must lie in span_Q(L)
+    (Maclagan, Sturmfels, Introduction to Tropical Geometry, 3.3).  Other
+    cycles pass unchecked.
+    ``--delta``, the degree of a parametrization onto its image, has no
+    meaning for a given cycle, so any value but 1 is InputFormatError.
     """
+    if delta != 1:
+        raise InputFormatError(
+            "--delta applies to a parametrization or polytopes, not to a "
+            "given cycle")
     try:
         C = TropicalCycle.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -230,9 +237,9 @@ def _check_newton_polytope(P, support, what):
                 f"is not {what}")
 
 
-def _check_equation(spec, P, poly):
+def _check_equation(P, poly):
     # a true vertex coefficient may vanish mod p, so gf is not checked
-    if parse_field(spec.field)[0] != "gf":
+    if poly.modulus is None:
         _check_newton_polytope(P, {e for _, e in poly.terms()},
                                "the exponent of a term of the equation")
 
@@ -255,9 +262,9 @@ def cmd_trop_cycle(spec, obj):
 
 def cmd_newton(spec, obj):
     if isinstance(obj, dict) and "cycle" in obj:
-        C = _as_cycle(obj["cycle"])
+        C = _as_cycle(obj["cycle"], spec.delta)
     elif isinstance(obj, dict) and "items" in obj:
-        C = _as_cycle(obj)
+        C = _as_cycle(obj, spec.delta)
     else:
         C = get_tropical_cycle(_input_polytopes(obj), spec.delta)
     P = reconstruct_polytope(C, spec.seed)
@@ -273,7 +280,7 @@ def cmd_implicitize(spec, obj):
     if not spec.polytope_only:
         poly = implicit_equation(f, P, field=spec.field, seed=spec.seed,
                                  height=spec.height)
-        _check_equation(spec, P, poly)
+        _check_equation(P, poly)
         out["polynomial"] = poly.to_json()
     return out
 
@@ -288,7 +295,7 @@ def cmd_adisc(spec, obj):
         B = [list(b) for b in ec.rational_kernel(A)]
         poly = implicit_equation((A, B), P, field=spec.field, seed=spec.seed,
                                  height=spec.height)
-        _check_equation(spec, P, poly)
+        _check_equation(P, poly)
         out["polynomial"] = poly.to_json()
     return out
 
@@ -299,7 +306,7 @@ def cmd_chow(spec, obj):
     f = Parametrization.from_json(obj["parametrization"])
     d, n = f.d, f.n
     if "cycle" in obj:
-        C = _as_cycle(obj["cycle"])
+        C = _as_cycle(obj["cycle"], spec.delta)
     else:
         C = get_tropical_cycle(f.newton_polytopes(), spec.delta)
     if (C.ambient_dim, C.pure_dim) == (n, d):
@@ -337,7 +344,7 @@ def cmd_mfp_search(spec, obj):
     if not isinstance(obj, dict):
         raise InputFormatError("search config must be a JSON object")
     try:
-        counts = [ec.int_from_json(v) for v in obj["vertex_counts"]]
+        counts = ec.vec_from_json(obj["vertex_counts"])
         coord_height = ec.int_from_json(obj.get("height", 100))
         trials = ec.int_from_json(obj.get("trials", 0))
         fixed = list(obj.get("fixed", []))
@@ -351,8 +358,7 @@ def cmd_mfp_search(spec, obj):
     jobs = []
     for pts in fixed:
         try:
-            pts = [[tuple(ec.int_from_json(x) for x in p) for p in poly]
-                   for poly in pts]
+            pts = [[ec.vec_from_json(p) for p in poly] for poly in pts]
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"bad fixed configuration: {exc}") from exc
         if len(pts) != len(counts) or any(

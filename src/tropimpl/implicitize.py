@@ -79,7 +79,7 @@ class Parametrization:
     def from_json(cls, obj):
         try:
             comps = [[(ec.rat_from_json(t["coeff"]),
-                       [ec.int_from_json(e) for e in t["exp"]])
+                       ec.vec_from_json(t["exp"]))
                       for t in comp["terms"]]
                      for comp in obj["components"]]
             return cls(ec.int_from_json(obj["d"]), ec.int_from_json(obj["n"]),

@@ -11,12 +11,14 @@ ec.DEFAULT_PRIME = 2^31 - 1 and its one vector is lifted to Q by
 primes until the rational reconstruction annihilates the rows modulo the
 next prime.
 
-Every interpolation, here and for Chow forms, runs one policy,
-``solve_verified``: solve on |unknowns| - 1 samples, top the samples up
-while the kernel is too big, and accept the kernel vector only once it
-vanishes on fresh samples.
+Every interpolation, here and for Chow forms, runs one loop,
+``solve_verified``, on the rows of its samples mod one prime: solve on
+|unknowns| - 1 samples, add the rows of new samples while the kernel is
+too big, and accept the kernel vector only once it vanishes mod p on
+fresh samples.  A lift to Q is certified on the same fresh samples.
 """
 
+import functools
 import random
 
 from . import exactcore as ec
@@ -72,15 +74,17 @@ def _primes_descending(start):
 
 
 def parse_field(spec):
-    """Field spec: "q", "gf:<prime>", "crt:<count>", or a bare prime.
+    """The modulus of a field spec: "q", "gf:<prime>", "crt:<count>" or a
+    bare prime.
 
-    "q" and "crt:k" give exact rational coefficients by one solve (see
-    ``implicit_equation``); "q" is "crt:1".  A prime must lie below
-    ec.PRIME_BOUND, where int64 elimination mod p is exact.  A malformed
-    spec raises InputFormatError.
+    "q" gives exact rational coefficients (see ``implicit_equation``) and
+    None; "crt:k", for a positive integer k, is an alias of "q", because
+    every correct lift is the same canonical vector.  A prime must lie
+    below ec.PRIME_BOUND, where int64 elimination mod p is exact.  A
+    malformed spec raises InputFormatError.
     """
     if spec is None or spec == "q":
-        return ("q", None)
+        return None
     if isinstance(spec, int):
         kind, arg = "gf", spec
     else:
@@ -96,14 +100,14 @@ def parse_field(spec):
     if kind == "crt":
         if arg < 1:
             raise InputFormatError("crt wants a positive prime count")
-        return ("crt", arg)
+        return None
     if not _is_prime(arg):
         raise InputFormatError(f"{arg} is not prime")
     if arg >= ec.PRIME_BOUND:
         raise InputFormatError(
             f"prime {arg} is not below 2^31, the bound for exact int64 "
             f"arithmetic mod p")
-    return ("gf", arg)
+    return arg
 
 
 def _power_table(x, lo, hi, p):
@@ -298,39 +302,53 @@ def random_rational(rng, height):
     return ec.rat(sign * num, den)
 
 
+def distinct_samples(draw, count, seed):
+    """The first count distinct samples that ``draw(rng)`` returns for
+    rng = random.Random(seed), a draw of None being rejected.
+    SamplingExhausted when they take more than 100 * count draws."""
+    rng = random.Random(seed)
+    out = []
+    seen = set()
+    draws = 0
+    while len(out) < count:
+        if draws == 100 * count:
+            raise SamplingExhausted(
+                f"only {len(out)} of {count} distinct samples in {draws} "
+                f"draws")
+        draws += 1
+        x = draw(rng)
+        if x is not None and x not in seen:
+            seen.add(x)
+            out.append(x)
+    return out
+
+
 def sample_points(f, count, height=20, seed=0):
     """Distinct points of the image variety: f at random rational parameters.
 
     Parameter coordinates are sign * num/den with num, den in [1, height];
-    draws where any component vanishes, and repeats of an earlier point,
-    are rejected.
+    draws where any component vanishes are rejected
+    (``distinct_samples``).
     """
     if count < 1:
         raise ValueError("count must be positive")
     if height < 2:
         raise ValueError("height must be at least 2")
-    rng = random.Random(seed)
-    out = []
-    seen = set()
-    for _ in range(100 * count):
+
+    def draw(rng):
         x = f.evaluate(tuple(random_rational(rng, height)
                              for _ in range(f.d)))
-        if any(v == 0 for v in x) or x in seen:
-            continue
-        seen.add(x)
-        out.append(x)
-        if len(out) == count:
-            return out
-    raise SamplingExhausted(
-        f"{count} torus samples not found in {100 * count} draws")
+        return None if any(v == 0 for v in x) else x
+
+    return distinct_samples(draw, count, seed)
 
 
 def horn_sample(A, B, count, height=20, seed=0):
     """Points of the A-discriminant via the Horn map.
 
     Draws random rational u and t and emits x_j = t^(a_j) * (uB)_j, with
-    a_j the j-th column of A; draws where some (uB)_j vanishes, and
-    repeats of an earlier point, are rejected.  Requires A B^T = 0.
+    a_j the j-th column of A; draws where some (uB)_j vanishes are
+    rejected (``distinct_samples``).  Requires A B^T = 0.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -344,15 +362,13 @@ def horn_sample(A, B, count, height=20, seed=0):
         for brow in B:
             if ec.dot(arow, brow) != 0:
                 raise ValueError("A B^T must vanish for Horn sampling")
-    rng = random.Random(seed)
-    out = []
-    seen = set()
-    for _ in range(100 * count):
+
+    def draw(rng):
         u = tuple(random_rational(rng, height) for _ in range(len(B)))
         t = tuple(random_rational(rng, height) for _ in range(d))
         ub = [sum(u[r] * B[r][j] for r in range(len(B))) for j in range(n)]
         if any(v == 0 for v in ub):
-            continue
+            return None
         x = []
         for j in range(n):
             v = ub[j]
@@ -360,32 +376,16 @@ def horn_sample(A, B, count, height=20, seed=0):
                 if A[i][j]:
                     v = v * ec.power(t[i], A[i][j])
             x.append(v)
-        x = tuple(x)
-        if x in seen:
-            continue
-        seen.add(x)
-        out.append(x)
-        if len(out) == count:
-            return out
-    raise SamplingExhausted(
-        f"{count} Horn samples not found in {100 * count} draws")
+        return tuple(x)
+
+    return distinct_samples(draw, count, seed)
 
 
-def vandermonde_kernel(basis, points, p):
-    """Kernel generator mod the prime p of the monomial evaluation matrix.
-
-    Each point contributes the row of basis monomial values mod p
-    (``_rows_mod``); duplicate points are dropped first.  The kernel must
-    be exactly one dimensional: KernelEmpty when no equation fits,
-    KernelTooBig when several do.
-    """
-    pts = list(dict.fromkeys(tuple(pt) for pt in points))
-    if len(pts) < len(basis) - 1:
-        raise ValueError(
-            f"need at least {len(basis) - 1} distinct points, "
-            f"got {len(pts)}")
-    return kernel_vector(ec.gfp_kernel(_rows_mod(basis, pts, p), p,
-                                       len(basis)))
+def vandermonde_kernel(rows, p, columns):
+    """The one kernel vector mod the prime p of rows of monomial values
+    mod p over the given number of columns: KernelEmpty when no equation
+    fits, KernelTooBig when several do (``kernel_vector``)."""
+    return kernel_vector(ec.gfp_kernel(rows, p, columns))
 
 
 def _rows_mod(basis, points, p):
@@ -442,46 +442,85 @@ def kernel_vector(kernel):
     return kernel[0]
 
 
-def solve_verified(unknowns, sampler, solve, seed):
+def solve_verified(unknowns, sampler, rows_mod, seed,
+                   p=ec.DEFAULT_PRIME):
     """The sample -> solve -> top up -> verify loop of every interpolation.
 
     ``sampler(count, seed)`` draws count fresh samples, the same ones for
-    the same seed.  ``solve(samples)`` returns the candidate built from
-    the one kernel vector of the evaluation matrix, raising KernelTooBig
-    or KernelEmpty as ``kernel_vector`` does.  The first solve uses
-    unknowns - 1 samples; while it raises KernelTooBig, up to MAX_TOP_UPS
-    rounds each add unknowns // 4 + 10 samples drawn with seed + round,
-    and after that the KernelTooBig stands.  The candidate is returned
-    only if it vanishes on VERIFY_SAMPLES fresh samples (``_verify``).
+    the same seed.  ``rows_mod(samples, p)`` gives their rows mod the
+    prime p, each up to a unit, leaving out samples without one.  The
+    first solve uses unknowns - 1 samples; while the kernel mod p is too
+    big, up to MAX_TOP_UPS rounds each add unknowns // 4 + 10 samples
+    drawn with seed + round, whose rows join the earlier ones, and after
+    that the KernelTooBig stands.  The one kernel vector
+    (``vandermonde_kernel``) must annihilate the rows of VERIFY_SAMPLES
+    fresh samples (``_verify``).  Returns (residue, samples, fresh): the
+    vector mod p, the samples that decided it and the fresh samples.
     """
     samples = sampler(max(unknowns - 1, 1), seed)
+    rows = rows_mod(samples, p)
     rounds = 0
     while True:
         try:
-            candidate = solve(samples)
+            residue = vandermonde_kernel(rows, p, unknowns)
             break
         except KernelTooBig:
             rounds += 1
             if rounds > MAX_TOP_UPS:
                 raise
-            samples = samples + sampler(unknowns // 4 + 10, seed + rounds)
-    _verify(candidate, sampler, seed)
-    return candidate
+            more = sampler(unknowns // 4 + 10, seed + rounds)
+            samples = samples + more
+            rows += rows_mod(more, p)
+
+    def value(pt):
+        row = rows_mod([pt], p)
+        if not row:
+            raise ZeroDivisionError(f"sample has no row mod {p}")
+        return ec.dot(row[0], residue) % p
+
+    return residue, samples, _verify(value, _fresh_samples(sampler, seed))
+
+
+def _fresh_samples(sampler, seed):
+    """The verification samples: VERIFY_SAMPLES drawn with seed + 1000,
+    then, only if they are used up, the rest of 4 * VERIFY_SAMPLES from
+    the same seed."""
+    yield from sampler(VERIFY_SAMPLES, seed + 1000)
+    yield from sampler(4 * VERIFY_SAMPLES, seed + 1000)[VERIFY_SAMPLES:]
+
+
+def _verify(value, samples):
+    """The first VERIFY_SAMPLES samples at which ``value`` is defined;
+    VerificationFailed unless it is 0 at each of them, or if there are
+    fewer.  ``value`` raises ZeroDivisionError where it is undefined."""
+    checked = []
+    for pt in samples:
+        try:
+            nonzero = value(pt)
+        except ZeroDivisionError:
+            continue
+        if nonzero:
+            raise VerificationFailed(
+                f"candidate is nonzero at fresh sample {pt}")
+        checked.append(pt)
+        if len(checked) == VERIFY_SAMPLES:
+            return checked
+    raise VerificationFailed(
+        f"fewer than {VERIFY_SAMPLES} fresh samples could be evaluated")
 
 
 def implicit_equation(f, P, field="q", seed=0, height=20):
     """Defining equation of the hypersurface with Newton polytope P.
 
     f is a Parametrization, or an (A, B) matrix pair meaning points come
-    from the Horn map.  The coefficients are solved and certified by
-    ``solve_verified``; over a small prime the reduction discards a
-    fraction of the rows, which its top-ups make up for.  Over Q ("q" or
-    "crt:k") each solve decides mod ec.DEFAULT_PRIME and lifts the one
-    kernel vector with ``lift_kernel_vector``, reconstructing first from
-    k primes, or from fewer once their product passes the Hadamard bound,
-    where more primes cannot change the lift.
+    from the Horn map.  The kernel is decided and checked mod one prime
+    by ``solve_verified``: the field's prime, or ec.DEFAULT_PRIME over Q
+    ("q" or its alias "crt:k").  Over a small prime the reduction
+    discards a fraction of the rows, which the top-ups make up for.  Over
+    Q the one kernel vector is lifted with ``lift_kernel_vector`` and
+    certified on the same fresh samples.
     """
-    kind, arg = parse_field(field)
+    modulus = parse_field(field)
     basis = MonomialBasis.from_polytope(P)
     if isinstance(f, Parametrization):
         def sampler(m, s):
@@ -492,42 +531,37 @@ def implicit_equation(f, P, field="q", seed=0, height=20):
         def sampler(m, s):
             return horn_sample(A, B, m, height, s)
 
-    if kind == "gf":
-        def solve(points):
-            return ImplicitPolynomial(
-                basis, vandermonde_kernel(basis, points, arg), arg)
-    else:
-        p = ec.DEFAULT_PRIME
-
-        def solve(points):
-            residue = vandermonde_kernel(basis, points, p)
-            coeffs = lift_kernel_vector(
-                lambda q: _rows_mod(basis, points, q), p, residue,
-                _hadamard_bits(basis, points), arg or 1)
-            return ImplicitPolynomial(basis, coeffs)
-
-    return solve_verified(len(basis), sampler, solve, seed)
+    rows_mod = functools.partial(_rows_mod, basis)
+    p = modulus or ec.DEFAULT_PRIME
+    residue, samples, fresh = solve_verified(len(basis), sampler, rows_mod,
+                                             seed, p)
+    if modulus:
+        return ImplicitPolynomial(basis, residue, modulus)
+    poly = ImplicitPolynomial(basis, lift_kernel_vector(
+        lambda q: rows_mod(samples, q), p, residue,
+        _hadamard_bits(basis, samples)))
+    _verify(poly.evaluate, fresh)
+    return poly
 
 
-def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
+def lift_kernel_vector(rows_mod, p, residue, bound_bits):
     """The canonical integer vector spanning the kernel over Q of integer
     rows, given ``residue``, their one kernel vector mod the prime p.
 
     ``rows_mod(q)`` gives the rows mod the prime q, each up to a unit;
     rows that do not reduce may be left out.  Primes q below p are added
-    one at a time.  Once min_primes are in, the residues, scaled to 1 at
-    a coordinate that is a unit mod every prime, are lifted by
+    one at a time.  With each, the residues so far, scaled to 1 at a
+    coordinate that is a unit mod every prime, are lifted by
     ``ec.crt_rational_reconstruct``, and the canonical lift is returned
-    if it annihilates the rows mod the next prime; else those rows give
-    that prime's kernel (exact early termination, Monagan, ISSAC 2004).
-    The caller certifies the lift over Q.  A prime with an empty kernel
-    proves the kernel over Q empty (KernelEmpty); one with a larger
-    kernel has lost rank, or has fewer than len(residue) - 1 rows and
-    checks nothing, and is skipped, at most MAX_SKIPPED_PRIMES times.
-    By Cramer's rule and Hadamard's bound the lift needs primes of
-    product at most 2 H^2 < 2^bound_bits, H the product of the row
-    norms; from there on the lift is tried whatever min_primes says, and
-    if it fails, ReconstructionFailed.
+    if it annihilates the rows mod q; else those rows give q's kernel
+    (exact early termination, Monagan, ISSAC 2004).  The caller
+    certifies the lift over Q.  A prime with an empty kernel proves the
+    kernel over Q empty (KernelEmpty); one with a larger kernel has lost
+    rank, or has fewer than len(residue) - 1 rows and checks nothing,
+    and is skipped, at most MAX_SKIPPED_PRIMES times.  By Cramer's rule
+    and Hadamard's bound the lift needs primes of product at most
+    2 H^2 < 2^bound_bits, H the product of the row norms; a lift that
+    fails past that bound raises ReconstructionFailed.
     """
     primes = _primes_descending(p - 1)
     residues = [residue]
@@ -537,11 +571,9 @@ def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
     while True:
         q = next(primes)
         rows = rows_mod(q)
-        past_bound = modulus >> bound_bits
         # fewer rows than a one-dimensional kernel needs cannot check a
         # lift; their kernel is too big, so the prime is skipped below
-        enough = len(rows) >= len(residue) - 1
-        if enough and (len(used) >= min_primes or past_bound):
+        if len(rows) >= len(residue) - 1:
             unit = next((j for j in range(len(residue))
                          if all(v[j] for v in residues)), None)
             if unit is None:
@@ -557,7 +589,7 @@ def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
                     return lifted
             except ReconstructionFailed:
                 pass
-            if past_bound:
+            if modulus >> bound_bits:
                 raise ReconstructionFailed(
                     f"no kernel vector over Q within the Hadamard bound, "
                     f"{len(used)} primes")
@@ -573,29 +605,3 @@ def lift_kernel_vector(rows_mod, p, residue, bound_bits, min_primes=1):
                     f"{skipped} primes lost rank on the rows")
         # free this prime's rows before the next prime's are built
         del rows
-
-
-def _verify(poly, sampler, seed):
-    """VerificationFailed unless poly vanishes on VERIFY_SAMPLES fresh
-    samples where it can be evaluated.
-
-    Over a small prime a sample's denominator can vanish; only then are
-    four times as many samples drawn, from the same seed.
-    """
-    checked = 0
-    drawn = 0
-    for count in (VERIFY_SAMPLES, 4 * VERIFY_SAMPLES):
-        for pt in sampler(count, seed + 1000)[drawn:]:
-            try:
-                value = poly.evaluate(pt)
-            except ZeroDivisionError:
-                continue
-            if value != 0:
-                raise VerificationFailed(
-                    f"candidate equation is nonzero at fresh sample {pt}")
-            checked += 1
-            if checked == VERIFY_SAMPLES:
-                return
-        drawn = count
-    raise VerificationFailed(
-        f"fewer than {VERIFY_SAMPLES} fresh samples could be evaluated")

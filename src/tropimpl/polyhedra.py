@@ -238,7 +238,7 @@ class Polytope:
     @staticmethod
     def from_json(obj):
         try:
-            verts = [tuple(ec.rat_from_json(x) for x in v)
+            verts = [ec.vec_from_json(v, ec.rat_from_json)
                      for v in obj["vertices"]]
             return Polytope(verts)
         except (KeyError, TypeError, ValueError) as exc:

@@ -82,9 +82,8 @@ class TropicalCycle:
         n = ec.int_from_json(obj["ambient_dim"])
         items = []
         for it in obj["items"]:
-            rays = [tuple(ec.int_from_json(x) for x in r)
-                    for r in it["cone"]["rays"]]
-            lin = [tuple(ec.int_from_json(x) for x in l)
+            rays = [ec.vec_from_json(r) for r in it["cone"]["rays"]]
+            lin = [ec.vec_from_json(l)
                    for l in it["cone"].get("lineality", [])]
             for v in rays + lin:
                 if len(v) != n:

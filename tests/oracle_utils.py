@@ -5,16 +5,18 @@ algorithm than the package uses, so disagreements point at real bugs rather
 than shared mistakes.  The planar and modular references share no code with
 the package; the cone and fan references build on its exact linear algebra
 primitives and return package cones and cycles for comparison, the
-Chow-form reference shares the ansatz and the sample -> solve -> verify
-loop with the package but solves over Q, the Pluecker batch reference
-redraws each batch from a fresh generator with the package's single draw,
-the Vandermonde reference solves the package's exact monomial rows by
-fraction-free elimination, the mixed-volume reference measures every
-Minkowski subsum with the package's polytopes, the graph-cycle
-reference reads the normal fan of the lifted polytopes' sum in R^(n+d), the
-box count filters every integer point of the bounding box by the
-polytope's own equations and facets, and the Chow shift reference searches
-the translations that the package computes in closed form.
+implicit-equation and Chow-form references write the sample -> solve ->
+verify loop out on the package's samples and ansatz but solve the exact
+rows over Q by fraction-free elimination, the Pluecker batch reference
+draws each batch with its own loop around the package's single draw,
+the mixed-volume reference measures every Minkowski subsum with the
+package's polytopes, the graph-cycle reference reads the normal fan of
+the lifted polytopes' sum in R^(n+d), the box count filters every
+integer point of the bounding box by the polytope's own equations and
+facets, and the Chow shift reference searches the translations that the
+package computes in closed form.  Two spies close the file:
+``inflating_gfp_kernel`` makes chosen primes lose rank, and
+``spy_rows_mod_p`` records the rows an interpolation asks for.
 """
 
 import math
@@ -40,7 +42,15 @@ from tropimpl.errors import (
     SamplingExhausted,
     VerificationFailed,
 )
-from tropimpl.interpolate import kernel_vector, solve_verified
+from tropimpl.implicitize import Parametrization
+from tropimpl.interpolate import (
+    MAX_TOP_UPS,
+    VERIFY_SAMPLES,
+    ImplicitPolynomial,
+    MonomialBasis,
+    horn_sample,
+    sample_points,
+)
 from tropimpl.polyhedra import (
     Cone,
     Polytope,
@@ -203,33 +213,60 @@ def gfp_kernel_back_substitution(rows, p, ncols):
     return basis
 
 
-def vandermonde_kernel_over_q(basis, points):
-    """The one kernel vector over Q of the monomial evaluation matrix, by
-    fraction-free elimination of the exact rows ``basis.row``: the
-    reference for the modular decide-and-lift solve of
-    ``interpolate.implicit_equation`` over Q."""
-    pts = list(dict.fromkeys(tuple(pt) for pt in points))
-    return kernel_vector(ec.rational_kernel([basis.row(pt) for pt in pts],
-                                            len(basis)))
+def _solve_over_q(unknowns, sampler, row, seed):
+    """The one kernel vector over Q of the exact rows ``row(sample)``, by
+    the sample -> solve -> top up -> verify loop written out: each solve
+    is one fraction-free ``ec.rational_kernel`` of the rows of every
+    sample so far, on the samples, top-ups and constants of
+    ``interpolate.solve_verified``, and the vector must annihilate the
+    rows of VERIFY_SAMPLES fresh samples of seed + 1000."""
+    samples = sampler(max(unknowns - 1, 1), seed)
+    rounds = 0
+    while True:
+        kernel = ec.rational_kernel([row(s) for s in samples], unknowns)
+        if not kernel:
+            raise KernelEmpty("no nonzero vector fits the samples")
+        if len(kernel) == 1:
+            break
+        rounds += 1
+        if rounds > MAX_TOP_UPS:
+            raise KernelTooBig(f"kernel has dimension {len(kernel)}")
+        samples = samples + sampler(unknowns // 4 + 10, seed + rounds)
+    for pt in sampler(VERIFY_SAMPLES, seed + 1000):
+        if ec.dot(row(pt), kernel[0]):
+            raise VerificationFailed(f"nonzero at fresh sample {pt}")
+    return kernel[0]
+
+
+def equation_over_q(f, P, seed=0, height=20):
+    """The implicit equation by fraction-free elimination over Q of the
+    exact rows ``basis.row`` (``_solve_over_q``), on the samples of
+    ``interpolate.implicit_equation``.  The reference for its modular
+    solve and lift over Q, raising the same errors."""
+    basis = MonomialBasis.from_polytope(P)
+    if isinstance(f, Parametrization):
+        def sampler(m, s):
+            return sample_points(f, m, height, s)
+    else:
+        def sampler(m, s):
+            return horn_sample(*f, m, height, s)
+
+    return ImplicitPolynomial(
+        basis, _solve_over_q(len(basis), sampler, basis.row, seed))
 
 
 def chow_form_over_q(stream, C_X, seed=0):
-    """The Chow form by fraction-free elimination over Q: the ansatz,
-    samples and verification of ``chow.chow_form``, but each solve is one
-    ``ec.rational_kernel`` of the exact rows.  The reference for the
-    modular solve, which must return the same form and reject a wrong
-    candidate polytope with the same exception class."""
+    """The Chow form by fraction-free elimination over Q of the exact
+    rows (``_solve_over_q``), on the ansatz and samples of
+    ``chow.chow_form``.  The reference for its modular solve and lift,
+    which must return the same form and reject a wrong candidate
+    polytope with the same exception class."""
     d, n = stream.d, stream.n
     unknowns = _chow_ansatz(C_X, d, n)
-
-    def solve(samples):
-        rows = [[mono.evaluate(values) for mono in unknowns]
-                for values in samples]
-        coeffs = kernel_vector(ec.rational_kernel(rows, len(unknowns)))
-        return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs)
-                                  if c])
-
-    return solve_verified(len(unknowns), stream, solve, seed)
+    coeffs = _solve_over_q(
+        len(unknowns), stream,
+        lambda values: [mono.evaluate(values) for mono in unknowns], seed)
+    return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs) if c])
 
 
 def chow_shift_by_sweep(translated, d, stream, seed=0):
@@ -264,8 +301,7 @@ def pluecker_batch(f, d, n, count, seed, height=20):
     """count distinct Chow-hypersurface samples drawn afresh from
     random.Random(seed), with a budget of 100 * count draws, each a
     mapping from index tuples to Pluecker coordinates.  The reference for
-    ``chow.PluckerStream``, which keeps its draws between calls and must
-    return the same batch for every count and seed."""
+    ``chow.PluckerStream`` and its ``interpolate.distinct_samples``."""
     rng = random.Random(seed)
     out = []
     seen = set()
@@ -438,3 +474,42 @@ def bergman_fan(M):
                 for F in chain]
         items.append((Cone(rays, [ones], m), 1))
     return TropicalCycle(m, M.rank, items)
+
+
+def inflating_gfp_kernel(monkeypatch, inflate):
+    """Patch ec.gfp_kernel to record (prime, rows) per call and to add a
+    second kernel vector on the calls for which inflate(call, prime)
+    holds, as a prime that loses rank would."""
+    real = ec.gfp_kernel
+    calls = []
+
+    def fake(rows, p, ncols=None):
+        calls.append((p, len(rows)))
+        kernel = real(rows, p, ncols)
+        if inflate(len(calls), p):
+            kernel.append(tuple(int(j == ncols - 1) for j in range(ncols)))
+        return kernel
+
+    monkeypatch.setattr(ec, "gfp_kernel", fake)
+    return calls
+
+
+def spy_rows_mod_p(monkeypatch, module):
+    """Wrap the ``rows_mod`` that module passes ``solve_verified``:
+    record every sample whose row mod the deciding prime is asked for,
+    and the loop's (residue, samples, fresh)."""
+    real = module.solve_verified
+    asked = []
+    returned = []
+
+    def spy(unknowns, sampler, rows_mod, seed, p=ec.DEFAULT_PRIME):
+        def recorded(samples, q):
+            assert q == p
+            asked.extend(samples)
+            return rows_mod(samples, q)
+
+        returned.append(real(unknowns, sampler, recorded, seed, p))
+        return returned[-1]
+
+    monkeypatch.setattr(module, "solve_verified", spy)
+    return asked, returned

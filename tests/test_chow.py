@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import chow_form_over_q, chow_shift_by_sweep, pluecker_batch
+from oracle_utils import (
+    chow_form_over_q,
+    chow_shift_by_sweep,
+    inflating_gfp_kernel,
+    pluecker_batch,
+    spy_rows_mod_p,
+)
 from tropimpl import chow
 from tropimpl import exactcore as ec
 from tropimpl.chow import (
@@ -207,6 +213,15 @@ class TestPluckerPoly:
         with pytest.raises(InputFormatError):
             PluckerPoly.from_json({"d": 1, "n": 3})
 
+    def test_digit_string_factor_rejected(self):
+        # "01" is not the factor (0, 1); no command reads a Chow form, so
+        # this wire field is checked here rather than through the CLI
+        wire = self.poly().to_json()
+        wire["terms"][0]["factors"][0] = "".join(
+            map(str, wire["terms"][0]["factors"][0]))
+        with pytest.raises(InputFormatError, match="not an array"):
+            PluckerPoly.from_json(wire)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             PluckerPoly(1, 3, [])
@@ -346,7 +361,7 @@ class TestChowSample:
 
     def test_draw_budget_exhausted(self, monkeypatch):
         # every draw degenerate: 100 draws per sample asked for, then
-        # SamplingExhausted, also when a later call asks for more
+        # SamplingExhausted; a later call draws afresh
         draws = []
 
         def degenerate(*args):
@@ -359,7 +374,7 @@ class TestChowSample:
         assert len(draws) == 200
         with pytest.raises(SamplingExhausted):
             stream(3, 0)
-        assert len(draws) == 300
+        assert len(draws) == 200 + 300
 
     def test_search_draws_each_sample_once(self, monkeypatch):
         # the solve, its top-ups and its verification read one stream, so
@@ -562,6 +577,23 @@ class TestChowForm:
         monkeypatch.setattr(chow, "lift_kernel_vector", off_by_one)
         with pytest.raises(ReconstructionFailed):
             chow_form(PluckerStream(CUSP, 1, 2), P, seed=0)
+
+    def test_top_up_evaluates_each_row_mod_p_once(self, monkeypatch):
+        # the first kernel is too big: the top-up adds its rows to the
+        # first samples', and the fresh samples are evaluated once each
+        asked, returned = spy_rows_mod_p(monkeypatch, chow)
+        calls = inflating_gfp_kernel(monkeypatch,
+                                     lambda call, p: call == 1)
+        form = chow_form(PluckerStream(CUSP, 1, 2),
+                         Polytope([(2, 3, 1), (3, 0, 3)]), seed=0)
+        assert form == chow_form_over_q(PluckerStream(CUSP, 1, 2),
+                                        Polytope([(2, 3, 1), (3, 0, 3)]))
+        (_, samples, fresh), = returned
+        assert calls[0][1] < calls[1][1] == len(samples)
+        keys = [tuple(values.items()) for values in asked]
+        assert keys == [tuple(values.items())
+                        for values in samples + fresh]
+        assert len(set(keys)) == len(keys)
 
     def test_hypersurface_matches_plane_curve_pipeline(self):
         # the Chow form of a plane curve is its defining polynomial under

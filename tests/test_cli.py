@@ -499,6 +499,13 @@ class TestGoldenArtifacts:
          "baae97565650e8399d2f246022c380b9c654b4ec37de538e24e1f8ae8e3ed3ca"),
         ("newton", THREE_TRIANGLES, [],
          "d67c94a93071abf6988052c4d54c7b1e1c67804cac20483fb0120675bb189594"),
+        # crt:k is an alias of q: every correct lift is the same vector
+        *[("adisc", matrix, ["--field", field], digest)
+          for matrix, digest in (
+              (QUADRATIC, QUADRATIC_OVER_Q),
+              (SIX_POINTS, "ce0b58c751d48af087d5f5efb2473525"
+                           "b582117b2ce20e7c0f877291d063a2a9"))
+          for field in ("q", "crt:1", "crt:2", "crt:100000")],
     ]
 
     @pytest.mark.parametrize("command,obj,flags,digest", JOBS)
@@ -623,6 +630,61 @@ class TestErrorContract:
         assert rc == 2
         assert len(out.splitlines()) == 1
         assert json.loads(out)["error"] == "parse"
+
+    # a JSON string of digits where an array of integers belongs is
+    # refused, never read digit by digit as the array
+    @pytest.mark.parametrize("command,obj", [
+        ("adisc", {"rows": ["111", "012"]}),
+        ("trop-cycle", {"polytopes": [
+            {"vertices": ["00", [1, 0], [0, 1]]},
+            {"vertices": [[0, 0], [2, 0], [0, 1]]}]}),
+        ("implicitize", {**CURVE, "components": [
+            {"terms": [{"coeff": 11, "exp": "2"}]},
+            *CURVE["components"][1:]]}),
+        ("newton", {**TROPICAL_LINE, "items": [
+            {"cone": {"rays": ["10"]}, "weight": 1},
+            *TROPICAL_LINE["items"][1:]]}),
+        ("chow", {**QUARTIC_JOB, "cycle": {**QUARTIC_JOB["cycle"], "items": [
+            {"cone": {**item["cone"], "lineality": ["1111"]}, "weight": 1}
+            for item in QUARTIC_JOB["cycle"]["items"]]}}),
+        ("mfp-search", {"vertex_counts": "33", "trials": 0}),
+        ("mfp-search", {"vertex_counts": [3, 3], "fixed": [
+            [["0", [1], [2]], [[0], [1], [3]]]]}),
+    ], ids=["matrix-rows", "vertices", "exponents", "cycle-rays",
+            "lineality", "vertex-counts", "fixed"])
+    def test_digit_string_vector_exits_2(self, tmp_path, capsys, command,
+                                         obj):
+        target = tmp_path / "o.json"
+        rc, out = run([command, "--in", write(tmp_path / "in.json", obj),
+                       "--out", str(target)], capsys)
+        assert rc == 2
+        assert not target.exists()
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "parse"
+        assert "not an array" in err["message"]
+
+    @pytest.mark.parametrize("command,obj", [
+        ("newton", {"cycle": TROPICAL_LINE}),
+        ("newton", TROPICAL_LINE),
+        ("chow", QUARTIC_JOB),
+    ], ids=["newton-wrapped", "newton-bare", "chow"])
+    def test_delta_with_a_given_cycle_exits_2(self, tmp_path, capsys,
+                                              command, obj):
+        # --delta divides a cycle computed from a parametrization or
+        # polytopes; a given cycle is taken as it is
+        target = tmp_path / "o.json"
+        path = write(tmp_path / "in.json", obj)
+        rc, out = run([command, "--in", path, "--out", str(target),
+                       "--delta", "7"], capsys)
+        assert rc == 2
+        assert not target.exists()
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["error"] == "parse"
+        assert "--delta" in json.loads(out)["message"]
+        rc, _ = run([command, "--in", path, "--out", str(target),
+                     "--delta", "1"])
+        assert rc == 0
 
     def test_prime_above_word_size_exits_2(self, tmp_path, capsys):
         # int64 elimination mod this prime overflows: the equation found

@@ -13,7 +13,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import pow_mod_row, vandermonde_kernel_over_q
+from oracle_utils import (
+    equation_over_q,
+    inflating_gfp_kernel,
+    pow_mod_row,
+    spy_rows_mod_p,
+)
 from tropimpl import exactcore as ec
 from tropimpl.errors import (
     InputFormatError,
@@ -33,6 +38,7 @@ from tropimpl.interpolate import (
     MonomialBasis,
     _is_prime,
     _primes_descending,
+    _rows_mod,
     _verify,
     horn_sample,
     implicit_equation,
@@ -55,12 +61,13 @@ DISC_POLYTOPE = Polytope([(0, 2, 0), (1, 0, 1)])
 
 class TestFieldSpec:
     def test_parsing(self):
-        assert parse_field("q") == ("q", None)
-        assert parse_field(None) == ("q", None)
-        assert parse_field("gf:101") == ("gf", 101)
-        assert parse_field(7) == ("gf", 7)
-        assert parse_field("crt:3") == ("crt", 3)
-        assert parse_field(ec.DEFAULT_PRIME) == ("gf", ec.DEFAULT_PRIME)
+        # the modulus; "crt:k" is an alias of "q"
+        assert parse_field("q") is None
+        assert parse_field(None) is None
+        assert parse_field("gf:101") == 101
+        assert parse_field(7) == 7
+        assert parse_field("crt:3") is None
+        assert parse_field(ec.DEFAULT_PRIME) == ec.DEFAULT_PRIME
 
     def test_rejects_bad_specs(self):
         # primes from 2^31 on would overflow the int64 elimination
@@ -178,6 +185,11 @@ class TestSampling:
             horn_sample([[1, 1]], [[0, 0]], 1)
 
 
+def points_kernel(basis, points, p):
+    """``vandermonde_kernel`` of the rows of basis monomials at points."""
+    return vandermonde_kernel(_rows_mod(basis, points, p), p, len(basis))
+
+
 class TestVandermondeKernel:
     P = ec.DEFAULT_PRIME
 
@@ -185,37 +197,37 @@ class TestVandermondeKernel:
         # the kernel (2, -1) over Q, scaled to a leading 1 mod p
         basis = MonomialBasis([(0,), (1,)])
         half = pow(2, -1, self.P)
-        assert vandermonde_kernel(basis, [(2,)], self.P) == \
-            (1, -half % self.P)
+        assert points_kernel(basis, [(2,)], self.P) == (1, -half % self.P)
 
     def test_empty_kernel(self):
         basis = MonomialBasis([(0,), (1,)])
         with pytest.raises(KernelEmpty):
-            vandermonde_kernel(basis, [(2,), (3,)], self.P)
+            points_kernel(basis, [(2,), (3,)], self.P)
 
-    def test_needs_enough_points(self):
+    def test_duplicate_points_leave_the_kernel_too_big(self):
+        # a repeated point repeats its row and adds no rank
         basis = MonomialBasis([(0,), (1,), (2,)])
-        with pytest.raises(ValueError):
-            vandermonde_kernel(basis, [(2,), (2,)], self.P)
+        with pytest.raises(KernelTooBig):
+            points_kernel(basis, [(2,), (2,)], self.P)
 
     def test_gfp_rejections_inflate_kernel(self):
         basis = MonomialBasis([(0,), (1,)])
         bad = [(ec.rat(1, 5),), (ec.rat(2, 5),)]
         with pytest.raises(KernelTooBig):
-            vandermonde_kernel(basis, bad, 5)
+            points_kernel(basis, bad, 5)
 
     def test_gfp_matches_rational_reduction(self):
         basis = MonomialBasis([(0,), (1,)])
-        assert vandermonde_kernel(basis, [(2,)], 7) == (1, 3)
+        assert points_kernel(basis, [(2,)], 7) == (1, 3)
 
     def test_zero_residue_gives_a_row_without_negative_exponents(self):
         # x = p is a root of x - p, whose kernel vector (-p, 1) is (0, 1)
         # mod p; only a negative power of the zero residue has no value
-        assert vandermonde_kernel(MonomialBasis([(0,), (1,)]), [(self.P,)],
-                                  self.P) == (0, 1)
+        assert points_kernel(MonomialBasis([(0,), (1,)]), [(self.P,)],
+                             self.P) == (0, 1)
         with pytest.raises(KernelTooBig):
-            vandermonde_kernel(MonomialBasis([(-1,), (0,)]), [(self.P,)],
-                               self.P)
+            points_kernel(MonomialBasis([(-1,), (0,)]), [(self.P,)],
+                          self.P)
 
 
 class TestImplicitEquation:
@@ -314,12 +326,8 @@ class TestImplicitPolynomial:
         basis = MonomialBasis([(0,), (1,)])
         wrong = ImplicitPolynomial(basis, (1, 1))
         f = Parametrization(1, 1, [[(1, (1,))]])
-
-        def sampler(m, s):
-            return sample_points(f, m, 20, s)
-
         with pytest.raises(VerificationFailed):
-            _verify(wrong, sampler, 0)
+            _verify(wrong.evaluate, sample_points(f, VERIFY_SAMPLES))
 
     def test_mod_p_negative_power_of_zero_residue_is_not_a_zero(self):
         # x^-1 + 1 mod 7: at x = 7 and x = 14/3 the coordinate vanishes
@@ -332,133 +340,146 @@ class TestImplicitPolynomial:
         assert poly.evaluate((Fraction(-1),)) == 0
         # x^-1 alone read 0 at every multiple of 7, a false zero for _verify
         alone = ImplicitPolynomial(basis, (1, 0), modulus=7)
-
-        def sampler(m, s):
-            return [(Fraction(7 * (k + 1)),) for k in range(m)]
-
+        multiples = [(Fraction(7 * (k + 1)),) for k in range(VERIFY_SAMPLES)]
         with pytest.raises(VerificationFailed):
-            _verify(alone, sampler, 0)
-
-
-class Vanishing:
-    """Candidate that vanishes at every sample except the bad ones and
-    cannot be evaluated at the ones listed in skip."""
-
-    def __init__(self, bad=(), skip=()):
-        self.bad = set(bad)
-        self.skip = set(skip)
-
-    def evaluate(self, pt):
-        if pt in self.skip:
-            raise ZeroDivisionError
-        return 1 if pt in self.bad else 0
+            _verify(alone.evaluate, multiples)
 
 
 class TestSolveVerified:
-    """The shared loop, driven by a fake sampler and fake kernels."""
+    """The shared loop, driven by a fake sampler, a fake ``rows_mod`` and
+    fake kernels.  Every kernel vector is a unit vector, 1 at the first
+    unknown, so a sample fails verification when its row is 1 there."""
 
-    def run(self, nullities, unknowns=20, bad=(), skip=()):
+    P = 101
+
+    def run(self, monkeypatch, nullities, unknowns=20, bad=(), skip=()):
         draws = []
-        solves = []
+        asked = []
+        kernels = []
 
         def sampler(count, seed):
             draws.append((count, seed))
             return [(seed, i) for i in range(count)]
 
-        def solve(samples):
-            solves.append(len(samples))
-            k = nullities[min(len(solves), len(nullities)) - 1]
-            kernel = [tuple(int(i == j) for i in range(unknowns))
-                      for j in range(k)]
-            kernel_vector(kernel)
-            return Vanishing(bad, skip)
+        def rows_mod(samples, p):
+            assert p == self.P
+            asked.extend(samples)
+            return [(int(s in bad),) + (0,) * (unknowns - 1)
+                    for s in samples if s not in skip]
 
+        def gfp_kernel(rows, p, ncols):
+            kernels.append(len(rows))
+            k = nullities[min(len(kernels), len(nullities)) - 1]
+            return [tuple(int(i == j) for i in range(ncols))
+                    for j in range(k)]
+
+        monkeypatch.setattr(ec, "gfp_kernel", gfp_kernel)
         try:
-            result = solve_verified(unknowns, sampler, solve, 7)
+            result = solve_verified(unknowns, sampler, rows_mod, 7, self.P)
         except (KernelEmpty, KernelTooBig, VerificationFailed) as exc:
             result = exc
-        return result, draws, solves
+        return result, draws, asked, kernels
 
-    def test_nullity_one_at_once(self):
-        result, draws, solves = self.run([1])
-        assert isinstance(result, Vanishing)
+    def fresh(self, indices):
+        return [(1007, i) for i in indices]
+
+    def test_nullity_one_at_once(self, monkeypatch):
+        result, draws, asked, kernels = self.run(monkeypatch, [1])
+        samples = [(7, i) for i in range(19)]
+        fresh = self.fresh(range(VERIFY_SAMPLES))
+        assert result == ((1,) + (0,) * 19, samples, fresh)
         assert draws == [(19, 7), (VERIFY_SAMPLES, 1007)]
-        assert solves == [19]
+        assert kernels == [19]
+        assert asked == samples + fresh
 
-    def test_one_top_up(self):
-        result, draws, solves = self.run([2, 1])
-        assert isinstance(result, Vanishing)
+    def test_one_top_up(self, monkeypatch):
+        # the top-up's rows join the first ones: every row is asked once
+        result, draws, asked, kernels = self.run(monkeypatch, [2, 1])
+        samples = [(7, i) for i in range(19)] + [(8, i) for i in range(15)]
+        assert result[1] == samples
         assert draws == [(19, 7), (20 // 4 + 10, 8), (VERIFY_SAMPLES, 1007)]
-        assert solves == [19, 34]
+        assert kernels == [19, 34]
+        assert asked == samples + result[2]
 
-    def test_kernel_too_big_after_all_top_ups(self):
-        result, draws, solves = self.run([2])
+    def test_kernel_too_big_after_all_top_ups(self, monkeypatch):
+        result, draws, _, kernels = self.run(monkeypatch, [2])
         assert isinstance(result, KernelTooBig)
-        assert len(solves) == MAX_TOP_UPS + 1
+        assert len(kernels) == MAX_TOP_UPS + 1
         assert draws == [(19, 7)] + [(15, 7 + r)
                                      for r in range(1, MAX_TOP_UPS + 1)]
 
-    def test_empty_kernel(self):
-        result, draws, solves = self.run([0])
+    def test_empty_kernel(self, monkeypatch):
+        result, _, _, kernels = self.run(monkeypatch, [0])
         assert isinstance(result, KernelEmpty)
-        assert solves == [19]
+        assert kernels == [19]
 
-    def test_wrong_vector_fails_verification(self):
-        result, _, _ = self.run([1], bad=[(1007, 3)])
+    def test_wrong_vector_fails_verification(self, monkeypatch):
+        result, _, _, _ = self.run(monkeypatch, [1], bad=[(1007, 3)])
         assert isinstance(result, VerificationFailed)
 
-    def test_wrong_vector_after_top_up_fails_verification(self):
-        result, _, solves = self.run([3, 1], bad=[(1007, 0)])
+    def test_wrong_vector_after_top_up_fails_verification(self,
+                                                          monkeypatch):
+        result, _, _, kernels = self.run(monkeypatch, [3, 1],
+                                         bad=[(1007, 0)])
         assert isinstance(result, VerificationFailed)
-        assert solves == [19, 34]
+        assert kernels == [19, 34]
 
-    def test_unevaluable_samples_draw_more_from_the_same_seed(self):
-        result, draws, _ = self.run([1], skip=[(1007, 0), (1007, 4)])
-        assert isinstance(result, Vanishing)
+    def test_unevaluable_samples_draw_more_from_the_same_seed(self,
+                                                              monkeypatch):
+        skip = self.fresh([0, 4])
+        result, draws, _, _ = self.run(monkeypatch, [1], skip=skip)
+        assert result[2] == self.fresh([1, 2, 3, 5, 6, 7, 8, 9, 10, 11])
         assert draws[1:] == [(VERIFY_SAMPLES, 1007),
                              (4 * VERIFY_SAMPLES, 1007)]
-        everywhere = [(1007, i) for i in range(4 * VERIFY_SAMPLES - 9)]
-        result, _, _ = self.run([1], skip=everywhere)
+        everywhere = self.fresh(range(4 * VERIFY_SAMPLES - 9))
+        result, _, _, _ = self.run(monkeypatch, [1], skip=everywhere)
         assert isinstance(result, VerificationFailed)
 
 
-def inflating_gfp_kernel(monkeypatch, inflate):
-    """Patch ec.gfp_kernel to record (prime, rows) per call and to add a
-    second kernel vector on the calls for which inflate(call, prime)
-    holds, as a prime that loses rank would."""
-    real = ec.gfp_kernel
-    calls = []
-
-    def fake(rows, p, ncols=None):
-        calls.append((p, len(rows)))
-        kernel = real(rows, p, ncols)
-        if inflate(len(calls), p):
-            kernel.append(tuple(int(j == ncols - 1) for j in range(ncols)))
-        return kernel
-
-    monkeypatch.setattr(ec, "gfp_kernel", fake)
-    return calls
+# a curve whose equation needs three primes to lift
+WIDE_CURVE = Parametrization(1, 2, [
+    [(11, (2,)), (5, (3,)), (-1, (4,))],
+    [(11, (0,)), (11, (1,)), (7, (8,))]])
 
 
 def test_crt_tops_up_then_skips_a_bad_prime(monkeypatch):
     # the deciding prime's kernel is too big on the first samples, so
     # the loop tops them up; the first lift prime then loses rank and
-    # is skipped, and the next one lifts
+    # is skipped, and later ones lift
+    P = reconstruct_polytope(get_tropical_cycle(
+        WIDE_CURVE.newton_polytopes()))
+    expected = implicit_equation(WIDE_CURVE, P).coefficients
     calls = inflating_gfp_kernel(monkeypatch,
                                  lambda call, p: call in (1, 3))
-    poly = implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE, field="crt:2")
-    assert poly.coefficients == (1, -4)
+    assert implicit_equation(WIDE_CURVE, P).coefficients == expected
     primes = [p for p, _ in calls]
     assert primes[0] == primes[1] == ec.DEFAULT_PRIME
-    assert primes[2] > primes[3] and len(set(primes)) == 3
-    assert [n for _, n in calls] == [1, 11, 11, 11]
+    assert len(primes) > 3 and primes[1:] == sorted(set(primes),
+                                                     reverse=True)
+    # 24 first samples, then 25 // 4 + 10 more
+    assert [n for _, n in calls] == [24] + [40] * (len(calls) - 1)
 
     # a lift in which every prime loses rank gives up at the sixth skip
     calls = inflating_gfp_kernel(
         monkeypatch, lambda call, p: p < ec.DEFAULT_PRIME)
     with pytest.raises(ReconstructionFailed):
-        implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE, field="crt:2")
+        implicit_equation(WIDE_CURVE, P)
     assert len(calls) == 1 + MAX_SKIPPED_PRIMES + 1
+
+
+def test_top_up_evaluates_each_row_mod_p_once(monkeypatch):
+    # the first kernel is too big: the top-up adds its rows to the first
+    # sample's, and the fresh samples are evaluated once more each
+    from tropimpl import interpolate
+
+    asked, returned = spy_rows_mod_p(monkeypatch, interpolate)
+    calls = inflating_gfp_kernel(monkeypatch, lambda call, p: call == 1)
+    poly = implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE)
+    assert poly.coefficients == (1, -4)
+    (_, samples, fresh), = returned
+    assert [n for _, n in calls[:2]] == [1, 11]
+    assert asked == samples + fresh
+    assert len(set(asked)) == len(samples) + len(fresh) == 11 + 10
 
 
 def exact_rows_mod(rows):
@@ -491,9 +512,9 @@ def spy_reconstruct(monkeypatch):
 class TestLiftKernelVector:
     P = ec.DEFAULT_PRIME
 
-    def lift(self, rows, residue, min_primes=1):
+    def lift(self, rows, residue):
         return lift_kernel_vector(exact_rows_mod(rows), self.P, residue,
-                                  hadamard_bits(rows), min_primes)
+                                  hadamard_bits(rows))
 
     def test_lifts_over_several_primes(self, monkeypatch):
         # the kernel (a, b, c) of these rows has entries far beyond the
@@ -547,19 +568,6 @@ class TestLiftKernelVector:
             self.lift([[1, 0], [0, 1]], (1, 0))
 
 
-def test_crt_k_reconstructs_first_from_k_primes(monkeypatch):
-    # the samples of b^2 - 4ac bound the lift by three primes: crt:2
-    # starts from two, and a larger count stops at the bound
-    calls = spy_reconstruct(monkeypatch)
-    for field, first in (("q", 1), ("crt:1", 1), ("crt:2", 2),
-                         ("crt:100000", 3)):
-        calls.clear()
-        poly = implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE,
-                                 field=field)
-        assert poly.coefficients == (1, -4)
-        assert calls[0][0] == first
-
-
 @st.composite
 def plane_curves(draw):
     """Laurent plane curves t -> (x(t), y(t)): up to three terms per
@@ -583,27 +591,9 @@ def outcome(run):
     return F.basis.exponents, F.coefficients, F.modulus
 
 
-def equation_over_q(f, P, seed=0, height=20):
-    """``implicit_equation`` over Q with the fraction-free solve
-    ``vandermonde_kernel_over_q`` on the same samples."""
-    basis = MonomialBasis.from_polytope(P)
-    if isinstance(f, Parametrization):
-        def sampler(m, s):
-            return sample_points(f, m, height, s)
-    else:
-        def sampler(m, s):
-            return horn_sample(*f, m, height, s)
-
-    def solve(points):
-        return ImplicitPolynomial(basis,
-                                  vandermonde_kernel_over_q(basis, points))
-
-    return solve_verified(len(basis), sampler, solve, seed)
-
-
 class TestExactSolve:
-    """``q`` and ``crt:k`` decide mod p and lift; the fraction-free
-    solve over Q is the reference."""
+    """``q`` and its alias ``crt:k`` decide mod p and lift; the
+    fraction-free solve over Q is the reference."""
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -612,17 +602,14 @@ class TestExactSolve:
         # low sample heights keep the fraction-free reference fast
         P = reconstruct_polytope(get_tropical_cycle(f.newton_polytopes()))
         expected = outcome(lambda: equation_over_q(f, P, height=8))
-        for field in ("q", "crt:1", "crt:2", "crt:3"):
+        for field in ("q", "crt:2"):
             assert outcome(lambda: implicit_equation(
                 f, P, field, height=8)) == expected
 
     def test_never_calls_rational_kernel(self, monkeypatch):
-        curve = Parametrization(1, 2, [
-            [(11, (2,)), (5, (3,)), (-1, (4,))],
-            [(11, (0,)), (11, (1,)), (7, (8,))]])
         P = reconstruct_polytope(get_tropical_cycle(
-            curve.newton_polytopes()))
-        jobs = [(curve, P), ((DISC_A, DISC_B), DISC_POLYTOPE)]
+            WIDE_CURVE.newton_polytopes()))
+        jobs = [(WIDE_CURVE, P), ((DISC_A, DISC_B), DISC_POLYTOPE)]
         expected = [equation_over_q(f, Q).coefficients for f, Q in jobs]
 
         def forbidden(*args, **kwargs):

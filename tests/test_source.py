@@ -1,6 +1,9 @@
-"""Checks on the source text itself, made with ``ast`` alone."""
+"""Checks on the source text itself, made with ``ast`` alone, and on the
+names the benchmark's tracer wraps."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,3 +64,24 @@ def test_no_unreferenced_private_helpers():
     assert len(defined) > 20
     assert {at: name for at, name in defined.items()
             if name not in read} == {}
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer wraps these names; a renamed function would
+    # otherwise fail only the harness self-test
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TARGETS) > 20
+    missing = []
+    for _, module, name, _ in tracer.TARGETS:
+        owner = importlib.import_module("tropimpl." + module)
+        cls, _, attr = name.rpartition(".")
+        if cls:
+            found = attr in vars(getattr(owner, cls, object))
+        else:
+            found = hasattr(owner, attr)
+        if not found:
+            missing.append(f"{module}.{name}")
+    assert missing == []
