@@ -272,29 +272,44 @@ def saturate(generators, ambient_dim=None):
     return LatticeBasis(ambient_dim, tuple(basis))
 
 
-def solve_integer(M, b):
-    """One integer solution x of M x = b, or None; b may be rational.
+def integer_solver(M):
+    """The function b -> one integer solution x of M x = b, or None; b may
+    be rational.
 
-    Runs on the row Hermite form H = U M^T, the one integer normal form:
-    with x = U^T y the system becomes H^T y = b, which forward substitution
-    on the pivots of H solves.  A pivot quotient that is not an integer, or
-    an equation left unsatisfied, means there is no integer solution.
+    M is factored once, into the row Hermite form H = U M^T, the one
+    integer normal form: with x = U^T y each system becomes H^T y = b,
+    which forward substitution on the pivots of H solves.  A pivot
+    quotient that is not an integer, or an equation left unsatisfied,
+    means there is no integer solution.
     """
     if not M:
-        return ()
+        return lambda b: ()
     H, U = row_hermite(transpose(M))
-    y = []
+    pivots = []
     for row in H:
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None:
             break
-        q = div_exact(b[c] - sum(h[c] * t for h, t in zip(H, y)), row[c])
-        if not isinstance(q, int):
+        pivots.append((c, row[c]))
+    m, n = len(M), len(M[0])
+
+    def solve(b):
+        y = []
+        for c, piv in pivots:
+            q = div_exact(b[c] - sum(h[c] * t for h, t in zip(H, y)), piv)
+            if not isinstance(q, int):
+                return None
+            y.append(q)
+        if any(sum(h[i] * t for h, t in zip(H, y)) != b[i] for i in range(m)):
             return None
-        y.append(q)
-    if any(sum(h[i] * t for h, t in zip(H, y)) != b[i] for i in range(len(M))):
-        return None
-    return tuple(sum(u[j] * t for u, t in zip(U, y)) for j in range(len(M[0])))
+        return tuple(sum(u[j] * t for u, t in zip(U, y)) for j in range(n))
+
+    return solve
+
+
+def solve_integer(M, b):
+    """One integer solution x of M x = b, or None (``integer_solver``)."""
+    return integer_solver(M)(b)
 
 
 def lattice_index(super_basis, sub_generators):

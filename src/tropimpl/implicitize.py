@@ -30,7 +30,14 @@ from .errors import (
     OracleInconsistent,
     RowSpanMissingOnes,
 )
-from .polyhedra import Cone, Polytope, mixed_volume, minkowski_sum, normal_fan_cones
+from .polyhedra import (
+    Cone,
+    Polytope,
+    PolytopeBuilder,
+    minkowski_sum,
+    mixed_volume,
+    normal_fan_cones,
+)
 from .tropical import (
     BERGMAN_SIGN,
     LinearMatroid,
@@ -459,10 +466,10 @@ def _crossing_counts(data, w, n):
                 return None
             x = [abs(c) * wj for wj in w]
             x[i] += t
-            if cone.contains_relint(x):
+            if cone.contains(x):
+                if not cone.contains_relint(x):
+                    return None
                 v[i] += mult * abs(c)
-            elif cone.contains(x):
-                return None
     return tuple(v)
 
 
@@ -472,10 +479,14 @@ def reconstruct_polytope(C, seed=0):
     Runs the vertex oracle inside a beneath-beyond loop: maintain the hull
     of the vertices seen, confirm every affine-hull equation and every
     facet by querying its outer normal, and add the answer as a new vertex
-    whenever it lies beyond.  Confirmed facets are kept as certificates;
-    an oracle answer violating one raises OracleInconsistent.  The result
-    is the translate with all coordinate minima at zero.  The seed drives
-    the random probe directions and the oracle's perturbations.
+    whenever it lies beyond.  Until the equations are confirmed, the hull
+    is rebuilt whenever an answer leaves the affine hull; after that it is
+    one ``PolytopeBuilder`` in chart coordinates of the affine hull, and a
+    new vertex is one beneath-beyond insertion.  Facets are queried in
+    their sorted order.  Confirmed facets are kept as certificates; an
+    oracle answer violating one raises OracleInconsistent.  The result is
+    the translate with all coordinate minima at zero.  The seed drives the
+    random probe directions and the oracle's perturbations.
     """
     n = C.ambient_dim
     if C.pure_dim != n - 1:
@@ -486,7 +497,7 @@ def reconstruct_polytope(C, seed=0):
 
 
 def _reconstruct(oracle, n, seed):
-    pts = set()
+    pts = {}  # the answers, in the order asked
     certified = set()
 
     def ask(w):
@@ -501,7 +512,7 @@ def _reconstruct(oracle, n, seed):
             if ec.dot(a, v) > b:
                 raise OracleInconsistent(
                     f"answer {v} violates confirmed facet {a} . x <= {b}")
-        pts.add(v)
+        pts[v] = None
         return v
 
     rng = random.Random(f"reconstruct-{seed}")
@@ -514,11 +525,12 @@ def _reconstruct(oracle, n, seed):
         while not any(w):
             w = tuple(rng.randint(-9, 9) for _ in range(n))
         ask(w)
-    while True:
-        H = Polytope(sorted(pts))
+    grew = True
+    while grew:
+        H = PolytopeBuilder(pts)
+        held = len(pts)
         grew = False
         for c, c0 in H.equations():
-            c = tuple(c)
             if (c, c0) in certified:
                 continue
             for probe in (c, tuple(-x for x in c)):
@@ -530,17 +542,18 @@ def _reconstruct(oracle, n, seed):
                 break
             certified.add((c, c0))
             certified.add((tuple(-x for x in c), -c0))
-        if grew:
-            continue
-        complete = True
-        for a, b, _inc in H.facets():
-            a = tuple(a)
+    # the affine hull is confirmed: H grows by the answers asked since it
+    # last grew, once a facet query finds a vertex beyond
+    while True:
+        for a, b in H.facets():
             if (a, b) in certified:
                 continue
             v = ask(tuple(-x for x in a))
             if ec.dot(a, v) > b:
-                complete = False
+                for p in itertools.islice(pts, held, None):
+                    H.add(p)
+                held = len(pts)
                 break
             certified.add((a, b))
-        if complete:
-            return H
+        else:
+            return H.polytope()

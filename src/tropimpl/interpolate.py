@@ -237,23 +237,18 @@ class ImplicitPolynomial:
         raise KeyError(f"{exponent} is outside the basis")
 
     def evaluate(self, point):
-        """Value at a rational point, exact over Q and mod p otherwise.
+        """Exact value at a rational point, for a polynomial over Q; a
+        polynomial mod p is checked on rows mod p (``_rows_mod``) instead.
 
-        Over Q each coordinate a/b contributes a^(e-lo) b^(hi-e) to the
-        monomial x^e, with lo <= 0 <= hi the basis's exponent range there,
-        so the sum stays in integers and is divided once, by the product
-        of a^-lo b^hi.  A negative power of a zero coordinate, or of a
-        coordinate that vanishes mod p, raises ZeroDivisionError, as does
-        a denominator that vanishes mod p: the rule of ``_rows_mod``.
+        Each coordinate a/b contributes a^(e-lo) b^(hi-e) to the monomial
+        x^e, with lo <= 0 <= hi the basis's exponent range there, so the
+        sum stays in integers and is divided once, by the product of
+        a^-lo b^hi.  A negative power of a zero coordinate raises
+        ZeroDivisionError.
         """
         if self.modulus is not None:
-            p = self.modulus
-            rows = _rows_mod(self.basis, [point], p)
-            if not rows:
-                raise ZeroDivisionError(
-                    f"a denominator, or a coordinate with a negative "
-                    f"power, vanishes mod {p}")
-            return sum(c * v for c, v in zip(self.coefficients, rows[0])) % p
+            raise ValueError(f"a polynomial mod {self.modulus} has no "
+                             f"value over Q")
         basis = self.basis
         tables = []
         den = 1
@@ -392,8 +387,8 @@ def _rows_mod(basis, points, p):
     """Rows of basis monomial values mod p at the rational points.
 
     A point gives no row when its reduction hits a vanishing denominator,
-    or a zero residue at a coordinate with a negative exponent, where
-    ``ImplicitPolynomial.evaluate`` has no value.  Each row is a nonzero
+    or a zero residue at a coordinate with a negative exponent, where a
+    polynomial on the basis has no value mod p.  Each row is a nonzero
     multiple of the point's row over Q cleared to integers, so the kernel
     mod p is that of the integer rows.
     """

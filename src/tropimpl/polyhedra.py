@@ -3,16 +3,22 @@
 Polytopes are built from vertex candidates by an incremental beneath-beyond
 hull in chart coordinates of their own affine lattice, so lower dimensional
 polytopes in a high ambient space cost no more than full dimensional ones.
+The hull's state stays open: a ``PolytopeBuilder`` inserts further points
+of the same affine hull one at a time, each one beneath-beyond step, and
+``Polytope(points)`` is what a builder of those points holds.
 Chart points of integer polytopes are integers, and each facet normal is a
-vector of integer minors, so a hull never forms a fraction.  Mixed volumes
-skip hulls where a rank test or one determinant decides them.
+vector of integer minors, so a hull never forms a fraction; chart normals
+are pulled back to ambient ones through one Hermite form of the chart
+lattice.  Mixed volumes skip hulls where a rank test or one determinant
+decides them.
 Lattice points are swept one chart coordinate at a time, bounded by the
 facets of the projections to the leading coordinates; a projection of a
 polytope is the hull of its projected vertices (Ziegler, Lectures on
 Polytopes, Lecture 1), so the same hull gives every bound.
 Cones carry rays plus a lineality space; their integer equations and facet
-normals are read off, lazily, from the same hull of the origin, the rays and
-both signs of the lineality vectors, so membership is a few dot products.
+normals are read off, lazily, from the hull of the origin and the images
+of the rays modulo the lineality, a pointed cone (Fulton, Introduction to
+Toric Varieties, 1.2), so membership is a few dot products.
 """
 
 from __future__ import annotations
@@ -40,37 +46,63 @@ def _affine_rank(points):
 
 
 def _hull_full_dim(points):
-    """Beneath-beyond hull of points affinely spanning R^k.
+    """Beneath-beyond hull of points affinely spanning R^k, as a ``_Hull``
+    that takes further points.
 
-    Returns (vertex_indices, merged_facets, simplices) where merged_facets
-    are (normal, offset, vertex_index_set) triples with primitive integer
-    normals and a.x <= b on the hull, and simplices is a boundary
-    triangulation as k-tuples of point indices.  A facet normal is the
-    vector of signed maximal minors of the simplex's difference rows, its
-    generalized cross product, cleared of denominators; its side is fixed
-    against the seed centroid, scaled by k + 1 so it stays integral for
-    integer points.
+    The seed simplex is the first k + 1 affinely independent points; the
+    other points are inserted in their order.
     """
     k = len(points[0])
-    if k == 0:
-        return [0], [], []
-
-    # affinely independent seed
     seed = [0]
     diffs = []
     for i in range(1, len(points)):
+        if len(seed) == k + 1:
+            break
         cand = diffs + [list(ec.vec_sub(points[i], points[0]))]
         if ec.rational_rank(cand) == len(cand):
             diffs = cand
             seed.append(i)
-            if len(seed) == k + 1:
-                break
     if len(seed) != k + 1:
         raise DimensionMismatch("points do not span the chart")
+    return _Hull(points, seed)
 
-    seed_sum = tuple(sum(points[i][j] for i in seed) for j in range(k))
 
-    def facet_plane(idx):
+class _Hull:
+    """Beneath-beyond state of points affinely spanning R^k.
+
+    ``simplices`` maps each simplex of a boundary triangulation, a
+    frozenset of k point indices, to its plane (a, b): a primitive integer
+    normal with a.x <= b on the hull.  A facet normal is the vector of
+    signed maximal minors of the simplex's difference rows, its
+    generalized cross product, cleared of denominators; its side is fixed
+    against the seed centroid, scaled by k + 1 so it stays integral for
+    integer points.  Planes are canonical, so the merged facets and the
+    vertices do not depend on the order in which points arrive.
+    """
+
+    def __init__(self, points, seed):
+        self.points = list(points)
+        self.k = k = len(points[0])
+        self._seed_sum = tuple(sum(points[i][j] for i in seed)
+                               for j in range(k))
+        self.simplices = {}
+        if k:
+            for drop in range(k + 1):
+                idx = tuple(seed[i] for i in range(k + 1) if i != drop)
+                self.simplices[frozenset(idx)] = self._plane(idx)
+        in_seed = set(seed)
+        for q in range(len(self.points)):
+            if q not in in_seed:
+                self._insert(q)
+
+    def add(self, point):
+        """Insert one more point of R^k."""
+        self.points.append(point)
+        self._insert(len(self.points) - 1)
+
+    def _plane(self, idx):
+        k = self.k
+        points = self.points
         base = points[idx[0]]
         rows = [ec.vec_sub(points[i], base) for i in idx[1:]]
         minors = [ec.det([r[:j] + r[j + 1:] for r in rows]) for j in range(k)]
@@ -79,7 +111,7 @@ def _hull_full_dim(points):
         a = ec.primitive_vector(
             [-m if j % 2 else m for j, m in enumerate(minors)])
         b = ec.dot(a, base)
-        side = ec.dot(a, seed_sum)
+        side = ec.dot(a, self._seed_sum)
         if side == (k + 1) * b:
             raise DimensionMismatch("interior point on a facet hyperplane")
         if side > (k + 1) * b:
@@ -87,51 +119,80 @@ def _hull_full_dim(points):
             b = -b
         return a, b
 
-    facets = {}  # frozenset(point idx) -> (a, b)
-    for drop in range(k + 1):
-        idx = tuple(seed[i] for i in range(k + 1) if i != drop)
-        facets[frozenset(idx)] = facet_plane(idx)
-
-    for q in range(len(points)):
-        if q in seed:
-            continue
-        pq = points[q]
-        visible = [f for f, (a, b) in facets.items() if ec.dot(a, pq) > b]
+    def _insert(self, q):
+        pq = self.points[q]
+        simplices = self.simplices
+        visible = [f for f, (a, b) in simplices.items() if ec.dot(a, pq) > b]
         if not visible:
-            continue
+            return
         ridge_count = {}
         for f in visible:
             for r in combinations(sorted(f), len(f) - 1):
                 ridge_count[r] = ridge_count.get(r, 0) + 1
         for f in visible:
-            del facets[f]
+            del simplices[f]
         for ridge, cnt in ridge_count.items():
             if cnt == 1:
                 new = frozenset(ridge) | {q}
-                facets[new] = facet_plane(tuple(sorted(new)))
+                simplices[new] = self._plane(tuple(sorted(new)))
 
-    # merge simplicial facets sharing a hyperplane, find true vertices
-    by_plane = {}
-    for f, (a, b) in facets.items():
-        by_plane.setdefault((a, b), set()).update(f)
-    incident = {}
-    for (a, b), pts in by_plane.items():
-        for i in pts:
-            incident.setdefault(i, []).append(a)
-    vertex_indices = sorted(
-        i for i, normals in incident.items()
-        if ec.rational_rank([list(a) for a in normals]) == k)
-    vset = set(vertex_indices)
-    merged = []
-    for (a, b), pts in sorted(by_plane.items()):
-        merged.append((a, b, frozenset(pts & vset)))
-    simplices = [tuple(sorted(f)) for f in facets]
-    return vertex_indices, merged, sorted(simplices)
+    def merged(self):
+        """(vertex_indices, facets): the facets as sorted (normal, offset,
+        vertex_index_set) triples, one per plane of the triangulation, and
+        the vertices as the points whose planes' normals have rank k."""
+        if not self.k:
+            return [0], []
+        by_plane = {}
+        for f, plane in self.simplices.items():
+            by_plane.setdefault(plane, set()).update(f)
+        incident = {}
+        for (a, b), pts in by_plane.items():
+            for i in pts:
+                incident.setdefault(i, []).append(a)
+        vertex_indices = sorted(
+            i for i, normals in incident.items()
+            if ec.rational_rank([list(a) for a in normals]) == self.k)
+        vset = set(vertex_indices)
+        return vertex_indices, [(a, b, frozenset(pts & vset))
+                                for (a, b), pts in sorted(by_plane.items())]
 
 
-class Polytope:
-    """Convex hull of finitely many rational points, possibly lower
-    dimensional in its ambient space."""
+def _affine_equations(lattice, base):
+    """Integer equations (c, c0) with c.x = c0 on base + span(lattice)."""
+    n = lattice.ambient_dim
+    if lattice.rank == n:
+        return []
+    return [(c, ec.dot(c, base))
+            for c in ec.integer_kernel([list(v) for v in lattice], n)]
+
+
+def _ambient_normal(lattice, equations):
+    """The map from chart facet normals to ambient ones.
+
+    A chart normal u is pulled back to an integer a with L a = u, through
+    one Hermite form of the lattice basis L for every normal, then reduced
+    to its canonical representative modulo the affine hull equations and
+    made primitive.  Without equations the basis is the identity, and so
+    is the map.
+    """
+    if not equations:
+        return lambda u: u
+    solve = ec.integer_solver([list(v) for v in lattice])
+    normals = [c for c, _ in equations]
+    return lambda u: ec.primitive_vector(
+        ec.reduce_mod_subspace(solve(u), normals))
+
+
+class PolytopeBuilder:
+    """The hull of rational points, grown one point at a time on their
+    affine hull.
+
+    The points are read in coordinates of the saturated direction lattice
+    of their affine hull, from the first sorted point, and the hull of
+    those chart points stays one beneath-beyond state, so a point added
+    costs one insertion, not a new hull.  ``Polytope(points)`` is the
+    ``polytope()`` of ``PolytopeBuilder(points)``.
+    """
 
     def __init__(self, points):
         pts = sorted({tuple(x if isinstance(x, int) else ec.rat(x)
@@ -141,25 +202,75 @@ class Polytope:
         self.ambient_dim = len(pts[0])
         if any(len(p) != self.ambient_dim for p in pts):
             raise DimensionMismatch("points of mixed length")
-
-        p0 = pts[0]
-        directions = [ec.vec_sub(p, p0) for p in pts[1:]]
-        self._chart_base = p0
-        self._lattice = ec.saturate(directions, self.ambient_dim) \
+        self.points = pts
+        self._base = pts[0]
+        directions = [ec.vec_sub(p, self._base) for p in pts[1:]]
+        self.lattice = ec.saturate(directions, self.ambient_dim) \
             if directions else ec.LatticeBasis(self.ambient_dim, ())
-        self.dim = self._lattice.rank
-        self._chart_points = _lattice_coords(pts, list(self._lattice))
+        self._basis = list(self.lattice)
+        self._hull = _hull_full_dim(_lattice_coords(pts, self._basis))
+        self._normal = None
+        self._ambient = {}  # chart plane -> ambient facet
 
-        if self.dim == 0:
-            self.vertices = (pts[0],)
-            self._chart_facets = []
-        else:
-            vidx, merged, _ = _hull_full_dim(self._chart_points)
-            self.vertices = tuple(pts[i] for i in vidx)
-            reindex = {old: new for new, old in enumerate(vidx)}
-            self._chart_facets = [
-                (a, b, frozenset(reindex[i] for i in inc))
-                for a, b, inc in merged]
+    def equations(self):
+        """Integer equations (c, c0) with c.x = c0 on the affine hull."""
+        return _affine_equations(self.lattice, self._base)
+
+    def add(self, point):
+        """Add a point of the affine hull; LatticeMismatch off it."""
+        point = tuple(point)
+        self.points.append(point)
+        self._hull.add(_lattice_coords([self._base, point], self._basis)[1])
+
+    def facets(self):
+        """Ambient facet inequalities (a, b), a.x <= b, of the points added
+        so far, in the order of ``Polytope.facets``.  Each plane is pulled
+        back once, when it first appears."""
+        if self._normal is None:
+            self._normal = _ambient_normal(self.lattice, self.equations())
+        planes = {}
+        for f, plane in self._hull.simplices.items():
+            planes.setdefault(plane, f)
+        out = []
+        for plane in sorted(planes):
+            facet = self._ambient.get(plane)
+            if facet is None:
+                a = self._normal(plane[0])
+                facet = self._ambient[plane] = (
+                    a, ec.dot(a, self.points[next(iter(planes[plane]))]))
+            out.append(facet)
+        return out
+
+    def polytope(self):
+        """The polytope of the points added so far."""
+        P = Polytope.__new__(Polytope)
+        P._read_hull(self)
+        return P
+
+
+class Polytope:
+    """Convex hull of finitely many rational points, possibly lower
+    dimensional in its ambient space."""
+
+    def __init__(self, points):
+        self._read_hull(PolytopeBuilder(points))
+
+    def _read_hull(self, builder):
+        """Vertices and chart facets from a builder's hull.  The chart
+        base moves to the first vertex, the least point."""
+        hull = builder._hull
+        vidx, merged = hull.merged()
+        vidx.sort(key=builder.points.__getitem__)
+        self.ambient_dim = builder.ambient_dim
+        self._lattice = builder.lattice
+        self.dim = self._lattice.rank
+        self.vertices = tuple(builder.points[i] for i in vidx)
+        self._chart_base = self.vertices[0]
+        y0 = hull.points[vidx[0]]
+        reindex = {old: new for new, old in enumerate(vidx)}
+        self._chart_facets = [
+            (a, b - ec.dot(a, y0), frozenset(reindex[i] for i in inc))
+            for a, b, inc in merged]
         self._faces_by_dim = None
         self._ambient_facets = None
         self._lattice_points = None
@@ -174,14 +285,7 @@ class Polytope:
 
     def equations(self):
         """Integer equations (c, c0) with c.x = c0 on the polytope."""
-        if self.dim == self.ambient_dim:
-            return []
-        if self.dim == 0:
-            basis = [tuple(r) for r in ec.identity_matrix(self.ambient_dim)]
-        else:
-            basis = ec.integer_kernel([list(v) for v in self._lattice],
-                                      self.ambient_dim)
-        return [(c, ec.dot(c, self._chart_base)) for c in basis]
+        return _affine_equations(self._lattice, self._chart_base)
 
     def facets(self):
         """Ambient facet inequalities (a, b, vertex_index_set), a.x <= b.
@@ -189,18 +293,15 @@ class Polytope:
         For lower dimensional polytopes the normal is the canonical
         representative modulo the affine hull equations.
         """
-        if self._ambient_facets is not None:
-            return self._ambient_facets
-        eq_normals = [c for c, _ in self.equations()]
-        L = [list(v) for v in self._lattice]
-        out = []
-        for a, _, inc in self._chart_facets:
-            if eq_normals:  # else the lattice basis is the identity
-                a = ec.solve_integer(L, a)
-                a = ec.primitive_vector(ec.reduce_mod_subspace(a, eq_normals))
-            out.append((a, max(ec.dot(a, v) for v in self.vertices), inc))
-        self._ambient_facets = out
-        return out
+        if self._ambient_facets is None:
+            normal = _ambient_normal(self._lattice, self.equations())
+            out = []
+            for u, _, inc in self._chart_facets:
+                a = normal(u)
+                out.append((a, ec.dot(a, self.vertices[next(iter(inc))]),
+                            inc))
+            self._ambient_facets = out
+        return self._ambient_facets
 
     def contains(self, x):
         for c, c0 in self.equations():
@@ -321,8 +422,8 @@ class Polytope:
         systems[k] = [(u, b + ec.dot(u, shift))
                       for u, b, _ in self._chart_facets]
         for j in range(1, k):
-            _, facets, _ = _hull_full_dim(sorted({y[:j] for y in ys}))
-            systems[j] = [(u, b) for u, b, _ in facets]
+            hull = _hull_full_dim(sorted({y[:j] for y in ys}))
+            systems[j] = set(hull.simplices.values())
 
         budget = [LATTICE_POINT_BUDGET]
         out = []
@@ -398,10 +499,9 @@ def _lattice_coords(vertices, basis):
 def _chart_volume(points):
     """k! times the euclidean volume of the hull of points spanning R^k:
     the boundary simplices of the hull, coned from the first point."""
-    _, _, simplices = _hull_full_dim(points)
     apex = points[0]
     total = sum(abs(ec.det([ec.vec_sub(points[i], apex) for i in s]))
-                for s in simplices)
+                for s in _hull_full_dim(points).simplices)
     return total if isinstance(total, int) else ec.rat(total)
 
 
@@ -521,23 +621,30 @@ class Cone:
         return len(self.lineality)
 
     def _build_hrep(self):
-        """Integer H-representation, read off one polytope hull.
+        """Integer H-representation, read off one hull modulo the lineality.
 
-        The cone is the tangent cone at 0 of the polytope spanned by the
-        origin, the rays and both signs of every lineality vector, so the
-        polytope's equations are the span equations and its facets through 0
-        are the cone's facets.  Rays lying on every such facet are hidden
-        lineality; a ray outside it is extreme when its active facets have
-        rank q - 1, q being the dimension modulo the full lineality.
+        The rows of K = integer_kernel(lineality) vanish on the lineality,
+        so x -> K x maps the cone onto the pointed cone spanned by the
+        images K r of the rays (Fulton, Introduction to Toric Varieties,
+        1.2), the tangent cone at 0 of the polytope of the origin and those
+        images.  A facet of that polytope through 0 with outer normal a'
+        gives the cone's inner facet normal u = -K^T a', taken modulo the
+        span equations in its canonical representative and made primitive.
+        Rays lying on every such facet are hidden lineality; a ray outside
+        it is extreme when its active facets have rank q - 1, q being the
+        dimension modulo the full lineality.
         """
         if self._hrep is not None:
             return self._hrep
-        origin = (0,) * self.ambient_dim
-        P = Polytope([origin] + list(self.rays) + list(self.lineality)
-                     + [tuple(-x for x in l) for l in self.lineality])
-        equations = [c for c, _ in P.equations()]
-        facets = sorted(tuple(-x for x in a) for a, b, _ in P.facets()
-                        if b == 0)
+        n = self.ambient_dim
+        equations = ec.integer_kernel([list(v) for v in self.span], n)
+        K = ec.integer_kernel([list(l) for l in self.lineality], n)
+        Q = Polytope([(0,) * len(K)] + [ec.mat_vec(K, r) for r in self.rays])
+        facets = sorted(
+            ec.primitive_vector(ec.reduce_mod_subspace(
+                [-sum(x * row[i] for x, row in zip(a, K)) for i in range(n)],
+                equations))
+            for a, b, _ in Q.facets() if b == 0)
         hidden = [r for r in self.rays
                   if all(ec.dot(u, r) == 0 for u in facets)]
         lin = self.lineality

@@ -10,8 +10,10 @@ verify loop out on the package's samples and ansatz but solve the exact
 rows over Q by fraction-free elimination, the Pluecker batch reference
 draws each batch with its own loop around the package's single draw,
 the mixed-volume reference measures every Minkowski subsum with the
-package's polytopes, the graph-cycle reference reads the normal fan of
-the lifted polytopes' sum in R^(n+d), the box count filters every
+package's polytopes, the cone H-representation reference hulls each
+cone with both signs of its lineality in its full span, the graph-cycle
+reference reads the normal fan of the lifted polytopes' sum in
+R^(n+d), the box count filters every
 integer point of the bounding box by the polytope's own equations and
 facets, and the Chow shift reference searches the translations that the
 package computes in closed form.  Two spies close the file:
@@ -438,6 +440,36 @@ class SubsetCone:
             if v < 0 or (strict and v == 0):
                 return False
         return True
+
+
+def cone_hrep_by_lineality_hull(cone):
+    """A cone's H-representation read off one hull in its full span:
+    (equations, facets, extreme rays, lineality), in the form of
+    ``Cone._build_hrep``.
+
+    The cone is the tangent cone at 0 of the polytope of the origin, the
+    rays and both signs of every lineality vector, so the polytope's
+    equations are the span equations and its facets through 0 are the
+    cone's facets.  Rays on every facet are hidden lineality; a ray
+    outside it is extreme when its active facets have rank q - 1, q being
+    the dimension modulo the full lineality.
+    """
+    n = cone.ambient_dim
+    P = Polytope([(0,) * n] + list(cone.rays) + list(cone.lineality)
+                 + [tuple(-x for x in l) for l in cone.lineality])
+    equations = [c for c, _ in P.equations()]
+    facets = sorted(tuple(-x for x in a) for a, b, _ in P.facets() if b == 0)
+    hidden = [r for r in cone.rays if all(ec.dot(u, r) == 0 for u in facets)]
+    lin = cone.lineality
+    if hidden:
+        lin = tuple(ec.saturate(list(lin) + hidden, n))
+    q = cone.dim - len(lin)
+    extreme = {
+        ec.primitive_vector(ec.reduce_mod_subspace(r, lin))
+        for r in cone.rays
+        if ec.rational_rank([list(u) for u in facets
+                             if ec.dot(u, r) == 0]) == q - 1}
+    return equations, facets, tuple(sorted(extreme)), lin
 
 
 def maximal_flat_chains(M):

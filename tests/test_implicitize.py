@@ -383,6 +383,36 @@ class TestReconstruct:
         with pytest.raises(OracleInconsistent):
             _reconstruct(oracle, 2, 0)
 
+    @pytest.mark.parametrize("chart", [
+        lambda x, y, z: (x, y, z),
+        lambda x, y, z: (x + y, y - z, 2 * z + x + 5, -x + 3),
+    ], ids=["full", "lower"])
+    def test_one_hull_grows_once_the_affine_hull_is_certified(
+            self, monkeypatch, chart):
+        # each vertex found after the equations are confirmed is inserted
+        # into the one hull; the oracle answers from a known point list and
+        # builds no hull, so every hull counted is the reconstruction's
+        rng = random.Random(5005)
+        pts = sorted({chart(*(rng.randint(-9, 9) for _ in range(3)))
+                      for _ in range(60)})
+        expected = Polytope(pts)
+        hulls = []
+        hull = polyhedra._hull_full_dim
+
+        def recording(points):
+            hulls.append(len(points))
+            return hull(points)
+
+        def oracle(w):
+            return min(pts, key=lambda v: ec.dot(w, v))
+
+        monkeypatch.setattr(polyhedra, "_hull_full_dim", recording)
+        P = _reconstruct(oracle, len(pts[0]), 0)
+        assert P.vertices == expected.vertices
+        assert P.facets() == expected.facets()
+        assert len(P.vertices) > 12
+        assert len(hulls) <= 2
+
     def test_sylvester_resultant_agrees(self):
         # x = 3 + 5t + 7t^3, y = 2 + t^2; independent check via sympy.
         param = Parametrization(1, 2, [

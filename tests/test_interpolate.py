@@ -331,18 +331,29 @@ class TestImplicitPolynomial:
 
     def test_mod_p_negative_power_of_zero_residue_is_not_a_zero(self):
         # x^-1 + 1 mod 7: at x = 7 and x = 14/3 the coordinate vanishes
-        # mod 7, so there is no value, not the value 1 of x^(p-2)-inversion
+        # mod 7, so there is no row, not the row of x^(p-2)-inversion
         basis = MonomialBasis([(-1,), (0,)])
-        poly = ImplicitPolynomial(basis, (1, 1), modulus=7)
-        for x in (7, Fraction(14, 3)):
-            with pytest.raises(ZeroDivisionError):
-                poly.evaluate((x,))
-        assert poly.evaluate((Fraction(-1),)) == 0
+        assert _rows_mod(basis, [(Fraction(7),), (Fraction(14, 3),)], 7) \
+            == []
+        row, = _rows_mod(basis, [(Fraction(-1),)], 7)
+        assert ec.dot((1, 1), row) % 7 == 0
+
         # x^-1 alone read 0 at every multiple of 7, a false zero for _verify
-        alone = ImplicitPolynomial(basis, (1, 0), modulus=7)
+        def alone(pt):
+            rows = _rows_mod(basis, [pt], 7)
+            if not rows:
+                raise ZeroDivisionError("no row mod 7")
+            return ec.dot((1, 0), rows[0]) % 7
+
         multiples = [(Fraction(7 * (k + 1)),) for k in range(VERIFY_SAMPLES)]
         with pytest.raises(VerificationFailed):
-            _verify(alone.evaluate, multiples)
+            _verify(alone, multiples)
+
+    def test_a_polynomial_mod_p_has_no_value_over_q(self):
+        poly = ImplicitPolynomial(MonomialBasis([(0,), (1,)]), (1, 1),
+                                  modulus=7)
+        with pytest.raises(ValueError):
+            poly.evaluate((Fraction(-1),))
 
 
 class TestSolveVerified:

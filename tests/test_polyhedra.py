@@ -13,6 +13,7 @@ from tropimpl.errors import DimensionMismatch, LatticeMismatch
 from oracle_utils import (
     SubsetCone,
     area2d,
+    cone_hrep_by_lineality_hull,
     contains2d,
     hull2d,
     lattice_points2d,
@@ -160,7 +161,8 @@ def test_full_dimensional_charts_need_no_solves(pts):
     normals = [ec.primitive_vector(ec.solve_integer(L, u))
                for u, _, _ in P._chart_facets]
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("solve_linear", "solve_integer", "reduce_mod_subspace"):
+        for name in ("solve_linear", "solve_integer", "integer_solver",
+                     "reduce_mod_subspace"):
             mp.setattr(ec, name, no_solve(name))
         fresh = ph.Polytope(pts)
         got = ph._lattice_coords(pts, L)
@@ -172,6 +174,60 @@ def test_full_dimensional_charts_need_no_solves(pts):
     assert [a for a, _, _ in facets] == normals
     assert [b for _, b, _ in facets] \
         == [max(ec.dot(a, v) for v in P.vertices) for a in normals]
+
+
+@st.composite
+def seeded_insertions(draw):
+    """Integer or rational points on a k-dimensional affine lattice in R^n,
+    k = n or lower: an affinely independent start, then the points to
+    insert one at a time."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(n, 4)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        M = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        if ec.rational_rank(M) == k:
+            break
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    base = [ec.rat(rng.randint(-6, 6), den) for _ in range(n)]
+
+    def point(y):
+        return tuple(b + ec.dot(row, y) for b, row in zip(base, M))
+
+    start = [point([0] * k)] + [point([int(i == j) for j in range(k)])
+                                for i in range(k)]
+    more = [point([rng.randint(-4, 4) for _ in range(k)])
+            for _ in range(draw(st.integers(1, 12)))]
+    return start, more
+
+
+@REFERENCE
+@given(seeded_insertions())
+def test_builder_insertions_match_fresh_hulls(case):
+    # each point inserted into one beneath-beyond state gives the hull that
+    # Polytope(sorted(pts)) builds from scratch: same facets in the same
+    # order, and the same polytope down to its chart facets
+    start, more = case
+    B = ph.PolytopeBuilder(start)
+    pts = list(start)
+    for x in more:
+        B.add(x)
+        pts.append(x)
+        P = ph.Polytope(sorted(pts))
+        assert B.facets() == [(a, b) for a, b, _ in P.facets()]
+    Q = B.polytope()
+    assert Q.vertices == P.vertices and Q.dim == P.dim
+    assert Q.facets() == P.facets()
+    assert Q.f_vector() == P.f_vector()
+    assert Q.equations() == P.equations() == B.equations()
+    assert Q._chart_base == P._chart_base
+    assert Q._chart_facets == P._chart_facets
+
+
+def test_builder_rejects_a_point_off_its_affine_hull():
+    B = ph.PolytopeBuilder([(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    with pytest.raises(LatticeMismatch):
+        B.add((0, 0, 0))
 
 
 def test_lower_dimensional_embedding():
@@ -599,6 +655,61 @@ def test_cone_negated():
     N = C.negated()
     assert N.rays == ((-1, -2),)
     assert N.contains((-2, -4)) and not N.contains((1, 2))
+
+
+@st.composite
+def cones_modulo_lineality(draw):
+    """Cones in R^2..R^5 with 0..3 lineality vectors and up to 7 rays, so
+    many are not simplicial, some rays with their opposites, so some hide
+    lineality among the rays."""
+    n = draw(st.integers(2, 5))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    lin = draw(st.lists(vec, max_size=3))
+    rays = draw(st.lists(vec, max_size=7))
+    rays += [tuple(-x for x in r) for r in rays if draw(st.booleans())]
+    return ph.Cone(rays, lin, n)
+
+
+@REFERENCE
+@example(ph.Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0),
+                  (0, -1, 1, 0)], [(0, 0, 0, 1)]))
+@example(ph.Cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(1, 1, 1)]))
+@given(cones_modulo_lineality())
+def test_cone_hrep_matches_lineality_hull(cone):
+    # the hull modulo the lineality gives the H-representation of the hull
+    # with both signs of every lineality vector in the full span
+    reference = cone_hrep_by_lineality_hull(cone)
+    assert cone._build_hrep() == reference
+    assert cone.extreme_rays() == reference[2]
+    assert cone.canonical_key() == (cone.ambient_dim,) + reference[2:]
+
+
+def test_cone_hulls_only_modulo_the_lineality(monkeypatch):
+    # the ray images modulo the lineality span dim - lineality_dim; a hull
+    # of the rays with both signs of the lineality would span dim
+    dims = []
+    hull = ph._hull_full_dim
+
+    def recording(points):
+        dims.append(len(points[0]))
+        return hull(points)
+
+    monkeypatch.setattr(ph, "_hull_full_dim", recording)
+    rng = random.Random(4004)
+    cones = [ph.Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0),
+                      (0, -1, 1, 0)], [(0, 0, 0, 1)])]
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        cones.append(ph.Cone(
+            [[rng.randint(-3, 3) for _ in range(n)]
+             for _ in range(rng.randint(1, 5))],
+            [[rng.randint(-3, 3) for _ in range(n)]
+             for _ in range(rng.randint(1, 3))], n))
+    assert sum(C.lineality_dim > 0 for C in cones) > 20
+    for C in cones:
+        dims.clear()
+        C.extreme_rays()
+        assert max(dims) <= C.dim - C.lineality_dim
 
 
 @st.composite
