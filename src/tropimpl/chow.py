@@ -44,8 +44,6 @@ from .errors import (
 )
 from .implicitize import reconstruct_polytope
 from .interpolate import (
-    ImplicitPolynomial,
-    MonomialBasis,
     _verify,
     distinct_samples,
     lift_kernel_vector,
@@ -437,90 +435,3 @@ def _chow_ansatz(C_X, d, n):
     if not unknowns:
         raise KernelEmpty("no standard monomials on the candidate polytope")
     return unknowns
-
-
-# ---------------------------------------------------------------------------
-# equations from the Chow form
-
-def chow_to_equations(ChF, d, n, alphas):
-    """Defining equations of the variety from its Chow form.
-
-    Each entry of alphas is a tuple of n-d-1 rational vectors of length
-    n+1 (a single vector may be passed bare when n-d-1 = 1).  A point x
-    lies on the variety exactly when every plane through it meets the
-    variety, so the Chow form vanishes at the Pluecker vector of the span
-    of x and the alpha vectors.  In coordinates that substitution is
-    p_T -> sign(T, T^c) * (minor of [alpha_1; ...; alpha_{n-d-1}; x] on
-    the complementary columns T^c), which is linear in x; the result is
-    one polynomial per alpha tuple, each vanishing on the variety.
-    """
-    if (ChF.d, ChF.n) != (d, n):
-        raise DimensionMismatch(
-            f"Chow form indexed for d={ChF.d}, n={ChF.n}")
-    out = []
-    for alpha in alphas:
-        rows = _alpha_rows(alpha, d, n)
-        linear = {}
-        for mono, _ in ChF.terms:
-            for T in mono.factors:
-                if T not in linear:
-                    linear[T] = _minor_linear_form(rows, T, n)
-        if all(all(c == 0 for c, _ in linear[T]) for T in linear):
-            raise ValueError("alpha tuple is rank deficient: every "
-                             "substituted minor vanishes identically")
-        poly = {}
-        for mono, coeff in ChF.terms:
-            for combo in itertools.product(*(linear[T] for T in mono.factors)):
-                c = coeff
-                exp = [0] * (n + 1)
-                for factor_coeff, var in combo:
-                    c = c * factor_coeff
-                    exp[var] += 1
-                if c:
-                    key = tuple(exp)
-                    poly[key] = ec.rat(poly.get(key, 0) + c)
-        poly = {e: c for e, c in poly.items() if c}
-        if not poly:
-            # the alpha span already meets the variety, so every extended
-            # plane does; the substitution degenerates to the zero polynomial
-            raise ValueError("alpha tuple yields the zero polynomial")
-        basis = MonomialBasis(sorted(poly), n + 1)
-        out.append(ImplicitPolynomial(
-            basis, [poly.get(e, 0) for e in basis]))
-    return out
-
-
-def _alpha_rows(alpha, d, n):
-    need = n - d - 1
-    alpha = list(alpha)
-    if alpha and not hasattr(alpha[0], "__len__"):
-        if need != 1:
-            raise ValueError(
-                f"bare alpha vector only spans a plane when n-d-1 = 1, "
-                f"here n-d-1 = {need}")
-        alpha = [alpha]
-    if len(alpha) != need:
-        raise ValueError(f"need {need} alpha vectors, got {len(alpha)}")
-    rows = [tuple(v) for v in alpha]
-    if any(len(r) != n + 1 for r in rows):
-        raise DimensionMismatch(f"alpha vectors must have length {n + 1}")
-    return rows
-
-
-def _minor_linear_form(rows, T, n):
-    """The substitution for p_T as a linear form in x: the complementary
-    minor of [rows; x], signed by the (T, T^c) shuffle, expanded along
-    the x row.  Returns (coefficient, variable index) pairs."""
-    comp = tuple(i for i in range(n + 1) if i not in T)
-    perm = T + comp
-    inversions = sum(1 for i in range(len(perm)) for j in range(i)
-                     if perm[j] > perm[i])
-    shuffle = -1 if inversions % 2 else 1
-    k = len(rows)
-    form = []
-    for ell, var in enumerate(comp):
-        cols = [c for m, c in enumerate(comp) if m != ell]
-        minor = ec.det([[row[c] for c in cols] for row in rows]) if k else 1
-        sign = -1 if (k + ell) % 2 else 1
-        form.append((ec.rat(shuffle * sign * minor), var))
-    return form

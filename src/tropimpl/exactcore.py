@@ -25,9 +25,10 @@ from .errors import (
 # residues stay inside int64; DEFAULT_PRIME is the largest such prime.
 PRIME_BOUND = 2 ** 31
 DEFAULT_PRIME = 2147483647
-# gfp_kernel reduces matrices of at most this many columns in Python ints
-# and imports numpy only for wider ones.  Near 2^31 one 64-column kernel
-# costs about 10 ms more in Python than in numpy, so importing numpy
+# gfp_kernel reduces matrices of at most this many columns in Python ints,
+# and MonomialBasis.row_mod evaluates rows of at most this many monomials
+# in them; both import numpy only for wider ones.  Near 2^31 one 64-column
+# kernel costs about 10 ms more in Python than in numpy, so importing numpy
 # (about 0.12 s and 14 MB) pays off only after a dozen such kernels, and
 # after a single 205-column one.
 GFP_PYTHON_COLUMNS = 64
@@ -643,12 +644,11 @@ def gfp_kernel(rows, p, ncols=None):
     reduced echelon form at the pivot columns, the only kernel vector of
     that shape.  Up to GFP_PYTHON_COLUMNS columns the echelon form is
     computed in Python ints (``_gfp_rref_packed``); wider matrices go to
-    ``gfp_echelon``, whose entries must fit int64.  p must be below
-    PRIME_BOUND.
+    ``gfp_echelon`` as one int64 array, taken as it is when the rows come
+    as one, whose entries must fit int64.  p must be below PRIME_BOUND.
     """
-    rows = list(rows)
     if ncols is None:
-        if not rows:
+        if not len(rows):
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
     if ncols <= GFP_PYTHON_COLUMNS:
@@ -668,8 +668,8 @@ def gfp_kernel(rows, p, ncols=None):
 
     import numpy as np
 
-    M = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-    R, piv = gfp_echelon(M, p)
+    R, piv = gfp_echelon(
+        np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols), p)
     pivots = set(piv)
     free = [c for c in range(ncols) if c not in pivots]
     K = np.zeros((len(free), ncols), dtype=np.int64)

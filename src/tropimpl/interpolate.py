@@ -16,9 +16,15 @@ Every interpolation, here and for Chow forms, runs one loop,
 |unknowns| - 1 samples, add the rows of new samples while the kernel is
 too big, and accept the kernel vector only once it vanishes mod p on
 fresh samples.  A lift to Q is certified on the same fresh samples.
+The rows mod a prime are evaluated in one batch: past
+ec.GFP_PYTHON_COLUMNS monomials they are one int64 array, built by
+vector operations mod p and handed to ``ec.gfp_kernel`` as it is.
+Horn samples are drawn in integers and made rational once per
+coordinate.
 """
 
 import functools
+import math
 import random
 
 from . import exactcore as ec
@@ -127,6 +133,23 @@ def _power_table(x, lo, hi, p):
     return table
 
 
+def _power_block(x, lo, hi, p):
+    """The int64 block of x^lo, ..., x^hi mod p, one row per entry of the
+    residue vector x, each as ``_power_table`` gives it."""
+    import numpy as np
+
+    block = np.empty((len(x), hi - lo + 1), dtype=np.int64)
+    block[:, -lo] = 1
+    for k in range(1 - lo, hi - lo + 1):
+        block[:, k] = block[:, k - 1] * x % p
+    if lo < 0:
+        inv = np.array([pow(v, p - 2, p) for v in x.tolist()],
+                       dtype=np.int64)
+        for k in range(-lo - 1, -1, -1):
+            block[:, k] = block[:, k + 1] * inv % p
+    return block
+
+
 class MonomialBasis:
     """Distinct integer exponent vectors, lexicographically sorted."""
 
@@ -170,41 +193,46 @@ class MonomialBasis:
             out.append(v)
         return tuple(out)
 
-    def row_mod(self, point, p):
-        """Values of every basis monomial mod p at a point of residues.
+    def row_mod(self, points, p):
+        """Values of every basis monomial mod p at a batch of points of
+        residues, one row per point.
 
-        Each coordinate's powers over its exponent range are tabulated
-        by ``_power_table``; one gather picks every monomial's factors.
-        Up to ec.GFP_PYTHON_COLUMNS monomials the gather runs in Python
-        ints, so that small jobs, as in ``ec.gfp_kernel``, never import
-        numpy.
+        Up to ec.GFP_PYTHON_COLUMNS monomials each row is a tuple of
+        Python ints gathered from the point's ``_power_table``s, so that
+        small jobs, as in ``ec.gfp_kernel``, never import numpy.  Wider
+        bases give one int64 array of rows, whose coordinates must fit
+        int64: each coordinate's powers form a (points, span) block built
+        by vector multiplications mod p, and one gather per coordinate
+        picks every monomial's factor, multiplied into the rows in place.
         """
-        tables = [_power_table(x % p, lo, hi, p)
-                  for x, lo, hi in zip(point, self.lo, self.hi)]
         if len(self.exponents) <= ec.GFP_PYTHON_COLUMNS:
-            out = []
-            for e in self.exponents:
-                v = 1
-                for t, k, lo in zip(tables, e, self.lo):
-                    v = v * t[k - lo] % p
-                out.append(v)
-            return tuple(out)
+            rows = []
+            for point in points:
+                tables = [_power_table(x % p, lo, hi, p)
+                          for x, lo, hi in zip(point, self.lo, self.hi)]
+                row = []
+                for e in self.exponents:
+                    v = 1
+                    for t, k, lo in zip(tables, e, self.lo):
+                        v = v * t[k - lo] % p
+                    row.append(v)
+                rows.append(tuple(row))
+            return rows
         import numpy as np
 
         if self._index is None:
-            # exponents shifted by their coordinate's minimum, plus the
-            # offset of that coordinate's table in the concatenation
-            spans = [hi - lo + 1 for lo, hi in zip(self.lo, self.hi)]
-            start = np.cumsum([0] + spans[:-1], dtype=np.int64)
+            # exponents shifted by their coordinate's minimum, one array
+            # of column indices into each coordinate's power block
             self._index = (np.array(self.exponents, dtype=np.int64)
-                           - np.array(self.lo, dtype=np.int64)
-                           + start).T.copy()
-        factors = np.array([v for t in tables for v in t],
-                           dtype=np.int64)[self._index]
-        vals = np.ones(len(self.exponents), dtype=np.int64)
-        for f in factors:
-            vals = vals * f % p
-        return tuple(vals.tolist())
+                           - np.array(self.lo, dtype=np.int64)).T.copy()
+        X = np.array(points, dtype=np.int64).reshape(
+            len(points), self.ambient_dim) % p
+        rows = np.ones((len(points), len(self.exponents)), dtype=np.int64)
+        for x, lo, hi, index in zip(X.T, self.lo, self.hi, self._index):
+            # np.take keeps the rows C-ordered, as gfp_echelon wants them
+            rows *= np.take(_power_block(x, lo, hi, p), index, axis=1)
+            rows %= p
+        return rows
 
     def __repr__(self):
         return (f"MonomialBasis({len(self.exponents)} monomials "
@@ -289,12 +317,17 @@ class ImplicitPolynomial:
         return f"ImplicitPolynomial({len(self.terms())} terms {kind})"
 
 
-def random_rational(rng, height):
-    """sign * num/den with num, den uniform in [1, height]."""
+def _random_pair(rng, height):
+    """(sign * num, den) with num, den uniform in [1, height]: randint,
+    randint, then random for the sign."""
     num = rng.randint(1, height)
     den = rng.randint(1, height)
-    sign = 1 if rng.random() < 0.5 else -1
-    return ec.rat(sign * num, den)
+    return (num if rng.random() < 0.5 else -num), den
+
+
+def random_rational(rng, height):
+    """sign * num/den with num, den uniform in [1, height]."""
+    return ec.rat(*_random_pair(rng, height))
 
 
 def distinct_samples(draw, count, seed):
@@ -343,7 +376,11 @@ def horn_sample(A, B, count, height=20, seed=0):
 
     Draws random rational u and t and emits x_j = t^(a_j) * (uB)_j, with
     a_j the j-th column of A; draws where some (uB)_j vanishes are
-    rejected (``distinct_samples``).  Requires A B^T = 0.
+    rejected (``distinct_samples``).  Requires A B^T = 0.  u and t are
+    drawn as ``random_rational`` draws them, u first, but kept as
+    integer pairs (num, den): (uB)_j is N_j / D over the common
+    denominator D of u, and each x_j is formed once, by ``ec.rat`` of
+    its numerator and denominator.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -358,19 +395,30 @@ def horn_sample(A, B, count, height=20, seed=0):
             if ec.dot(arow, brow) != 0:
                 raise ValueError("A B^T must vanish for Horn sampling")
 
+    # the nonzero exponents (i, a_ij) of each column of A
+    columns = [[(i, A[i][j]) for i in range(d) if A[i][j]]
+               for j in range(n)]
+
     def draw(rng):
-        u = tuple(random_rational(rng, height) for _ in range(len(B)))
-        t = tuple(random_rational(rng, height) for _ in range(d))
-        ub = [sum(u[r] * B[r][j] for r in range(len(B))) for j in range(n)]
-        if any(v == 0 for v in ub):
+        u = [_random_pair(rng, height) for _ in B]
+        t = [_random_pair(rng, height) for _ in range(d)]
+        den = math.prod(b for _, b in u)
+        ub = [sum(a * (den // b) * row[j] for (a, b), row in zip(u, B))
+              for j in range(n)]
+        if 0 in ub:
             return None
         x = []
-        for j in range(n):
-            v = ub[j]
-            for i in range(d):
-                if A[i][j]:
-                    v = v * ec.power(t[i], A[i][j])
-            x.append(v)
+        for num, col in zip(ub, columns):
+            x_den = den
+            for i, k in col:
+                a, b = t[i]
+                if k > 0:
+                    num *= a ** k
+                    x_den *= b ** k
+                else:
+                    num *= b ** -k
+                    x_den *= a ** -k
+            x.append(ec.rat(num, x_den))
         return tuple(x)
 
     return distinct_samples(draw, count, seed)
@@ -393,7 +441,7 @@ def _rows_mod(basis, points, p):
     mod p is that of the integer rows.
     """
     F = ec.PrimeField(p)
-    rows = []
+    reduced = []
     for pt in points:
         try:
             red = F.reduce_vector(pt)
@@ -401,8 +449,8 @@ def _rows_mod(basis, points, p):
             continue
         if any(x == 0 and lo < 0 for x, lo in zip(red, basis.lo)):
             continue
-        rows.append(basis.row_mod(red, p))
-    return rows
+        reduced.append(red)
+    return basis.row_mod(reduced, p)
 
 
 def _hadamard_bits(basis, points):
@@ -443,8 +491,9 @@ def solve_verified(unknowns, sampler, rows_mod, seed,
 
     ``sampler(count, seed)`` draws count fresh samples, the same ones for
     the same seed.  ``rows_mod(samples, p)`` gives their rows mod the
-    prime p, each up to a unit, leaving out samples without one.  The
-    first solve uses unknowns - 1 samples; while the kernel mod p is too
+    prime p, each up to a unit, leaving out samples without one, as a
+    list or as one int64 array (``MonomialBasis.row_mod``).  The first
+    solve uses unknowns - 1 samples; while the kernel mod p is too
     big, up to MAX_TOP_UPS rounds each add unknowns // 4 + 10 samples
     drawn with seed + round, whose rows join the earlier ones, and after
     that the KernelTooBig stands.  The one kernel vector
@@ -465,15 +514,38 @@ def solve_verified(unknowns, sampler, rows_mod, seed,
                 raise
             more = sampler(unknowns // 4 + 10, seed + rounds)
             samples = samples + more
-            rows += rows_mod(more, p)
+            rows = _append_rows(rows, rows_mod(more, p))
 
     def value(pt):
         row = rows_mod([pt], p)
-        if not row:
+        if not len(row):
             raise ZeroDivisionError(f"sample has no row mod {p}")
-        return ec.dot(row[0], residue) % p
+        # in Python ints: a sum of int64 products of residues overflows
+        return ec.dot(map(int, row[0]), residue) % p
 
     return residue, samples, _verify(value, _fresh_samples(sampler, seed))
+
+
+def _append_rows(rows, more):
+    """rows followed by more, both lists of rows or both int64 arrays."""
+    if isinstance(rows, list):
+        return rows + more
+    import numpy as np
+
+    return np.concatenate((rows, more))
+
+
+def _annihilated(rows, v, q):
+    """Whether v is orthogonal mod q to every row, rows of residues mod q
+    in a list or in one int64 array.  The array check is exact in int64:
+    with entries below 2^31 each product is below 2^62, and fewer than
+    2^32 products, each reduced below 2^31, sum below 2^63."""
+    if isinstance(rows, list):
+        return all(ec.dot(row, v) % q == 0 for row in rows)
+    import numpy as np
+
+    return not ((rows * np.array(v, dtype=np.int64) % q).sum(axis=1)
+                % q).any()
 
 
 def _fresh_samples(sampler, seed):
@@ -580,7 +652,7 @@ def lift_kernel_vector(rows_mod, p, residue, bound_bits):
                 lifted = ec.canonicalize_rational_vector(
                     ec.crt_rational_reconstruct(scaled, used))
                 reduced = [x % q for x in lifted]
-                if all(ec.dot(row, reduced) % q == 0 for row in rows):
+                if _annihilated(rows, reduced, q):
                     return lifted
             except ReconstructionFailed:
                 pass

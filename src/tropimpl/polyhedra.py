@@ -505,22 +505,6 @@ def _chart_volume(points):
     return total if isinstance(total, int) else ec.rat(total)
 
 
-def normalized_volume(P, lattice=None):
-    """Lattice normalized volume of P with respect to a rank k lattice:
-    k! times the euclidean volume in lattice coordinates.
-
-    Zero when dim P < k; LatticeMismatch when the directions of P leave the
-    span of the lattice.
-    """
-    basis = list(P.lattice if lattice is None else lattice)
-    ys = _lattice_coords(P.vertices, basis)
-    if not basis:
-        return 1
-    if _affine_rank(ys) < len(basis):
-        return 0
-    return _chart_volume(ys)
-
-
 def minkowski_sum(polys):
     """Minkowski sum of polytopes in one ambient space.  Its face at w is
     the sum of the faces at w of the polytopes added."""

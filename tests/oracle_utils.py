@@ -16,7 +16,12 @@ reference reads the normal fan of the lifted polytopes' sum in
 R^(n+d), the box count filters every
 integer point of the bounding box by the polytope's own equations and
 facets, and the Chow shift reference searches the translations that the
-package computes in closed form.  Two spies close the file:
+package computes in closed form.  The row references evaluate one point
+and one monomial at a time, and the Horn reference draws in Fraction
+arithmetic.  ``normalized_volume`` and ``chow_to_equations`` have no
+caller in the package; they live here with the tests that pin them, and
+the first measures the subsums of the mixed-volume reference.  Two
+spies close the file:
 ``inflating_gfp_kernel`` makes chosen primes lose rank, and
 ``spy_rows_mod_p`` records the rows an interpolation asks for.
 """
@@ -24,7 +29,7 @@ package computes in closed form.  Two spies close the file:
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from tropimpl.interpolate import (
     VERIFY_SAMPLES,
     ImplicitPolynomial,
     MonomialBasis,
+    distinct_samples,
     horn_sample,
     sample_points,
 )
@@ -57,9 +63,11 @@ from tropimpl.polyhedra import (
     Cone,
     Polytope,
     minkowski_sum,
+    _affine_rank,
+    _chart_volume,
+    _lattice_coords,
     mixed_volume,
     normal_fan_cones,
-    normalized_volume,
 )
 from tropimpl.tropical import BERGMAN_SIGN, TropicalCycle, indicator
 
@@ -187,6 +195,25 @@ def pow_mod_row(exponents, point, p):
     return tuple(out)
 
 
+def rows_mod_by_point(basis, points, p):
+    """The rows mod p at rational points, one point at a time: no row
+    where a denominator vanishes mod p or where a coordinate with a
+    negative exponent has residue 0, else ``pow_mod_row`` of the
+    residues.  The reference for ``interpolate._rows_mod``."""
+    rows = []
+    for pt in points:
+        if any(Fraction(x).denominator % p == 0 for x in pt):
+            continue
+        red = tuple(Fraction(x).numerator
+                    * pow(Fraction(x).denominator, p - 2, p) % p
+                    for x in pt)
+        if any(x == 0 and min(e[i] for e in basis) < 0
+               for i, x in enumerate(red)):
+            continue
+        rows.append(pow_mod_row(basis.exponents, red, p))
+    return rows
+
+
 def gfp_kernel_back_substitution(rows, p, ncols):
     """Kernel basis mod p in Python ints, by forward elimination to unit
     pivots and back-substitution per free column, each vector scaled so
@@ -257,6 +284,30 @@ def equation_over_q(f, P, seed=0, height=20):
         basis, _solve_over_q(len(basis), sampler, basis.row, seed))
 
 
+def horn_sample_by_fractions(A, B, count, height=20, seed=0):
+    """Horn samples in Fraction arithmetic: per draw, u and then t as
+    sign * num/den Fractions (randint, randint, random each), x_j =
+    (uB)_j times the product of t_i^(a_ij), and a draw with some (uB)_j
+    zero rejected.  The reference for ``interpolate.horn_sample``'s
+    integer draws."""
+    def rational(rng):
+        num = rng.randint(1, height)
+        den = rng.randint(1, height)
+        return Fraction(num if rng.random() < 0.5 else -num, den)
+
+    def draw(rng):
+        u = [rational(rng) for _ in B]
+        t = [rational(rng) for _ in A]
+        ub = [sum(c * row[j] for c, row in zip(u, B))
+              for j in range(len(A[0]))]
+        if 0 in ub:
+            return None
+        return tuple(v * math.prod(t[i] ** A[i][j] for i in range(len(A)))
+                     for j, v in enumerate(ub))
+
+    return distinct_samples(draw, count, seed)
+
+
 def chow_form_over_q(stream, C_X, seed=0):
     """The Chow form by fraction-free elimination over Q of the exact
     rows (``_solve_over_q``), on the ansatz and samples of
@@ -289,6 +340,90 @@ def chow_shift_by_sweep(translated, d, stream, seed=0):
     return None
 
 
+def chow_to_equations(ChF, d, n, alphas):
+    """Defining equations of the variety from its Chow form.
+
+    Each entry of alphas is a tuple of n-d-1 rational vectors of length
+    n+1 (a single vector may be passed bare when n-d-1 = 1).  A point x
+    lies on the variety exactly when every plane through it meets the
+    variety, so the Chow form vanishes at the Pluecker vector of the span
+    of x and the alpha vectors.  In coordinates that substitution is
+    p_T -> sign(T, T^c) * (minor of [alpha_1; ...; alpha_{n-d-1}; x] on
+    the complementary columns T^c), which is linear in x; the result is
+    one polynomial per alpha tuple, each vanishing on the variety.
+    """
+    if (ChF.d, ChF.n) != (d, n):
+        raise DimensionMismatch(
+            f"Chow form indexed for d={ChF.d}, n={ChF.n}")
+    out = []
+    for alpha in alphas:
+        rows = _alpha_rows(alpha, d, n)
+        linear = {}
+        for mono, _ in ChF.terms:
+            for T in mono.factors:
+                if T not in linear:
+                    linear[T] = _minor_linear_form(rows, T, n)
+        if all(all(c == 0 for c, _ in linear[T]) for T in linear):
+            raise ValueError("alpha tuple is rank deficient: every "
+                             "substituted minor vanishes identically")
+        poly = {}
+        for mono, coeff in ChF.terms:
+            for combo in product(*(linear[T] for T in mono.factors)):
+                c = coeff
+                exp = [0] * (n + 1)
+                for factor_coeff, var in combo:
+                    c = c * factor_coeff
+                    exp[var] += 1
+                if c:
+                    key = tuple(exp)
+                    poly[key] = ec.rat(poly.get(key, 0) + c)
+        poly = {e: c for e, c in poly.items() if c}
+        if not poly:
+            # the alpha span already meets the variety, so every extended
+            # plane does; the substitution degenerates to the zero polynomial
+            raise ValueError("alpha tuple yields the zero polynomial")
+        basis = MonomialBasis(sorted(poly), n + 1)
+        out.append(ImplicitPolynomial(
+            basis, [poly.get(e, 0) for e in basis]))
+    return out
+
+
+def _alpha_rows(alpha, d, n):
+    need = n - d - 1
+    alpha = list(alpha)
+    if alpha and not hasattr(alpha[0], "__len__"):
+        if need != 1:
+            raise ValueError(
+                f"bare alpha vector only spans a plane when n-d-1 = 1, "
+                f"here n-d-1 = {need}")
+        alpha = [alpha]
+    if len(alpha) != need:
+        raise ValueError(f"need {need} alpha vectors, got {len(alpha)}")
+    rows = [tuple(v) for v in alpha]
+    if any(len(r) != n + 1 for r in rows):
+        raise DimensionMismatch(f"alpha vectors must have length {n + 1}")
+    return rows
+
+
+def _minor_linear_form(rows, T, n):
+    """The substitution for p_T as a linear form in x: the complementary
+    minor of [rows; x], signed by the (T, T^c) shuffle, expanded along
+    the x row.  Returns (coefficient, variable index) pairs."""
+    comp = tuple(i for i in range(n + 1) if i not in T)
+    perm = T + comp
+    inversions = sum(1 for i in range(len(perm)) for j in range(i)
+                     if perm[j] > perm[i])
+    shuffle = -1 if inversions % 2 else 1
+    k = len(rows)
+    form = []
+    for ell, var in enumerate(comp):
+        cols = [c for m, c in enumerate(comp) if m != ell]
+        minor = ec.det([[row[c] for c in cols] for row in rows]) if k else 1
+        sign = -1 if (k + ell) % 2 else 1
+        form.append((ec.rat(shuffle * sign * minor), var))
+    return form
+
+
 def _compositions(total, parts):
     """Nonnegative integer tuples with the given sum, lexicographically."""
     if parts == 1:
@@ -319,6 +454,22 @@ def pluecker_batch(f, d, n, count, seed, height=20):
             f"only {len(out)} of {count} samples within the draw budget")
     positions = list(combinations(range(n + 1), d + 1))
     return [dict(zip(positions, p)) for p in out]
+
+
+def normalized_volume(P, lattice=None):
+    """Lattice normalized volume of P with respect to a rank k lattice:
+    k! times the euclidean volume in lattice coordinates.
+
+    Zero when dim P < k; LatticeMismatch when the directions of P leave the
+    span of the lattice.
+    """
+    basis = list(P.lattice if lattice is None else lattice)
+    ys = _lattice_coords(P.vertices, basis)
+    if not basis:
+        return 1
+    if _affine_rank(ys) < len(basis):
+        return 0
+    return _chart_volume(ys)
 
 
 def mixed_volume_by_subsums(polys, lattice=None):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracle_utils import (
     chow_form_over_q,
     chow_shift_by_sweep,
+    chow_to_equations,
     inflating_gfp_kernel,
     pluecker_batch,
     spy_rows_mod_p,
@@ -30,7 +31,6 @@ from tropimpl.chow import (
     chow_fan,
     chow_form,
     chow_polytope,
-    chow_to_equations,
     standard_monomials_of_weight,
     _pinned_shift,
     _primal_pluecker,

@@ -18,11 +18,17 @@ from pathlib import Path
 import pytest
 
 import tropimpl
+from oracle_utils import inflating_gfp_kernel
 from tropimpl import chow, cli, polyhedra
+from tropimpl import exactcore as ec
 from tropimpl.chow import PluckerPoly
 from tropimpl.cli import JobSpec, _trial_seed, main
 from tropimpl.errors import InputFormatError
-from tropimpl.interpolate import ImplicitPolynomial
+from tropimpl.interpolate import (
+    VERIFY_SAMPLES,
+    ImplicitPolynomial,
+    MonomialBasis,
+)
 from tropimpl.tropical import TropicalCycle
 
 CURVE = {"d": 1, "n": 2, "components": [
@@ -515,6 +521,37 @@ class TestGoldenArtifacts:
                      "--out", str(out)] + flags)
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_six_points_evaluate_rows_in_one_batch_per_prime(
+            self, tmp_path, monkeypatch):
+        # each prime's rows come from one row_mod call; only the fresh
+        # samples are evaluated one at a time, mod the deciding prime
+        real = MonomialBasis.row_mod
+        calls = []
+
+        def spy(self, points, p):
+            calls.append((p, len(points)))
+            return real(self, points, p)
+
+        monkeypatch.setattr(MonomialBasis, "row_mod", spy)
+        kernels = inflating_gfp_kernel(monkeypatch, lambda call, p: False)
+        out = tmp_path / "out.json"
+        rc, _ = run(["adisc", "--in", write(tmp_path / "in.json",
+                                            self.SIX_POINTS),
+                     "--out", str(out), "--field", "q"])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ce0b58c751d48af087d5f5efb2473525b582117b2ce20e7c0f877291d063a2a9")
+        batches = [(p, k) for p, k in calls if k > 1]
+        # the deciding prime and each lift prime, then the prime whose
+        # rows the lift annihilates
+        assert len(kernels) == 4
+        assert [p for p, _ in batches[:-1]] == [p for p, _ in kernels]
+        assert batches[0] == (ec.DEFAULT_PRIME, 204)
+        assert len(batches) == 5
+        assert len({p for p, _ in batches}) == 5
+        assert calls == batches[:1] + [(ec.DEFAULT_PRIME, 1)] * \
+            VERIFY_SAMPLES + batches[1:]
 
 
 class TestErrorContract:

@@ -5,9 +5,12 @@ the quadratic discriminant b^2 - 4ac, and Sylvester resultants computed
 independently via sympy.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,8 +18,10 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     equation_over_q,
+    horn_sample_by_fractions,
     inflating_gfp_kernel,
     pow_mod_row,
+    rows_mod_by_point,
     spy_rows_mod_p,
 )
 from tropimpl import exactcore as ec
@@ -36,6 +41,7 @@ from tropimpl.interpolate import (
     VERIFY_SAMPLES,
     ImplicitPolynomial,
     MonomialBasis,
+    _annihilated,
     _is_prime,
     _primes_descending,
     _rows_mod,
@@ -96,12 +102,29 @@ class TestMonomialBasis:
     def test_row_with_negative_exponents(self):
         basis = MonomialBasis([(-1, 1), (0, 0)])
         assert basis.row((ec.rat(1, 2), 3)) == (6, 1)
-        assert basis.row_mod((2, 3), 7) == (3 * 4 % 7, 1)
+        assert basis.row_mod([(2, 3)], 7) == [(3 * 4 % 7, 1)]
+        assert basis.row_mod([], 7) == []
 
 
 # the loop versions as references: seeded, derandomized examples
 REFERENCE = settings(max_examples=100, deadline=None, derandomize=True,
                      database=None)
+
+
+def as_tuples(rows):
+    """Rows as tuples of Python ints, from a list or an int64 array."""
+    return [tuple(int(x) for x in row) for row in rows]
+
+
+@st.composite
+def bases_across_python_columns(draw):
+    """Bases in 2 or 3 variables on either side of ec.GFP_PYTHON_COLUMNS
+    monomials, with negative exponents."""
+    n = draw(st.integers(2, 3))
+    size = draw(st.one_of(st.integers(1, ec.GFP_PYTHON_COLUMNS),
+                          st.integers(ec.GFP_PYTHON_COLUMNS + 1, 100)))
+    box = list(itertools.product(range(-3, 7), repeat=n))
+    return MonomialBasis(draw(st.randoms()).sample(box, size))
 
 
 @st.composite
@@ -119,19 +142,46 @@ class TestLoopReferences:
     def test_row_mod_matches_pow_loop(self, basis, p, data):
         coordinate = st.one_of(st.just(0), st.integers(0, p - 1),
                                st.integers(-3 * p, 3 * p))
-        point = data.draw(st.tuples(*[coordinate] * basis.ambient_dim))
-        assert basis.row_mod(point, p) == pow_mod_row(basis.exponents,
-                                                      point, p)
+        points = data.draw(st.lists(
+            st.tuples(*[coordinate] * basis.ambient_dim), max_size=4))
+        assert basis.row_mod(points, p) == [
+            pow_mod_row(basis.exponents, point, p) for point in points]
 
     def test_row_mod_in_numpy_matches_pow_loop(self):
-        # past ec.GFP_PYTHON_COLUMNS monomials row_mod gathers in numpy
+        # past ec.GFP_PYTHON_COLUMNS monomials the rows are one int64 array
         p = 2 ** 31 - 1
         basis = MonomialBasis([(i, j) for i in range(-4, 5)
                                for j in range(-3, 6)])
         assert len(basis) > ec.GFP_PYTHON_COLUMNS
-        for point in ((0, 5), (3, 0), (p - 1, 12345), (-7, 3 * p + 2)):
-            assert basis.row_mod(point, p) == pow_mod_row(basis.exponents,
-                                                          point, p)
+        points = [(0, 5), (3, 0), (p - 1, 12345), (-7, 3 * p + 2)]
+        rows = basis.row_mod(points, p)
+        assert rows.shape == (len(points), len(basis))
+        assert as_tuples(rows) == [
+            pow_mod_row(basis.exponents, point, p) for point in points]
+        assert basis.row_mod([], p).shape == (0, len(basis))
+
+    @REFERENCE
+    @given(bases_across_python_columns(),
+           st.sampled_from([2, 3, 101, 2 ** 31 - 1]), st.data())
+    def test_batched_rows_match_the_per_entry_reference(self, basis, p,
+                                                        data):
+        # residues, zeros at negative exponents included, row by row
+        residue = st.one_of(st.just(0), st.integers(0, p - 1))
+        points = data.draw(st.lists(
+            st.tuples(*[residue] * basis.ambient_dim), max_size=6))
+        assert as_tuples(basis.row_mod(points, p)) == [
+            pow_mod_row(basis.exponents, point, p) for point in points]
+        # rationals whose reduction vanishes or hits a zero at a negative
+        # exponent give no row, as point by point
+        num = st.one_of(st.just(0), st.integers(-3, 3).map(lambda k: k * p),
+                        st.integers(-3 * p, 3 * p))
+        den = st.one_of(st.just(1), st.sampled_from([p, 2 * p]),
+                        st.integers(1, 3 * p))
+        rational = st.builds(Fraction, num, den)
+        points = data.draw(st.lists(
+            st.tuples(*[rational] * basis.ambient_dim), max_size=6))
+        assert as_tuples(_rows_mod(basis, points, p)) == \
+            rows_mod_by_point(basis, points, p)
 
     @REFERENCE
     @given(bases_with_negative_exponents(), st.data())
@@ -183,6 +233,24 @@ class TestSampling:
     def test_horn_exhausted_on_zero_kernel_row(self):
         with pytest.raises(SamplingExhausted):
             horn_sample([[1, 1]], [[0, 0]], 1)
+
+    @REFERENCE
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-3, 3), min_size=d + 2, max_size=d + 2),
+        min_size=d, max_size=d)).filter(
+            lambda A: any(x < 0 for row in A for x in row)),
+           st.integers(2, 20), st.integers(0, 10 ** 6))
+    def test_integer_horn_draws_match_fraction_draws(self, A, height, seed):
+        # the same rng calls give equal samples in equal order
+        B = [list(b) for b in ec.rational_kernel(A)]
+        for s in range(seed, seed + 4):
+            try:
+                expected = horn_sample_by_fractions(A, B, 6, height, s)
+            except SamplingExhausted:
+                with pytest.raises(SamplingExhausted):
+                    horn_sample(A, B, 6, height, s)
+                continue
+            assert horn_sample(A, B, 6, height, s) == expected
 
 
 def points_kernel(basis, points, p):
@@ -445,6 +513,63 @@ class TestSolveVerified:
         everywhere = self.fresh(range(4 * VERIFY_SAMPLES - 9))
         result, _, _, _ = self.run(monkeypatch, [1], skip=everywhere)
         assert isinstance(result, VerificationFailed)
+
+
+class TestInt64Rows:
+    """At the word-size prime, rows and vectors of entries p - 1 past
+    ec.GFP_PYTHON_COLUMNS columns: each product is near 2^62, so a plain
+    int64 sum of a row times a vector overflows."""
+
+    P = ec.DEFAULT_PRIME
+    N = ec.GFP_PYTHON_COLUMNS + 6
+
+    def row(self, tail, shift=0):
+        # orthogonal to (1, -1, ..., -1) mod P unless shifted
+        return [(sum(tail) + shift) % self.P] + list(tail)
+
+    def test_stop_check_agrees_with_python_ints(self):
+        rng = random.Random(3)
+        top = [self.P - 1] * (self.N - 1)
+        rows = [self.row(top), self.row(top, 1), [self.P - 1] * self.N,
+                self.row([rng.randrange(self.P) for _ in top])]
+        vectors = [[1] + [self.P - 1] * (self.N - 1), [self.P - 1] * self.N,
+                   [rng.randrange(self.P) for _ in range(self.N)]]
+        for v in vectors:
+            for k in range(len(rows)):
+                exact = all(ec.dot(r, v) % self.P == 0 for r in rows[k:])
+                assert _annihilated(np.array(rows[k:], dtype=np.int64),
+                                    v, self.P) == exact
+                assert _annihilated(rows[k:], v, self.P) == exact
+        assert _annihilated(np.array(rows[:1], dtype=np.int64),
+                            vectors[0], self.P)
+
+    @pytest.mark.parametrize("bad", [(), (4,)])
+    def test_verification_value_agrees_with_python_ints(self, bad):
+        rng = random.Random(5)
+        top = [self.P - 1] * (self.N - 1)
+
+        def row(sample):
+            seed, i = sample
+            if seed == 1000:
+                return self.row(top, int(i in bad))
+            return self.row([rng.randrange(self.P) if rng.random() < 0.5
+                             else self.P - 1 for _ in top])
+
+        def rows_mod(samples, p):
+            return np.array([row(s) for s in samples],
+                            dtype=np.int64).reshape(len(samples), self.N)
+
+        def sampler(count, seed):
+            return [(seed, i) for i in range(count)]
+
+        if bad:
+            with pytest.raises(VerificationFailed):
+                solve_verified(self.N, sampler, rows_mod, 0, self.P)
+            return
+        residue, _, fresh = solve_verified(self.N, sampler, rows_mod, 0,
+                                           self.P)
+        assert residue == (1,) + (self.P - 1,) * (self.N - 1)
+        assert len(fresh) == VERIFY_SAMPLES
 
 
 # a curve whose equation needs three primes to lift
