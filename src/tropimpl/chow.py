@@ -38,9 +38,12 @@ from .errors import (
     DimensionMismatch,
     InputFormatError,
     KernelEmpty,
+    KernelTooBig,
+    NonReducedCycle,
     OracleInconsistent,
     ReconstructionFailed,
     ShiftSearchFailed,
+    VerificationFailed,
 )
 from .implicitize import reconstruct_polytope
 from .interpolate import (
@@ -50,6 +53,7 @@ from .interpolate import (
     random_rational,
     solve_verified,
 )
+from .polyhedra import Polytope
 from .tropical import stable_sum, standard_linear_cycle
 
 # chow_polytope interpolates Chow forms up to this degree
@@ -233,8 +237,9 @@ def chow_polytope(fan, d, f, seed=0, height=20):
     its Chow fan (``chow_fan``).  Returns (translated, shift, polytope,
     form), form being the Chow form interpolated on the polytope.
 
-    The vertex oracle, run with the seed, reconstructs the polytope up to
-    the translation that puts every coordinate minimum at zero.  The shift
+    The vertex oracle reconstructs the polytope up to the translation that
+    puts every coordinate minimum at zero; the seed drives the probe
+    directions of that reconstruction and the Pluecker samples.  The shift
     back is pinned, not searched: for X of degree delta the polytope lies
     in delta * Delta(d+1, n+1) (Kapranov, Sturmfels, Zelevinsky, Duke
     Math. J. 67, 1992) and depends on trop(X) alone (Fink, Beitr. Algebra
@@ -242,10 +247,27 @@ def chow_polytope(fan, d, f, seed=0, height=20):
     misses it and max u_i = delta for every i.  So with top the translate's
     coordinate maxima and base its coordinate sum, delta = (sum(top) -
     base) / (n - d) and shift = delta - top, certified by one ``chow_form``.
+
+    A translate g > 1 times a lattice polytope Q may count the variety g
+    times, or not: twice a line's cycle is a conic's.  If Q, the smaller
+    ansatz, pins a Chow form, NonReducedCycle refuses the translate.
     """
     n = fan.ambient_dim - 1
     stream = PluckerStream(f, d, n, height)
     translated = reconstruct_polytope(fan.negated(), seed)
+    g = math.gcd(*(x for v in translated.vertices for x in v))
+    if g > 1:
+        Q = Polytope([tuple(x // g for x in v) for v in translated.vertices])
+        try:
+            chow_form(stream, Q.translate(_pinned_shift(Q, d)), seed)
+        except (KernelEmpty, KernelTooBig, ShiftSearchFailed,
+                VerificationFailed):
+            pass
+        else:
+            raise NonReducedCycle(
+                f"the cycle counts its variety {g} times: divide its "
+                f"weights by {g} or, for a cycle computed from the "
+                f"parametrization, multiply its degree delta by {g}")
     shift = _pinned_shift(translated, d)
     P = translated.translate(shift)
     return translated, shift, P, chow_form(stream, P, seed)

@@ -60,8 +60,9 @@ class NonDivisibleDegree(TropicalError):
     exit_code = COMPUTATION_ERROR
 
 
-class GenericityExhausted(TropicalError):
-    """Ray shooting kept hitting degenerate strata after all retries."""
+class NonReducedCycle(TropicalError):
+    """The cycle counts its variety g > 1 times: its polytope is g times
+    one that pins the variety's Chow form."""
     exit_code = COMPUTATION_ERROR
 
 

@@ -14,7 +14,8 @@ Three pipelines feed the Newton polytope oracle:
   Bergman fan.
 * ``get_vertex`` / ``reconstruct_polytope`` turn any hypersurface cycle
   into the (translated) Newton polytope of its defining equation via
-  support-function queries answered by weighted ray crossings.
+  support-function queries answered by weighted ray crossings, counted at
+  a symbolically perturbed direction so that no query is degenerate.
 """
 
 import itertools
@@ -23,7 +24,6 @@ import random
 from . import exactcore as ec
 from .errors import (
     DimensionMismatch,
-    GenericityExhausted,
     InputFormatError,
     LoopyMatroid,
     NonDivisibleDegree,
@@ -45,12 +45,6 @@ from .tropical import (
     indicator,
     push_forward_cycle,
 )
-
-
-# the vertex oracle's perturbation of a degenerate query: entries of the
-# random offset, and retries before GenericityExhausted
-PERTURBATION_HEIGHT = 16
-MAX_RETRIES = 12
 
 
 class Parametrization:
@@ -392,84 +386,67 @@ def get_trop_a_disc(A):
     return push_forward_cycle(berg, V)
 
 
-def get_vertex(C, w, seed=0):
+def get_vertex(C, w):
     """Vertex of the Newton polytope dual to C minimizing direction w.
 
     C must be a pure codimension-one cycle in R^n and w a nonzero integer
     vector.  Coordinate i of the vertex counts the weighted crossings of
     the ray w + R_+ e_i through the cycle, each crossing contributing the
-    cone weight times the i-th coordinate of the primitive normal of the
-    cone's hyperplane.  Queries that graze a cone boundary or run inside
-    a hyperplane are retried with a magnified direction, perturbed by a
-    random offset of entries in 1..PERTURBATION_HEIGHT drawn from
-    random.Random(seed), and chosen so the answer still minimizes the
-    original w; GenericityExhausted after MAX_RETRIES retries.
+    cone weight times |nu_i|, nu the primitive normal of the cone's
+    hyperplane (Dickenstein, Feichtner, Sturmfels, Tropical discriminants,
+    JAMS 2007).  The count needs a generic direction, so it is taken at
+    w_eps = w + eps e_1 + eps^2 e_2 + .. + eps^n e_n for an infinitesimal
+    eps > 0 (Edelsbrunner, Muecke, Simulation of Simplicity, ACM TOG 9,
+    1990), where no ray grazes a cone boundary.  w_eps breaks the ties of
+    w by the first coordinate, then the second, and so on: the answer is
+    the lexicographically smallest vertex of the face minimizing w.
     """
     n = C.ambient_dim
     if C.pure_dim != n - 1:
         raise DimensionMismatch(
             f"cycle is pure dimension {C.pure_dim}, need {n - 1}")
-    probe = []
-    for x in w:
-        xi = int(x)
-        if xi != x:
-            raise ValueError("direction must be an integer vector")
-        probe.append(xi)
+    probe = [int(x) for x in w]
+    if probe != list(w):
+        raise ValueError("direction must be an integer vector")
     if not any(probe):
         raise ValueError("direction must be nonzero")
-    probe = tuple(probe)
     if len(probe) != n:
         raise DimensionMismatch(f"direction has length {len(probe)}, need {n}")
-    data = []
-    bound = 0
-    for cone, mult in C:
-        nu = cone.hyperplane_normal()
-        data.append((cone, mult, nu))
-        bound += mult * max(abs(x) for x in nu)
-    if not data:
-        return (0,) * n
-    rng = random.Random(seed)
-    big = 2 * n * PERTURBATION_HEIGHT * bound + 1
-    base = probe
-    for attempt in range(MAX_RETRIES + 1):
-        v = _crossing_counts(data, probe, n)
-        if v is not None:
-            return v
-        delta = tuple(rng.randint(1, PERTURBATION_HEIGHT)
-                      for _ in range(n))
-        probe = tuple(big * wi + di for wi, di in zip(base, delta))
-    raise GenericityExhausted(
-        f"no generic perturbation of {tuple(w)} found after "
-        f"{MAX_RETRIES} retries")
+    return _crossing_counts(C, probe, n)
 
 
-def _crossing_counts(data, w, n):
-    """Weighted crossing counts for one probe; None when degenerate.
+def _crossing_counts(C, w, n):
+    """Weighted crossing counts of the rays w_eps + R_+ e_i of get_vertex.
 
-    The ray w + R_+ e_i meets the hyperplane nu.x = 0 at s = -nu.w / nu_i.
-    Cones are closed under positive scaling, so membership is tested at
-    |nu_i| (w + s e_i), which is an integer point.
+    c_0 + c_1 eps + .. + c_n eps^n has the sign of its first nonzero c_k.
+    The ray meets nu.x = 0 ahead of w_eps when nu_i and nu.w_eps, with
+    coefficients (nu.w, nu_1, .., nu_n), differ in sign.  Membership is
+    tested at the crossing scaled by |nu_i|, x_0 + d_1 eps + .., with x_0 =
+    |nu_i| w - sgn(nu_i) (nu.w) e_i and d_k = |nu_i| e_k - sgn(nu_i) nu_k
+    e_i.  The d_k span the hyperplane, so u.x vanishes identically for no
+    facet normal u, which is reduced modulo nu: no crossing is on a
+    boundary.
     """
     v = [0] * n
-    for cone, mult, nu in data:
+    for cone, mult in C:
+        nu = cone.hyperplane_normal()
         nw = ec.dot(nu, w)
-        for i in range(n):
-            c = nu[i]
-            if c == 0:
-                if nw == 0:
-                    return None
+        lead = nw or next(c for c in nu if c)
+        for i, c in enumerate(nu):
+            if c * lead >= 0:
                 continue
-            t = -nw if c > 0 else nw  # |nu_i| * s
-            if t < 0:
-                continue
-            if t == 0:
-                return None
-            x = [abs(c) * wj for wj in w]
-            x[i] += t
-            if cone.contains(x):
-                if not cone.contains_relint(x):
-                    return None
-                v[i] += mult * abs(c)
+            a, sign = abs(c), (1 if c > 0 else -1)
+            x = [a * wj for wj in w]
+            x[i] -= sign * nw
+            for u in cone.facets():
+                ux = ec.dot(u, x)
+                if ux == 0:
+                    ux = next(t for t in (a * u[k] - sign * nu[k] * u[i]
+                                          for k in range(n)) if t)
+                if ux < 0:
+                    break
+            else:
+                v[i] += mult * a
     return tuple(v)
 
 
@@ -485,15 +462,16 @@ def reconstruct_polytope(C, seed=0):
     new vertex is one beneath-beyond insertion.  Facets are queried in
     their sorted order.  Confirmed facets are kept as certificates; an
     oracle answer violating one raises OracleInconsistent.  The result is
-    the translate with all coordinate minima at zero.  The seed drives the
-    random probe directions and the oracle's perturbations.
+    the translate with all coordinate minima at zero.  The seed drives only
+    the random probe directions, which change the queries asked but not
+    the polytope.
     """
     n = C.ambient_dim
     if C.pure_dim != n - 1:
         raise DimensionMismatch(
             f"cycle is pure dimension {C.pure_dim}, need {n - 1}")
     merged = C.consolidated()
-    return _reconstruct(lambda w: get_vertex(merged, w, seed), n, seed)
+    return _reconstruct(lambda w: get_vertex(merged, w), n, seed)
 
 
 def _reconstruct(oracle, n, seed):

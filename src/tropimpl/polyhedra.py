@@ -303,15 +303,6 @@ class Polytope:
             self._ambient_facets = out
         return self._ambient_facets
 
-    def contains(self, x):
-        for c, c0 in self.equations():
-            if ec.dot(c, x) != c0:
-                return False
-        for a, b, _ in self.facets():
-            if ec.dot(a, x) > b:
-                return False
-        return True
-
     def face_vertices(self, w):
         """Vertices of the face minimizing the linear functional w."""
         vals = [ec.dot(w, v) for v in self.vertices]
@@ -643,8 +634,10 @@ class Cone:
         self._hrep = (equations, facets, tuple(sorted(extreme)), lin)
         return self._hrep
 
-    def extreme_rays(self):
-        return self._build_hrep()[2]
+    def facets(self):
+        """Primitive inner facet normals u, reduced modulo the span
+        equations: a point of the span is in the cone iff every u.x >= 0."""
+        return self._build_hrep()[1]
 
     def canonical_key(self):
         """Hashable key identifying the cone as a set of points."""

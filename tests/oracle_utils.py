@@ -593,6 +593,18 @@ class SubsetCone:
         return True
 
 
+def polytope_contains(P, x):
+    """Whether x satisfies every equation and facet inequality of P."""
+    return all(ec.dot(c, x) == c0 for c, c0 in P.equations()) and \
+        all(ec.dot(a, x) <= b for a, b, _ in P.facets())
+
+
+def extreme_rays(cone):
+    """The extreme rays of a cone modulo its lineality, sorted: the middle
+    entry of its canonical key."""
+    return cone.canonical_key()[1]
+
+
 def cone_hrep_by_lineality_hull(cone):
     """A cone's H-representation read off one hull in its full span:
     (equations, facets, extreme rays, lineality), in the form of

@@ -337,6 +337,88 @@ class TestChow:
         assert json.loads(line)["error"] == "computation"
         assert not target.exists()
 
+    # t -> (t^4, t^6) runs over the cusp twice
+    CUSP_TWICE = {"parametrization": {"d": 1, "n": 2, "components": [
+        {"terms": [{"coeff": 1, "exp": [4]}]},
+        {"terms": [{"coeff": 1, "exp": [6]}]}]}}
+
+    # x = t + 1/t, y = t - 1/t, once around the conic x^2 - y^2 = 4,
+    # whose cycle has every weight 2: twice the cycle of a line
+    CONIC = {"d": 1, "n": 2, "components": [
+        {"terms": [{"coeff": 1, "exp": [1]}, {"coeff": 1, "exp": [-1]}]},
+        {"terms": [{"coeff": 1, "exp": [1]}, {"coeff": -1, "exp": [-1]}]}]}
+    CONIC_CYCLE = {"ambient_dim": 3, "pure_dim": 2, "items": [
+        {"cone": {"rays": [ray], "lineality": [[1, 1, 1]]}, "weight": 2}
+        for ray in ([0, 1, 0], [0, 0, 1], [0, -1, -1])]}
+
+    @staticmethod
+    def form_degrees(monkeypatch):
+        """The degree of each Chow form that chow_polytope interpolates."""
+        degrees = []
+        chow_form = chow.chow_form
+
+        def spy(stream, P, seed=0):
+            degrees.append(sum(P.vertices[0]) // (stream.d + 1))
+            return chow_form(stream, P, seed)
+
+        monkeypatch.setattr(chow, "chow_form", spy)
+        return degrees
+
+    @pytest.mark.parametrize(("job", "degree"), [
+        ({**QUARTIC_JOB, "cycle": {**QUARTIC_JOB["cycle"], "items": [
+            {**item, "weight": 2} for item in QUARTIC_JOB["cycle"]["items"]]}},
+         4),
+        (CUSP_TWICE, 3),
+    ], ids=["doubled-quartic", "cusp-twice"])
+    def test_cycle_counting_its_variety_twice_is_refused(
+            self, tmp_path, capsys, monkeypatch, job, degree):
+        # the variety's Chow form is found on half the polytope first, so
+        # the dilated ansatz is never solved
+        degrees = self.form_degrees(monkeypatch)
+        target = tmp_path / "o.json"
+        rc, out = run(["chow", "--in", write(tmp_path / "c.json", job),
+                       "--out", str(target)], capsys)
+        assert rc == 4
+        error = json.loads(out)
+        assert (error["error"], error["type"]) == \
+            ("computation", "NonReducedCycle")
+        assert error["message"].startswith(
+            "the cycle counts its variety 2 times: divide its weights by 2")
+        assert error["message"].endswith("multiply its degree delta by 2")
+        assert degrees == [degree]
+        assert not target.exists()
+
+    def test_cusp_twice_with_its_degree_gives_the_cusp(self, tmp_path):
+        forms = []
+        for job, flags in ((self.CUSP_TWICE, ["--delta", "2"]),
+                           (CUSP_JOB, [])):
+            out = tmp_path / f"o{len(forms)}.json"
+            rc, _ = run(["chow", "--in", write(tmp_path / "c.json", job),
+                         "--out", str(out)] + flags)
+            assert rc == 0
+            forms.append(json.loads(out.read_text())["chow_form"])
+        assert forms[0] == forms[1]
+
+    @pytest.mark.parametrize("given", [False, True],
+                             ids=["computed", "given"])
+    def test_conic_with_even_weights_keeps_its_form(
+            self, tmp_path, monkeypatch, given):
+        # half the polytope pins no form, so the conic's own degree 2 is
+        # solved; a plane curve's Chow form is its equation, here
+        # p01^2 - p02^2 + 4 p12^2
+        degrees = self.form_degrees(monkeypatch)
+        job = {"parametrization": self.CONIC}
+        if given:
+            job["cycle"] = self.CONIC_CYCLE
+        out = tmp_path / "o.json"
+        rc, _ = run(["chow", "--in", write(tmp_path / "c.json", job),
+                     "--out", str(out)])
+        assert rc == 0
+        assert degrees == [1, 2]
+        form = PluckerPoly.from_json(json.loads(out.read_text())["chow_form"])
+        assert form.evaluate({(0, 1): 3, (0, 2): 5, (1, 2): 2}) == 0
+        assert form.evaluate({(0, 1): 1, (0, 2): 1, (1, 2): 1}) != 0
+
     # a balanced curve cycle whose Chow polytope has degree 13
     DEGREE_13_CYCLE = {"ambient_dim": 4, "pure_dim": 2, "items": [
         {"cone": {"rays": [ray], "lineality": [[1, 1, 1, 1]]},

@@ -66,16 +66,66 @@ def test_no_unreferenced_private_helpers():
             if name not in read} == {}
 
 
-def test_traced_functions_exist():
-    # the benchmark's tracer wraps these names; a renamed function would
-    # otherwise fail only the harness self-test
+def public_definitions(path):
+    """(line, name) of every public top-level function and method a module
+    defines, methods named Class.method."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, f"{node.name}.{item.name}")
+                      for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")]
+        elif isinstance(node, ast.FunctionDef) \
+                and not node.name.startswith("_"):
+            found.append((node.lineno, node.name))
+    return found
+
+
+# public names that no module of the package reads, and why each stays
+ENTRY_POINTS = {
+    "ImplicitPolynomial.coefficient":
+        "the README's Python API reads a coefficient of an equation",
+    "PluckerPoly.coefficient":
+        "reads a coefficient of the Chow form chow_polytope returns, as "
+        "ImplicitPolynomial.coefficient does for an equation",
+    "_Parser.error": "argparse calls it to report a bad command line",
+}
+
+
+def tracer_targets():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert len(tracer.TARGETS) > 20
+    return tracer.TARGETS
+
+
+def test_no_public_api_only_tests_call():
+    # a public function or method no module reads is dead code or test
+    # scaffolding, unless it is an entry point; the benchmark's tracer
+    # reads the names it wraps
+    package = sorted(ROOT.glob("src/tropimpl/*.py"))
+    read = set().union(*(names_read(path) for path in package))
+    traced = {name for _, _, name, _ in tracer_targets()}
+    defined = {f"{path.relative_to(ROOT)}:{line}": name
+               for path in package
+               for line, name in public_definitions(path)}
+    assert len(defined) > 100
+    assert {at: name for at, name in defined.items()
+            if name.rpartition(".")[2] not in read
+            and name not in traced and name not in ENTRY_POINTS} == {}
+    assert set(ENTRY_POINTS) <= set(defined.values())
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer wraps these names; a renamed function would
+    # otherwise fail only the harness self-test
+    targets = tracer_targets()
+    assert len(targets) > 20
     missing = []
-    for _, module, name, _ in tracer.TARGETS:
+    for _, module, name, _ in targets:
         owner = importlib.import_module("tropimpl." + module)
         cls, _, attr = name.rpartition(".")
         if cls:
