@@ -533,8 +533,28 @@ class PrimeField:
             raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
         return num * pow(den, -1, self.p) % self.p
 
-    def reduce_vector(self, v):
-        return tuple(self.reduce(x) for x in v)
+    def reduce_vectors(self, vectors):
+        """Images of the rational vectors whose denominators do not vanish
+        mod p, in order; the others are dropped.
+
+        The denominators of the vectors kept share one inversion
+        (Montgomery's trick): the image of 1 over the product of the
+        distinct ones, unwound through the prefix products into each
+        factor's inverse.
+        """
+        p = self.p
+        kept = [v for v in vectors if all(x.denominator % p for x in v)]
+        dens = list({x.denominator for v in kept for x in v})
+        prefix = [1]
+        for d in dens:
+            prefix.append(prefix[-1] * d % p)
+        inv = self.reduce(rat(1, prefix[-1]))
+        inverse = {}
+        for i in range(len(dens) - 1, -1, -1):
+            inverse[dens[i]] = inv * prefix[i] % p
+            inv = inv * dens[i] % p
+        return [tuple(x.numerator * inverse[x.denominator] % p for x in v)
+                for v in kept]
 
     def __repr__(self):
         return f"PrimeField({self.p})"

@@ -440,16 +440,9 @@ def _rows_mod(basis, points, p):
     multiple of the point's row over Q cleared to integers, so the kernel
     mod p is that of the integer rows.
     """
-    F = ec.PrimeField(p)
-    reduced = []
-    for pt in points:
-        try:
-            red = F.reduce_vector(pt)
-        except ZeroDivisionError:
-            continue
-        if any(x == 0 and lo < 0 for x, lo in zip(red, basis.lo)):
-            continue
-        reduced.append(red)
+    reduced = [red for red in ec.PrimeField(p).reduce_vectors(points)
+               if not any(x == 0 and lo < 0
+                          for x, lo in zip(red, basis.lo))]
     return basis.row_mod(reduced, p)
 
 

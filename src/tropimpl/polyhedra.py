@@ -15,15 +15,19 @@ Lattice points are swept one chart coordinate at a time, bounded by the
 facets of the projections to the leading coordinates; a projection of a
 polytope is the hull of its projected vertices (Ziegler, Lectures on
 Polytopes, Lecture 1), so the same hull gives every bound.
-Cones carry rays plus a lineality space; their integer equations and facet
-normals are read off, lazily, from the hull of the origin and the images
-of the rays modulo the lineality, a pointed cone (Fulton, Introduction to
-Toric Varieties, 1.2), so membership is a few dot products.
+Cones carry rays plus a lineality space, and their span equations are one
+integer kernel of those generators.  A simplicial cone, whose rays are
+independent modulo the lineality, builds no hull: its facet normals are
+the dual basis of its rays, and its rays and lineality are its key.  Any
+other cone reads its facet normals, lazily, off the hull of the origin and
+the images of the rays modulo the lineality, a pointed cone (Fulton,
+Introduction to Toric Varieties, 1.2).  Membership is a few dot products.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 
 from . import exactcore as ec
@@ -582,53 +586,81 @@ class Cone:
             if any(red):
                 cleaned.add(ec.primitive_vector(red))
         self.rays = tuple(sorted(cleaned))
-        self.span = tuple(ec.saturate(
-            list(self.rays) + list(self.lineality), ambient_dim)) \
-            if (self.rays or self.lineality) else ()
+        self._equations = ec.integer_kernel(self.rays + self.lineality,
+                                            ambient_dim)
+        self.dim = ambient_dim - len(self._equations)
         self._hrep = None
 
-    @property
-    def dim(self):
-        return len(self.span)
+    @cached_property
+    def span(self):
+        """Saturated basis of the linear span: the integer kernel of the
+        span equations."""
+        return tuple(ec.integer_kernel(self._equations, self.ambient_dim))
 
     @property
     def lineality_dim(self):
         return len(self.lineality)
 
-    def _build_hrep(self):
-        """Integer H-representation, read off one hull modulo the lineality.
+    def _simplicial(self):
+        """Whether the rays are independent modulo the lineality."""
+        return len(self.rays) == self.dim - len(self.lineality)
 
-        The rows of K = integer_kernel(lineality) vanish on the lineality,
-        so x -> K x maps the cone onto the pointed cone spanned by the
-        images K r of the rays (Fulton, Introduction to Toric Varieties,
-        1.2), the tangent cone at 0 of the polytope of the origin and those
-        images.  A facet of that polytope through 0 with outer normal a'
-        gives the cone's inner facet normal u = -K^T a', taken modulo the
-        span equations in its canonical representative and made primitive.
+    def _build_hrep(self):
+        """Integer H-representation (equations, facets, extreme rays,
+        lineality), the equations those of the span.
+
+        A simplicial cone needs no hull: its facet normals are the dual
+        basis of its rays (Fulton, Introduction to Toric Varieties, 1.2).
+        Facet i's inner normal vanishes on the other rays and the
+        lineality and is positive on ray i.  Its canonical representative
+        modulo the span equations is the one vanishing at their pivots, so
+        it spans the integer kernel of the other rays, the lineality and
+        the unit vectors at those pivots, one kernel per ray.  Every ray is
+        extreme, and no lineality hides among them.
+
+        Any other cone is read off one hull modulo the lineality.  The
+        rows of K = integer_kernel(lineality) vanish on the lineality, so
+        x -> K x maps the cone onto the pointed cone spanned by the images
+        K r of the rays, the tangent cone at 0 of the polytope of the
+        origin and those images.  A facet of that polytope through 0 with
+        outer normal a' gives the cone's inner facet normal u = -K^T a'.
         Rays lying on every such facet are hidden lineality; a ray outside
         it is extreme when its active facets have rank q - 1, q being the
-        dimension modulo the full lineality.
+        dimension modulo the full lineality.  Either way a facet normal is
+        the canonical representative modulo the span equations, made
+        primitive.
         """
         if self._hrep is not None:
             return self._hrep
         n = self.ambient_dim
-        equations = ec.integer_kernel([list(v) for v in self.span], n)
-        K = ec.integer_kernel([list(l) for l in self.lineality], n)
-        Q = Polytope([(0,) * len(K)] + [ec.mat_vec(K, r) for r in self.rays])
+        equations = self._equations
+        rays, lin = self.rays, self.lineality
+        if self._simplicial():
+            eye = ec.identity_matrix(n)
+            units = tuple(eye[next(j for j, x in enumerate(c) if x)]
+                          for c in equations)
+            facets = []
+            for i, r in enumerate(rays):
+                u, = ec.integer_kernel(rays[:i] + rays[i + 1:] + lin + units,
+                                       n)
+                facets.append(u if ec.dot(u, r) > 0 else
+                              tuple(-x for x in u))
+            self._hrep = (equations, sorted(facets), rays, lin)
+            return self._hrep
+        K = ec.integer_kernel(lin, n)
+        Q = Polytope([(0,) * len(K)] + [ec.mat_vec(K, r) for r in rays])
         facets = sorted(
             ec.primitive_vector(ec.reduce_mod_subspace(
                 [-sum(x * row[i] for x, row in zip(a, K)) for i in range(n)],
                 equations))
             for a, b, _ in Q.facets() if b == 0)
-        hidden = [r for r in self.rays
-                  if all(ec.dot(u, r) == 0 for u in facets)]
-        lin = self.lineality
+        hidden = [r for r in rays if all(ec.dot(u, r) == 0 for u in facets)]
         if hidden:
-            lin = tuple(ec.saturate(list(lin) + hidden, self.ambient_dim))
+            lin = tuple(ec.saturate(list(lin) + hidden, n))
         q = self.dim - len(lin)
         extreme = {
             ec.primitive_vector(ec.reduce_mod_subspace(r, lin))
-            for r in self.rays
+            for r in rays
             if ec.rational_rank([list(u) for u in facets
                                  if ec.dot(u, r) == 0]) == q - 1}
         self._hrep = (equations, facets, tuple(sorted(extreme)), lin)
@@ -640,7 +672,10 @@ class Cone:
         return self._build_hrep()[1]
 
     def canonical_key(self):
-        """Hashable key identifying the cone as a set of points."""
+        """Hashable key identifying the cone as a set of points: its
+        extreme rays and lineality, which a simplicial cone stores."""
+        if self._simplicial():
+            return (self.ambient_dim, self.rays, self.lineality)
         _, _, extreme, lin = self._build_hrep()
         return (self.ambient_dim, extreme, lin)
 
@@ -663,7 +698,7 @@ class Cone:
         """Primitive integer normal of the span, for codimension one cones."""
         if self.dim != self.ambient_dim - 1:
             raise DimensionMismatch("cone span is not a hyperplane")
-        return self._build_hrep()[0][0]
+        return self._equations[0]
 
     def negated(self):
         return Cone([tuple(-x for x in r) for r in self.rays],

@@ -407,7 +407,7 @@ def test_gfp_kernel_matches_rational_on_safe_matrices():
         assert len(KQ) == len(KP)
         reduced = []
         for v in KQ:
-            w = F.reduce_vector(v)
+            w = tuple(F.reduce(x) for x in v)
             lead = next(x for x in w if x)
             reduced.append(tuple(x * pow(lead, -1, p) % p for x in w))
         assert sorted(reduced) == sorted(KP)

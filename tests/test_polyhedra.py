@@ -689,9 +689,58 @@ def test_cone_hrep_matches_lineality_hull(cone):
     assert cone.canonical_key() == (cone.ambient_dim,) + reference[2:]
 
 
+@st.composite
+def simplicial_cones(draw):
+    """Cones in R^1..R^5 on independent generators, the first few taken
+    as lineality and the rest as rays: spans of every dimension, with and
+    without lineality, and cones of 0 or 1 ray among them."""
+    n = draw(st.integers(1, 5))
+    dim = n - draw(st.integers(0, n))
+    lin = dim - draw(st.integers(0, dim))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(dim)]
+        if ec.rational_rank(gens) == dim:
+            break
+    return ph.Cone(gens[lin:], gens[:lin], n)
+
+
+@REFERENCE
+@example(ph.Cone([], [], 3))
+@example(ph.Cone([], [(1, 1, 1)]))
+@example(ph.Cone([(0, 2, 0)], [], 3))
+@example(ph.Cone([(3, 0, 2), (0, 1, 0)]))
+@example(ph.Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [(1, 1, 1, 1)]))
+@example(ph.Cone([(1, 0, 0, 0, 0), (0, 1, 2, 0, 0)], [(1, 1, 1, 1, 1)]))
+@given(simplicial_cones())
+def test_simplicial_cone_hrep_in_closed_form(cone):
+    # rays independent modulo the lineality: the dual basis of the rays
+    # gives what the hull of the rays and both signs of the lineality gives
+    n = cone.ambient_dim
+    gens = [list(v) for v in cone.rays + cone.lineality]
+    span = tuple(ec.saturate(gens, n)) if gens else ()
+    # the kernel of the generators is that of their saturated span
+    equations = ec.integer_kernel([list(v) for v in span], n)
+    assert equations == ec.integer_kernel(gens, n)
+    assert len(cone.rays) == cone.dim - cone.lineality_dim
+    assert cone.dim == len(span) == n - len(equations)
+    assert cone.span == span
+    if cone.dim == n - 1:
+        assert cone.hyperplane_normal() == equations[0]
+    else:
+        with pytest.raises(DimensionMismatch):
+            cone.hyperplane_normal()
+    assert cone._hrep is None  # the span equation needs no facets
+    reference = cone_hrep_by_lineality_hull(cone)
+    assert cone._build_hrep() == reference
+    assert reference[2:] == (cone.rays, cone.lineality)
+    assert cone.canonical_key() == (n, cone.rays, cone.lineality)
+
+
 def test_cone_hulls_only_modulo_the_lineality(monkeypatch):
-    # the ray images modulo the lineality span dim - lineality_dim; a hull
-    # of the rays with both signs of the lineality would span dim
+    # a simplicial cone hulls nothing; any other cone hulls the ray images
+    # modulo the lineality, which span dim - lineality_dim, where a hull of
+    # the rays with both signs of the lineality would span dim
     dims = []
     hull = ph._hull_full_dim
 
@@ -711,10 +760,17 @@ def test_cone_hulls_only_modulo_the_lineality(monkeypatch):
             [[rng.randint(-3, 3) for _ in range(n)]
              for _ in range(rng.randint(1, 3))], n))
     assert sum(C.lineality_dim > 0 for C in cones) > 20
+    hulled_with_lineality = 0
     for C in cones:
         dims.clear()
+        C.facets()
         extreme_rays(C)
-        assert max(dims) <= C.dim - C.lineality_dim
+        if len(C.rays) == C.dim - C.lineality_dim:
+            assert dims == []
+        else:
+            assert max(dims) <= C.dim - C.lineality_dim
+            hulled_with_lineality += C.lineality_dim > 0
+    assert hulled_with_lineality >= 10
 
 
 @st.composite

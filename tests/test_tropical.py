@@ -1,11 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from oracle_utils import bergman_fan
 from tropimpl import exactcore as ec
+from tropimpl import polyhedra
 from tropimpl.errors import DimensionMismatch, LoopyMatroid
 from tropimpl.polyhedra import Cone
 from tropimpl.tropical import (
@@ -170,6 +172,29 @@ def test_cycle_keeps_duplicates_and_consolidates():
     merged = C.consolidated()
     assert len(merged) == 1
     assert merged.items[0][1] == 5
+
+
+def test_consolidating_simplicial_cones_builds_no_hull(monkeypatch):
+    # a simplicial cone's key is its rays and lineality, so merging a
+    # cycle of such cones, with and without lineality, hulls nothing and
+    # computes no facets
+    def no_hull(points):
+        raise AssertionError("a simplicial cone built a hull")
+
+    monkeypatch.setattr(polyhedra, "_hull_full_dim", no_hull)
+    plane = standard_linear_cycle(2, 4)
+    fan = TropicalCycle(3, 2, [
+        (Cone(pair, [], 3), 1)
+        for pair in combinations([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                  (-1, -1, -1)], 2)])
+    for C in (plane, fan):
+        assert all(len(c.rays) == c.dim - c.lineality_dim for c, _ in C)
+        doubled = TropicalCycle(C.ambient_dim, C.pure_dim, C.items + [
+            (Cone([[2 * x for x in r] for r in c.rays], c.lineality,
+                  C.ambient_dim), w) for c, w in C])
+        merged = doubled.consolidated()
+        assert all(c._hrep is None for c, _ in doubled)
+        assert keyed(merged) == [(k, 2 * w) for k, w in keyed(C)]
 
 
 def test_cycle_json_roundtrip():
