@@ -340,16 +340,15 @@ def standard_monomials_of_weight(u, d, n):
 # sampling the Chow hypersurface
 
 def _primal_pluecker(span_rows, d, n):
-    """Primal Pluecker coordinates of the plane spanned by the rows: the
-    maximal minors, over lex-ordered column tuples, of a kernel basis
-    matrix of the span."""
-    kernel = ec.rational_kernel([list(r) for r in span_rows], n + 1)
-    if len(kernel) != d + 1:
-        raise ValueError(
-            f"span of rank {n + 1 - len(kernel)} does not cut a "
-            f"{d}-codimensional kernel")
-    return tuple(ec.det([[row[j] for j in T] for row in kernel])
-                 for T in itertools.combinations(range(n + 1), d + 1))
+    """Primal Pluecker coordinates of the kernel of the span rows, up to one
+    common scalar: over lex-ordered column tuples T, (-1)^sum(T), the sign
+    of the permutation (T^c, T) up to that scalar, times the maximal minor
+    of the rows on the columns T^c.  All are 0 when the rows lose rank."""
+    rows = [ec.canonicalize_rational_vector(r) for r in span_rows]
+    return tuple(
+        (-1) ** sum(T) * ec.det([[row[j] for j in range(n + 1) if j not in T]
+                                 for row in rows])
+        for T in itertools.combinations(range(n + 1), d + 1))
 
 
 def _draw_pluecker(f, d, n, rng, height):
@@ -359,9 +358,10 @@ def _draw_pluecker(f, d, n, rng, height):
                                 for _ in range(f.d)))
     rows = [x] + [[random_rational(rng, height) for _ in range(n + 1)]
                   for _ in range(n - d - 1)]
-    if ec.rational_rank(rows) < n - d:
+    p = _primal_pluecker(rows, d, n)
+    if not any(p):
         return None
-    return tuple(ec.canonicalize_rational_vector(_primal_pluecker(rows, d, n)))
+    return ec.canonicalize_rational_vector(p)
 
 
 class PluckerStream:

@@ -3,9 +3,12 @@
 Everything downstream (polytopes, fans, interpolation) runs on the primitives
 in this module: arbitrary-precision rationals, saturated kernel lattices,
 fraction-free kernels and Chinese-remainder rational reconstruction.  No
-floating point anywhere.  The row Hermite form with its unimodular transform
-is the one integer normal form: integer kernels, saturation, lattice
-indices, integer solves and reduction modulo a subspace all run on it.
+floating point anywhere.  Two eliminations serve Q and Z, each with its
+own jobs.  The row Hermite form with its unimodular transform is the one
+integer normal form: integer kernels, saturation, lattice indices,
+reduction modulo a subspace and every solve, over Q or Z, run on it.
+Fraction-free Bareiss elimination (``_bareiss_echelon``) gives rank,
+determinant and the kernel over Q.
 """
 
 from __future__ import annotations
@@ -273,44 +276,43 @@ def saturate(generators, ambient_dim=None):
     return LatticeBasis(ambient_dim, tuple(basis))
 
 
-def integer_solver(M):
-    """The function b -> one integer solution x of M x = b, or None; b may
-    be rational.
+def linear_solver(M):
+    """The function b -> one rational solution x of M x = b, or None, for
+    an integer matrix M and a rational b.
 
-    M is factored once, into the row Hermite form H = U M^T, the one
-    integer normal form: with x = U^T y each system becomes H^T y = b,
-    which forward substitution on the pivots of H solves.  A pivot
-    quotient that is not an integer, or an equation left unsatisfied,
-    means there is no integer solution.
+    M is factored once, into the row Hermite form H = U M^T: with
+    x = U^T y each system becomes H^T y = b, which forward substitution
+    on the pivots of H solves, subtracting y_k times row k of H from b; a
+    nonzero remainder means there is no solution.  M may be rank
+    deficient.  U is unimodular, so x is integral exactly when y is.
+    Entries are ``rat``: int when integral.
     """
     if not M:
         return lambda b: ()
     H, U = row_hermite(transpose(M))
-    pivots = []
-    for row in H:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            break
-        pivots.append((c, row[c]))
-    m, n = len(M), len(M[0])
+    pivots = [(next(j for j, x in enumerate(h) if x), h) for h in H if any(h)]
+    Ut = [col[:len(pivots)] for col in transpose(U)]
 
     def solve(b):
+        rest = list(b)
         y = []
-        for c, piv in pivots:
-            q = div_exact(b[c] - sum(h[c] * t for h, t in zip(H, y)), piv)
-            if not isinstance(q, int):
-                return None
-            y.append(q)
-        if any(sum(h[i] * t for h, t in zip(H, y)) != b[i] for i in range(m)):
+        for c, h in pivots:
+            t = div_exact(rest[c], h[c])
+            y.append(t)
+            if t:
+                rest = [a - t * e for a, e in zip(rest, h)]
+        if any(rest):
             return None
-        return tuple(sum(u[j] * t for u, t in zip(U, y)) for j in range(n))
+        return tuple(s if isinstance(s, int) else rat(s)
+                     for s in (dot(u, y) for u in Ut))
 
     return solve
 
 
 def solve_integer(M, b):
-    """One integer solution x of M x = b, or None (``integer_solver``)."""
-    return integer_solver(M)(b)
+    """One integer solution x of M x = b, or None (``linear_solver``)."""
+    x = linear_solver(M)(b)
+    return x if x is None or all(isinstance(t, int) for t in x) else None
 
 
 def lattice_index(super_basis, sub_generators):
@@ -319,8 +321,8 @@ def lattice_index(super_basis, sub_generators):
 
     Raises SpanMismatch unless both span the same rational subspace and the
     sub-generators sit inside the super-lattice.  Generators may be dependent;
-    the index is the product of diagonal entries of the Hermite form of the
-    coordinate matrix.
+    the index is the product of the pivots of the Hermite form of their
+    coordinates, all read off one ``linear_solver`` of the super basis.
     """
     sup = list(super_basis)
     subs = [g for g in sub_generators if any(g)]
@@ -329,11 +331,10 @@ def lattice_index(super_basis, sub_generators):
         if subs:
             raise SpanMismatch("sub spans more than the zero super-lattice")
         return 1
-    # coordinates of each generator in the super basis
-    cols = transpose(sup)  # n x r
+    solve = linear_solver(transpose(sup))
     coords = []
     for g in subs:
-        sol = solve_linear(cols, g)
+        sol = solve(g)
         if sol is None:
             raise SpanMismatch("generator outside the span of the super basis")
         if not all(isinstance(x, int) for x in sol):
@@ -353,32 +354,43 @@ def lattice_index(super_basis, sub_generators):
 # rational elimination (fraction-free Bareiss)
 
 def _integer_rows(rows):
+    """(rows, scale): each row holding a fraction scaled to integers by the
+    lcm of its denominators, and the product of those lcms."""
     out = []
+    scale = 1
     for row in rows:
-        den = 1
-        for x in row:
-            if not isinstance(x, int):
-                den = den * x.denominator // math.gcd(den, int(x.denominator))
-        out.append([int(x * den) for x in row])
-    return out
+        den = math.lcm(*[x.denominator for x in row if not isinstance(x, int)])
+        out.append(row if den == 1 else [int(x * den) for x in row])
+        scale *= den
+    return out, scale
 
 
 def _bareiss_echelon(rows):
-    """Echelon form of integer rows; returns (rows, pivot_cols)."""
+    """Fraction-free echelon form of integer rows; returns (rows,
+    pivot_cols, sign), sign that of the row permutation.
+
+    Every division is exact: after the pivot of column c, the rows below
+    hold minors of the permuted rows, so a square matrix of full rank ends
+    on its determinant times sign.
+    """
     M = [list(r) for r in rows]
     m = len(M)
     n = len(M[0]) if m else 0
     piv_cols = []
+    sign = 1
     r = 0
     prev = 1
     for c in range(n):
         if r == m:
             break
-        p = next((i for i in range(r, m) if M[i][c]), None)
-        if p is None:
+        for p in range(r, m):
+            if M[p][c]:
+                break
+        else:
             continue
         if p != r:
             M[r], M[p] = M[p], M[r]
+            sign = -sign
         lead = M[r][c]
         Mr = M[r]
         for i in range(r + 1, m):
@@ -387,80 +399,28 @@ def _bareiss_echelon(rows):
             for j in range(c + 1, n):
                 Mi[j] = (lead * Mi[j] - head * Mr[j]) // prev
             Mi[c] = 0
-        prev = M[r][c]
+        prev = lead
         piv_cols.append(c)
         r += 1
-    return M[:r], piv_cols
+    return M[:r], piv_cols, sign
 
 
 def det(rows):
-    """Exact determinant of a square matrix of rationals.
-
-    Fraction-free Bareiss elimination: each row holding a fraction is first
-    scaled to integers by the lcm of its denominators, so every division is
-    exact and an all-integer matrix never leaves Python ints.  After the
-    pivot of column c, the rows below hold (c+1) x (c+1) minors, so the last
-    pivot is the determinant of the row-permuted matrix.
-    """
-    M = [list(r) for r in rows]
-    n = len(M)
-    scale = 1
-    for i, row in enumerate(M):
-        if not all(isinstance(x, int) for x in row):
-            den = math.lcm(*(x.denominator for x in row
-                             if not isinstance(x, int)))
-            M[i] = [int(x * den) for x in row]
-            scale *= den
-    sign = 1
-    prev = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if M[i][c]), None)
-        if p is None:
-            return 0
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            sign = -sign
-        Mc = M[c]
-        piv = Mc[c]
-        for i in range(c + 1, n):
-            Mi = M[i]
-            head = Mi[c]
-            for j in range(c + 1, n):
-                Mi[j] = (piv * Mi[j] - head * Mc[j]) // prev
-        prev = piv
-    return div_exact(sign * prev, scale)
+    """Exact determinant of a square matrix of rationals: the last pivot
+    of its ``_bareiss_echelon`` form, times the sign of the row
+    permutation, over the scale that cleared the rows to integers."""
+    ints, scale = _integer_rows(rows)
+    ech, piv, sign = _bareiss_echelon(ints)
+    if len(piv) < len(rows):
+        return 0
+    return div_exact(sign * ech[-1][-1], scale) if rows else 1
 
 
 def rational_rank(rows):
     rows = [r for r in rows if any(r)]
     if not rows:
         return 0
-    ech, piv = _bareiss_echelon(_integer_rows(rows))
-    return len(piv)
-
-
-def solve_linear(M, b):
-    """Solve M x = b over Q (M as list of rows); None if inconsistent.
-
-    Requires M to have full column rank; used for coordinates in a basis.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    aug = [list(M[i]) + [b[i]] for i in range(m)]
-    ech, piv = _bareiss_echelon(_integer_rows(aug))
-    if n in piv:
-        return None
-    if len(piv) < n:
-        raise RankDeficient("basis matrix is rank deficient")
-    x = [0] * n
-    for k in range(len(piv) - 1, -1, -1):
-        c = piv[k]
-        row = ech[k]
-        s = row[n]
-        for j in range(c + 1, n):
-            s -= row[j] * x[j]
-        x[c] = div_exact(s, row[c])
-    return tuple(x)
+    return len(_bareiss_echelon(_integer_rows(rows)[0])[1])
 
 
 def reduce_mod_subspace(v, basis):
@@ -494,7 +454,7 @@ def rational_kernel(rows, ncols=None):
     rows = [r for r in rows if any(r)]
     if not rows:
         return [canonical_sign(tuple(r)) for r in identity_matrix(ncols)]
-    ech, piv = _bareiss_echelon(_integer_rows(rows))
+    ech, piv, _ = _bareiss_echelon(_integer_rows(rows)[0])
     free = [c for c in range(ncols) if c not in piv]
     basis = []
     for f in free:

@@ -228,7 +228,7 @@ def _matroid_components(M):
     """Connected components of a loopless matroid, as sorted index lists.
 
     Fundamental circuits with respect to one fixed basis already generate
-    the component partition, so a single echelon pass suffices.
+    the component partition, so one factorization of that basis suffices.
     """
     n = M.ground_size
     basis = []
@@ -250,12 +250,12 @@ def _matroid_components(M):
         if ra != rb:
             parent[rb] = ra
 
-    cols = ec.transpose(basis_rows)
+    solve = ec.linear_solver(ec.transpose(basis_rows))
     in_basis = set(basis)
     for e in range(n):
         if e in in_basis:
             continue
-        coeff = ec.solve_linear(cols, M.realization[e])
+        coeff = solve(M.realization[e])
         for k, c in zip(basis, coeff):
             if c:
                 union(e, k)
@@ -372,7 +372,7 @@ def get_trop_a_disc(A):
     n = len(A[0]) if d else 0
     B = ec.gale_dual(A)
     At = ec.transpose(A)
-    if ec.solve_linear(At, (1,) * n) is None:
+    if ec.linear_solver(At)((1,) * n) is None:
         raise RowSpanMissingOnes(
             "all-ones vector is outside the row span of A")
     nd = n - d

@@ -174,14 +174,14 @@ def _ambient_normal(lattice, equations):
     """The map from chart facet normals to ambient ones.
 
     A chart normal u is pulled back to an integer a with L a = u, through
-    one Hermite form of the lattice basis L for every normal, then reduced
-    to its canonical representative modulo the affine hull equations and
-    made primitive.  Without equations the basis is the identity, and so
-    is the map.
+    one ``linear_solver`` of the lattice basis L for every normal, then
+    reduced to its canonical representative modulo the affine hull
+    equations and made primitive.  Without equations the basis is the
+    identity, and so is the map.
     """
     if not equations:
         return lambda u: u
-    solve = ec.integer_solver([list(v) for v in lattice])
+    solve = ec.linear_solver([list(v) for v in lattice])
     normals = [c for c, _ in equations]
     return lambda u: ec.primitive_vector(
         ec.reduce_mod_subspace(solve(u), normals))
@@ -192,10 +192,10 @@ class PolytopeBuilder:
     affine hull.
 
     The points are read in coordinates of the saturated direction lattice
-    of their affine hull, from the first sorted point, and the hull of
-    those chart points stays one beneath-beyond state, so a point added
-    costs one insertion, not a new hull.  ``Polytope(points)`` is the
-    ``polytope()`` of ``PolytopeBuilder(points)``.
+    of their affine hull, from the first sorted point, by one ``_chart``,
+    and the hull of those chart points stays one beneath-beyond state, so
+    a point added costs one substitution and one insertion, not a new
+    hull.  ``Polytope(points)`` is the ``polytope()`` of its builder.
     """
 
     def __init__(self, points):
@@ -211,8 +211,8 @@ class PolytopeBuilder:
         directions = [ec.vec_sub(p, self._base) for p in pts[1:]]
         self.lattice = ec.saturate(directions, self.ambient_dim) \
             if directions else ec.LatticeBasis(self.ambient_dim, ())
-        self._basis = list(self.lattice)
-        self._hull = _hull_full_dim(_lattice_coords(pts, self._basis))
+        self._chart = _chart(self.lattice, self.ambient_dim)
+        self._hull = _hull_full_dim(_lattice_coords(pts, self._chart))
         self._normal = None
         self._ambient = {}  # chart plane -> ambient facet
 
@@ -224,7 +224,7 @@ class PolytopeBuilder:
         """Add a point of the affine hull; LatticeMismatch off it."""
         point = tuple(point)
         self.points.append(point)
-        self._hull.add(_lattice_coords([self._base, point], self._basis)[1])
+        self._hull.add(_lattice_coords([self._base, point], self._chart)[1])
 
     def facets(self):
         """Ambient facet inequalities (a, b), a.x <= b, of the points added
@@ -406,13 +406,14 @@ class Polytope:
         if base is None:
             return []
         k = self.dim
-        L = [list(v) for v in self._lattice]
-        shift = _lattice_coords([base, self._chart_base], L)[1]
+        chart = _chart(self._lattice, self.ambient_dim)
+        shift = _lattice_coords([base, self._chart_base], chart)[1]
         # systems[j] bounds the first j coordinates y around the integral
         # basepoint: the facets of the projection of the chart polytope,
         # which is the hull of the projected vertices.  vertices[0] is the
         # chart base, so shift moves their chart coordinates to the basepoint
-        ys = [ec.vec_add(y, shift) for y in _lattice_coords(self.vertices, L)]
+        ys = [ec.vec_add(y, shift)
+              for y in _lattice_coords(self.vertices, chart)]
         systems = [None] * (k + 1)
         systems[k] = [(u, b + ec.dot(u, shift))
                       for u, b, _ in self._chart_facets]
@@ -434,7 +435,7 @@ class Polytope:
                 if j + 1 == k:
                     # systems[k] already bounded this last coordinate
                     pt = list(base)
-                    for c, row in zip(y, L):
+                    for c, row in zip(y, self._lattice.vectors):
                         for i in range(self.ambient_dim):
                             pt[i] += c * row[i]
                     out.append(tuple(pt))
@@ -472,23 +473,25 @@ def _coordinate_range(ineqs, y, j):
 # ---------------------------------------------------------------------------
 # volumes
 
-def _lattice_coords(vertices, basis):
-    """Coordinates of v - vertices[0] in the lattice basis, for every
-    vertex v, read off in the identity basis of a full dimensional
-    polytope; LatticeMismatch when one leaves the span of the lattice."""
-    rows = [list(v) for v in basis]
-    if rows == ec.identity_matrix(len(vertices[0])):
-        return [tuple(x if isinstance(x, int) else ec.rat(x)
-                      for x in ec.vec_sub(v, vertices[0])) for v in vertices]
-    cols = ec.transpose(rows)
-    out = []
-    for v in vertices:
-        d = ec.vec_sub(v, vertices[0])
-        y = ec.solve_linear(cols, d) if basis else (None if any(d) else ())
-        if y is None:
-            raise LatticeMismatch("polytope leaves the span of the lattice")
-        out.append(y)
-    return out
+def _chart(basis, n):
+    """The map from a vector of R^n to its coordinates in a lattice basis,
+    or None off its span: one ``linear_solver`` of the basis, or none in
+    the identity basis of a full dimensional polytope."""
+    if [list(v) for v in basis] == ec.identity_matrix(n):
+        return lambda d: tuple(x if isinstance(x, int) else ec.rat(x)
+                               for x in d)
+    if not basis:
+        return lambda d: None if any(d) else ()
+    return ec.linear_solver(ec.transpose(basis))
+
+
+def _lattice_coords(vertices, chart):
+    """Coordinates of v - vertices[0] under a ``_chart``, for every vertex
+    v; LatticeMismatch when one leaves the span of the lattice."""
+    ys = [chart(ec.vec_sub(v, vertices[0])) for v in vertices]
+    if None in ys:
+        raise LatticeMismatch("polytope leaves the span of the lattice")
+    return ys
 
 
 def _chart_volume(points):
@@ -539,8 +542,8 @@ def mixed_volume(polys, lattice=None):
     if lattice.rank != k:
         raise DimensionMismatch(
             f"{k} polytopes need a rank {k} lattice, got rank {lattice.rank}")
-    basis = list(lattice)
-    charts = [_lattice_coords(P.vertices, basis) for P in polys]
+    chart = _chart(lattice, lattice.ambient_dim)
+    charts = [_lattice_coords(P.vertices, chart) for P in polys]
     edges = [ys[1:] for ys in charts]  # ys[0] is the origin
     ranks = {}
     for r in range(1, k + 1):

@@ -18,10 +18,12 @@ integer point of the bounding box by the polytope's own equations and
 facets, and the Chow shift reference searches the translations that the
 package computes in closed form.  The row references evaluate one point
 and one monomial at a time, and the Horn reference draws in Fraction
-arithmetic.  ``normalized_volume`` and ``chow_to_equations`` have no
-caller in the package; they live here with the tests that pin them, and
-the first measures the subsums of the mixed-volume reference.  Two
-spies close the file:
+arithmetic.  Linear systems are solved by Gauss-Jordan elimination in
+Fractions, and primal Pluecker coordinates are read off a kernel basis
+instead of the complementary minors of the span.  ``normalized_volume``
+and ``chow_to_equations`` have no caller in the package; they live here
+with the tests that pin them, and the first measures the subsums of the
+mixed-volume reference.  Two spies close the file:
 ``inflating_gfp_kernel`` makes chosen primes lose rank, and
 ``spy_rows_mod_p`` records the rows an interpolation asks for.
 """
@@ -64,6 +66,7 @@ from tropimpl.polyhedra import (
     Polytope,
     minkowski_sum,
     _affine_rank,
+    _chart,
     _chart_volume,
     _lattice_coords,
     mixed_volume,
@@ -212,6 +215,33 @@ def rows_mod_by_point(basis, points, p):
             continue
         rows.append(pow_mod_row(basis.exponents, red, p))
     return rows
+
+
+def solve_by_gauss_jordan(M, b):
+    """One solution x of M x = b over Fraction, free variables 0, or None
+    when the system is inconsistent: Gauss-Jordan elimination of [M | b]
+    to unit pivots, the reference for ``ec.linear_solver``."""
+    n = len(M[0]) if M else 0
+    A = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(M, b)]
+    piv = []
+    for c in range(n):
+        p = next((i for i in range(len(piv), len(A)) if A[i][c]), None)
+        if p is None:
+            continue
+        r = len(piv)
+        A[r], A[p] = A[p], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        piv.append(c)
+    if any(row[n] for row in A[len(piv):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(A, piv):
+        x[c] = row[n]
+    return x
 
 
 def gfp_kernel_back_substitution(rows, p, ncols):
@@ -434,6 +464,17 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def primal_pluecker_by_kernel(span_rows, d, n):
+    """Primal Pluecker coordinates of the kernel of the span rows, the
+    maximal minors of its ``ec.rational_kernel`` basis over lex-ordered
+    column tuples, or None unless the kernel has dimension d + 1."""
+    kernel = ec.rational_kernel([list(r) for r in span_rows], n + 1)
+    if len(kernel) != d + 1:
+        return None
+    return tuple(ec.det([[row[j] for j in T] for row in kernel])
+                 for T in combinations(range(n + 1), d + 1))
+
+
 def pluecker_batch(f, d, n, count, seed, height=20):
     """count distinct Chow-hypersurface samples drawn afresh from
     random.Random(seed), with a budget of 100 * count draws, each a
@@ -464,7 +505,7 @@ def normalized_volume(P, lattice=None):
     span of the lattice.
     """
     basis = list(P.lattice if lattice is None else lattice)
-    ys = _lattice_coords(P.vertices, basis)
+    ys = _lattice_coords(P.vertices, _chart(basis, P.ambient_dim))
     if not basis:
         return 1
     if _affine_rank(ys) < len(basis):
@@ -576,7 +617,8 @@ class SubsetCone:
     def _coords(self, x):
         if not self.span:
             return () if not any(x) else None
-        return ec.solve_linear(ec.transpose([list(v) for v in self.span]), x)
+        return solve_by_gauss_jordan(
+            [list(col) for col in zip(*self.span)], x)
 
     def canonical_key(self):
         return (self.n, self.extreme_rays, self.lineality)

@@ -20,6 +20,7 @@ from oracle_utils import (
     chow_to_equations,
     inflating_gfp_kernel,
     pluecker_batch,
+    primal_pluecker_by_kernel,
     spy_rows_mod_p,
 )
 from tropimpl import chow
@@ -345,6 +346,26 @@ class TestChowSample:
             dual = (q(2, 3), -q(1, 3), q(1, 2), q(0, 3), -q(0, 2), q(0, 1))
             scaled = ec.canonicalize_rational_vector(primal)
             assert scaled == ec.canonicalize_rational_vector(dual)
+
+    def test_primal_from_span_matches_kernel_minors(self):
+        # the complementary minors of the span rows are the maximal minors
+        # of a kernel basis up to one common scalar, for every (d, n); a
+        # span that loses rank has a kernel too big and every minor 0
+        rng = random.Random(300)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            d = rng.randint(0, n - 1)
+            rows = [[ec.rat(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(n + 1)] for _ in range(n - d)]
+            if rng.random() < 0.2:
+                rows[-1] = [2 * x for x in rows[0]]
+            primal = _primal_pluecker(rows, d, n)
+            reference = primal_pluecker_by_kernel(rows, d, n)
+            if reference is None:
+                assert not any(primal)
+            else:
+                assert ec.canonicalize_rational_vector(primal) == \
+                    ec.canonicalize_rational_vector(reference)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import gfp_kernel_back_substitution
+from oracle_utils import gfp_kernel_back_substitution, solve_by_gauss_jordan
 from tropimpl import exactcore as ec
 from tropimpl.errors import RankDeficient, ReconstructionFailed, SpanMismatch
 
@@ -52,32 +52,8 @@ def mat_mul(A, B):
 
 
 def oracle_solve(cols, b):
-    """Solve sum_j x_j * cols[j] = b over Fraction, or None. Gaussian."""
-    n = len(b)
-    k = len(cols)
-    A = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(b[i])]
-         for i in range(n)]
-    r = 0
-    piv = []
-    for c in range(k):
-        p = next((i for i in range(r, n) if A[i][c]), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        A[r] = [x / A[r][c] for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, n):
-        if A[i][k]:
-            return None
-    x = [Fraction(0)] * k
-    for i, c in enumerate(piv):
-        x[c] = A[i][k]
-    return x
+    """Solve sum_j x_j * cols[j] = b over Fraction, or None."""
+    return solve_by_gauss_jordan([list(r) for r in zip(*cols)], b)
 
 
 def oracle_in_integer_span(basis, v):
@@ -255,6 +231,40 @@ def test_det_matches_cofactor_oracle():
         assert isinstance(d, int) and d == oracle_det(M)
 
 
+def test_det_reads_the_shared_echelon():
+    # a zero pivot column skipped partway: column 1 vanishes below the
+    # first pivot, the elimination goes on to column 2, and the matrix is
+    # singular
+    M = [[1, 2, 3], [2, 4, 5], [3, 6, 8]]
+    assert ec.det(M) == oracle_det(M) == 0
+    assert ec.det([[0, 0, 1], [0, 1, 0], [2, 0, 0]]) == -2
+    # odd permutations flip the sign, rows holding fractions divide by
+    # their scale, and an integral result is an int
+    cases = [
+        [[0, 1], [1, 0]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, ec.rat(1, 2)], [ec.rat(1, 3), 0]],
+        [[ec.rat(1, 2), 1], [1, ec.rat(1, 2)]],
+        [[0, ec.rat(2, 3), 1], [ec.rat(3, 2), 0, 0], [0, 0, ec.rat(5, 7)]],
+        [[ec.rat(2, 3), ec.rat(1, 3)], [ec.rat(3, 4), ec.rat(3, 4)]],
+    ]
+    rng = random.Random(1919)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        M = [[ec.rat(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+              for _ in range(n)] for _ in range(n)]
+        M = [M[i] for i in rng.sample(range(n), n)]
+        for i in range(rng.randint(0, n - 1)):
+            M[i][0] = 0
+        if rng.random() < 0.3:
+            M[-1] = [x + y for x, y in zip(M[0], M[-2])]
+        cases.append(M)
+    for M in cases:
+        d = ec.det(M)
+        assert d == oracle_det(M)
+        assert type(d) is int or d.denominator != 1
+
+
 # ---------------------------------------------------------------------------
 # kernels and saturation
 
@@ -373,6 +383,62 @@ def test_solve_integer():
     assert x is not None and x[0] + 2 * x[1] == 1
     assert ec.solve_integer([[1, 2], [2, 4]], (1, 3)) is None
     assert ec.solve_integer([[1, 2], [2, 4]], (ec.rat(1, 2), 1)) is None
+
+
+@st.composite
+def linear_systems(draw):
+    """An integer m x n matrix M = A B of rank at most r, often below
+    min(m, n), and a rational b, consistent (M times a rational x) or
+    drawn at random."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, min(m, n)))
+    small = st.integers(-3, 3)
+    A = draw(st.lists(st.lists(small, min_size=r, max_size=r),
+                      min_size=m, max_size=m))
+    B = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                      min_size=r, max_size=r))
+    M = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+         if r else [0] * n for row in A]
+    den = st.sampled_from([1, 1, 2, 3])
+    if draw(st.booleans()):
+        x = [ec.rat(draw(small), draw(den)) for _ in range(n)]
+        b = [ec.rat(t) for t in ec.mat_vec(M, x)]
+    else:
+        b = [ec.rat(draw(st.integers(-5, 5)), draw(den)) for _ in range(m)]
+    return M, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+def test_linear_solver_matches_gauss_jordan(system):
+    M, b = system
+    x = ec.linear_solver(M)(b)
+    assert (x is None) == (solve_by_gauss_jordan(M, b) is None)
+    if x is not None:
+        assert list(ec.mat_vec(M, x)) == b
+        # the rat convention: an integral entry is an int, never a
+        # Fraction with denominator 1
+        assert all(type(t) is int or t.denominator != 1 for t in x)
+    z = ec.solve_integer(M, b)
+    assert (z is not None) == oracle_integer_solvable(M, b)
+    if z is not None:
+        assert all(type(t) is int for t in z)
+        assert list(ec.mat_vec(M, z)) == b
+
+
+def test_linear_solver_entries_follow_rat():
+    # M^T has Hermite form [[1], [0]] with U = [[0, 1], [1, -2]], so a
+    # half-integral b gives x = U^T (1/2, 0): an exact zero next to 1/2
+    x = ec.linear_solver([[2, 1]])((ec.rat(1, 2),))
+    assert x == (0, ec.rat(1, 2)) and type(x[0]) is int
+    assert ec.solve_integer([[2, 1]], (ec.rat(1, 2),)) is None
+    # one factorization serves every right-hand side
+    solve = ec.linear_solver([[1, 0], [0, 2], [1, 2]])
+    assert solve((1, 2, 3)) == (1, 1)
+    assert solve((1, 1, 2)) == (1, ec.rat(1, 2))
+    assert solve((1, 1, 1)) is None
+    assert ec.linear_solver([])(()) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +604,11 @@ def test_rref_and_subspace_reduction():
 
 def test_solve_linear_consistency():
     cols = [[1, 0], [2, 1], [0, 3]]  # rows of a 3x2 system
-    x = ec.solve_linear(cols, (5, 8, -6))
+    solve = ec.linear_solver(cols)
+    x = solve((5, 8, -6))
     assert x == (5, -2)
-    assert ec.solve_linear(cols, (1, 0, 1)) is None
-    with pytest.raises(RankDeficient):
-        ec.solve_linear([[1, 1], [2, 2]], (1, 2))
+    assert solve((1, 0, 1)) is None
+    # a rank-deficient system has solutions, and one of them is returned
+    x = ec.linear_solver([[1, 1], [2, 2]])((1, 2))
+    assert x is not None and x[0] + x[1] == 1
+    assert ec.linear_solver([[1, 1], [2, 2]])((1, 3)) is None

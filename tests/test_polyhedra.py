@@ -161,16 +161,16 @@ def test_full_dimensional_charts_need_no_solves(pts):
     if P.dim < P.ambient_dim:
         return
     L = [list(v) for v in P.lattice]
-    coords = [tuple(ec.solve_linear(ec.transpose(L), ec.vec_sub(v, pts[0])))
-              for v in pts]
+    solve = ec.linear_solver(ec.transpose(L))
+    coords = [solve(ec.vec_sub(v, pts[0])) for v in pts]
     normals = [ec.primitive_vector(ec.solve_integer(L, u))
                for u, _, _ in P._chart_facets]
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("solve_linear", "solve_integer", "integer_solver",
+        for name in ("linear_solver", "solve_integer",
                      "reduce_mod_subspace"):
             mp.setattr(ec, name, no_solve(name))
         fresh = ph.Polytope(pts)
-        got = ph._lattice_coords(pts, L)
+        got = ph._lattice_coords(pts, ph._chart(L, P.ambient_dim))
         facets = fresh.facets()
     assert calls == []
     assert got == coords

@@ -35,6 +35,26 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def exactcore_reads(path):
+    """(line, name) of every ``ec.<name>`` a module loads."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "ec"]
+
+
+def test_exactcore_names_read_exist():
+    # a helper deleted from exactcore but still read on a path few runs
+    # take would fail only the job that takes it
+    exactcore = importlib.import_module("tropimpl.exactcore")
+    found = {f"{path.relative_to(ROOT)}:{line}": name
+             for path in SOURCES for line, name in exactcore_reads(path)}
+    assert len(found) > 100
+    assert {at: name for at, name in found.items()
+            if not hasattr(exactcore, name)} == {}
+
+
 def private_definitions(path):
     """(line, name) of every underscore-prefixed function, method or class
     a module defines, dunder methods aside."""
