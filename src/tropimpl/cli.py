@@ -20,6 +20,7 @@ splitter, so identical invocations produce byte identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -105,7 +106,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: argparse leaves
+    every parser and formatter it builds in reference cycles, and parsing
+    with a finished one leaves none."""
     parser = _Parser(
         prog="tropimpl",
         description="tropical implicitization pipeline with JSON i/o")
@@ -151,7 +156,25 @@ def _write_atomic(path, text):
 
 
 def _dumps(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` and a newline, for string keys.
+
+    Written out because json's indenting encoder leaves its recursive
+    closures in a reference cycle on every call."""
+    return _indented(obj, "\n") + "\n"
+
+
+def _indented(obj, pad):
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj and isinstance(obj, (dict, list, tuple)):
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            body = ",".join(f"{inner}{json.dumps(k)}: {_indented(v, inner)}"
+                            for k, v in obj.items())
+            return f"{{{body}{pad}}}"
+        body = ",".join(inner + _indented(v, inner) for v in obj)
+        return f"[{body}{pad}]"
+    return json.dumps(obj)
 
 
 def _trial_seed(master, index):

@@ -30,10 +30,11 @@ PRIME_BOUND = 2 ** 31
 DEFAULT_PRIME = 2147483647
 # gfp_kernel reduces matrices of at most this many columns in Python ints,
 # and MonomialBasis.row_mod evaluates rows of at most this many monomials
-# in them; both import numpy only for wider ones.  Near 2^31 one 64-column
-# kernel costs about 10 ms more in Python than in numpy, so importing numpy
-# (about 0.12 s and 14 MB) pays off only after a dozen such kernels, and
-# after a single 205-column one.
+# in them; both import numpy only for wider ones.  At 2^31 - 1 a 63 x 64
+# kernel costs about 9 ms more in Python than in numpy (13 against 3.4
+# ms), so importing numpy (about 0.17 s and 14 MB on the same host) pays
+# off only after some 18 such kernels, and after a single 205-column one
+# (0.25 s against 0.02 s).
 GFP_PYTHON_COLUMNS = 64
 
 
@@ -177,9 +178,12 @@ def row_hermite(M):
     """Row-style Hermite form: returns (H, U) with H = U*M, U unimodular.
 
     Pivots positive, entries above a pivot reduced into [0, pivot), zero rows
-    at the bottom.
+    at the bottom.  M is a list of rows whose entries are integral, of any
+    numeric type; ValueError if one is not.
     """
     H = [list(map(int, row)) for row in M]
+    if H != M and H != [list(row) for row in M]:
+        raise ValueError("row_hermite needs an integer matrix")
     m = len(H)
     n = len(H[0]) if m else 0
     U = identity_matrix(m)
@@ -520,48 +524,65 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def gfp_echelon(rows, p):
-    """Reduced row echelon form mod p; returns (rows, pivot_cols).
+def _gfp_budget(p):
+    """Updates an int64 entry can take between two reductions mod p.
 
-    The rows come back as one int64 array with zero rows dropped: every
-    pivot is 1 and every pivot column is zero outside its pivot row.
-    Entries must fit int64 and p must be below PRIME_BOUND.  Updates are
-    reduced mod p only as often as int64 needs: one update subtracts at
-    most (p - 1)^2 from an entry, so ``budget`` updates can run between
-    reductions (delayed reduction, as in Dumas, Giorgi, Pernet, ACM TOMS
-    35(3), 2008).
+    An entry starts reduced, |x| <= p - 1, and an update adds or subtracts
+    the product of two balanced residues, |f|, |g| <= p // 2, so it moves
+    by at most (p // 2)^2; balancing the entry afterwards adds p // 2.  The
+    budget keeps p - 1 + budget * (p // 2)^2 + p // 2 inside int64: 8 near
+    2^31, against 2 for residues in [0, p).
+    """
+    h = p // 2
+    return (2 ** 63 - 1 - p - h) // (h * h)
+
+
+def gfp_echelon(rows, p):
+    """Row echelon form mod p by forward elimination; returns (rows,
+    pivot_cols).
+
+    The rows come back as one int64 array with zero rows dropped, in
+    balanced residues |x| <= p // 2: every pivot is 1 and every row is
+    zero left of its pivot.  Column by column, the first row at or below
+    the current one that is nonzero there is swapped up, scaled to a unit
+    pivot and subtracted from the rows below it only.  Entries must fit
+    int64 and p must be below PRIME_BOUND.  Multipliers and pivot rows are
+    balanced residues, and the rows below are reduced mod p only every
+    ``_gfp_budget(p)`` updates (delayed reduction in the centred
+    representation, Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).
     """
     import numpy as np
 
     M = np.remainder(np.asarray(rows, dtype=np.int64), p)
     m, n = M.shape
-    budget = (2 ** 63 - 1) // (p - 1) ** 2
+    h = p // 2
+    budget = _gfp_budget(p)
     pending = 0
     piv_cols = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        col = M[:, c] % p
-        M[:, c] = col
-        nz = np.flatnonzero(col[r:])
+        col = M[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        i0 = r + int(nz[0])
-        if i0 != r:
-            M[[r, i0]] = M[[i0, r]]
-            col[[r, i0]] = col[[i0, r]]
+        i0 = int(nz[0])
+        top = (M[r + i0, c:] % p * pow(int(col[i0]), -1, p) + h) % p - h
+        if i0:
+            M[r + i0] = M[r]
+            col[i0] = col[0]
+        below = M[r + 1:, c:]
         if pending == budget:
-            np.remainder(M[:, c:], p, out=M[:, c:])
+            np.remainder(below, p, out=below)
             pending = 0
-        pivot_row = M[r, c:] % p * pow(int(col[r]), p - 2, p) % p
-        col[r] = 0
-        M[:, c:] -= col[:, None] * pivot_row
-        M[r, c:] = pivot_row
+        below -= ((col[1:] + h) % p - h)[:, None] * top
+        M[r, :c] = 0
+        M[r, c:] = top
         pending += 1
         piv_cols.append(c)
         r += 1
-    return np.remainder(M[:r], p), piv_cols
+    return M[:r], piv_cols
 
 
 def _gfp_rref_packed(rows, p, ncols):
@@ -620,12 +641,15 @@ def gfp_kernel(rows, p, ncols=None):
     """Kernel basis mod p, each vector scaled so its first nonzero entry is 1.
 
     Vectors are ordered by their free column.  The one for free column f
-    is 1 at f, 0 at the other free columns and minus column f of the
-    reduced echelon form at the pivot columns, the only kernel vector of
-    that shape.  Up to GFP_PYTHON_COLUMNS columns the echelon form is
-    computed in Python ints (``_gfp_rref_packed``); wider matrices go to
-    ``gfp_echelon`` as one int64 array, taken as it is when the rows come
-    as one, whose entries must fit int64.  p must be below PRIME_BOUND.
+    is 1 at f and 0 at the other free columns, the only kernel vector of
+    that shape.  Up to GFP_PYTHON_COLUMNS columns the reduced echelon form
+    is computed in Python ints (``_gfp_rref_packed``), and its column f
+    negated gives the pivot entries.  Wider matrices go to ``gfp_echelon``
+    as one int64 array, taken as it is when the rows come as one, whose
+    entries must fit int64; every free column is then back-substituted at
+    once against its row echelon form, pivot by pivot from the last, as
+    balanced residues with reductions every ``_gfp_budget(p)`` updates.
+    p must be below PRIME_BOUND.
     """
     if ncols is None:
         if not len(rows):
@@ -652,11 +676,27 @@ def gfp_kernel(rows, p, ncols=None):
         np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols), p)
     pivots = set(piv)
     free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return []
+    h = p // 2
+    budget = _gfp_budget(p)
+    pending = 0
+    # K[:, j] is coordinate j of every kernel vector.  S[k] accumulates row
+    # k of R times K over the coordinates right of its pivot found so far;
+    # once they all are, K[:, piv[k]] = -S[k] solves row k
     K = np.zeros((len(free), ncols), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
-    K[:, piv] = np.remainder(-R[:, free].T, p)
+    S = R[:, free]
+    for k in range(len(piv) - 1, -1, -1):
+        x = (h - S[k]) % p - h
+        K[:, piv[k]] = x
+        if pending == budget:
+            np.remainder(S[:k], p, out=S[:k])
+            pending = 0
+        S[:k] += R[:k, piv[k], None] * x
+        pending += 1
     lead = K[np.arange(len(free)), (K != 0).argmax(axis=1)]
-    inv = np.array([pow(int(a), p - 2, p) for a in lead], dtype=np.int64)
+    inv = np.array([pow(int(a), -1, p) for a in lead], dtype=np.int64)
     K = K * inv[:, None] % p
     return [tuple(v) for v in K.tolist()]
 

@@ -421,28 +421,33 @@ class Polytope:
             hull = _hull_full_dim(sorted({y[:j] for y in ys}))
             systems[j] = set(hull.simplices.values())
 
-        budget = [LATTICE_POINT_BUDGET]
+        budget = LATTICE_POINT_BUDGET
         out = []
         y = [0] * k
-
-        def sweep(j):
-            for t in _coordinate_range(systems[j + 1], y, j):
-                y[j] = t
-                budget[0] -= 1
-                if budget[0] < 0 and not force:
-                    raise EnumerationTooLarge(
-                        "lattice point sweep exceeded the budget")
-                if j + 1 == k:
-                    # systems[k] already bounded this last coordinate
-                    pt = list(base)
-                    for c, row in zip(y, self._lattice.vectors):
-                        for i in range(self.ambient_dim):
-                            pt[i] += c * row[i]
-                    out.append(tuple(pt))
-                else:
-                    sweep(j + 1)
-
-        sweep(0)
+        # ranges[j] yields the values of coordinate j left to sweep, given
+        # the coordinates before it
+        ranges = [iter(_coordinate_range(systems[1], y, 0))]
+        while ranges:
+            j = len(ranges) - 1
+            t = next(ranges[j], None)
+            if t is None:
+                ranges.pop()
+                continue
+            y[j] = t
+            budget -= 1
+            if budget < 0 and not force:
+                raise EnumerationTooLarge(
+                    "lattice point sweep exceeded the budget")
+            if j + 1 == k:
+                # systems[k] already bounded this last coordinate
+                pt = list(base)
+                for c, row in zip(y, self._lattice.vectors):
+                    for i in range(self.ambient_dim):
+                        pt[i] += c * row[i]
+                out.append(tuple(pt))
+            else:
+                ranges.append(iter(_coordinate_range(systems[j + 2], y,
+                                                     j + 1)))
         out.sort()
         return out
 

@@ -25,9 +25,11 @@ and ``chow_to_equations`` have no caller in the package; they live here
 with the tests that pin them, and the first measures the subsums of the
 mixed-volume reference.  Two spies close the file:
 ``inflating_gfp_kernel`` makes chosen primes lose rank, and
-``spy_rows_mod_p`` records the rows an interpolation asks for.
+``spy_rows_mod_p`` records the rows an interpolation asks for;
+``unreachable_after`` counts the reference cycles a call leaves.
 """
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -750,3 +752,17 @@ def spy_rows_mod_p(monkeypatch, module):
 
     monkeypatch.setattr(module, "solve_verified", spy)
     return asked, returned
+
+
+def unreachable_after(call):
+    """The number of unreachable objects ``call()`` leaves for the cycle
+    collector, with automatic collection off while it runs."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import tropimpl
-from oracle_utils import inflating_gfp_kernel
+from oracle_utils import inflating_gfp_kernel, unreachable_after
 from tropimpl import chow, cli, polyhedra
 from tropimpl import exactcore as ec
 from tropimpl.chow import PluckerPoly
@@ -219,6 +219,17 @@ class TestADisc:
         terms = {tuple(t["exp"]): t["coeff"]
                  for t in art["polynomial"]["terms"]}
         assert terms == {(0, 2, 0): 1, (1, 0, 1): 97}
+
+    def test_a_job_leaves_no_reference_cycles(self, tmp_path):
+        # the six-point discriminant mod 101 takes the numpy kernel; the
+        # first job builds the parser and imports what loads lazily
+        argv = ["adisc", "--in", write(tmp_path / "a.json",
+                                       TestGoldenArtifacts.SIX_POINTS),
+                "--out", str(tmp_path / "out.json"), "--field", "gf:101"]
+        assert main(argv) == 0
+        codes = []
+        assert unreachable_after(lambda: codes.append(main(argv))) == 0
+        assert codes == [0]
 
 
 @pytest.mark.parametrize("command,obj", [

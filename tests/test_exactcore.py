@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +151,22 @@ def oracle_integer_solvable(M, b):
     inv = oracle_smith_invariants(M)
     inv_b = oracle_smith_invariants([row + [x] for row, x in zip(M, b)])
     return len(inv) == len(inv_b) and math.prod(inv) == math.prod(inv_b)
+
+
+def test_row_hermite_rejects_non_integral_entries():
+    # 1/2 must not be read as 0: (1, 0) is not in the kernel of (1/2, 1),
+    # and x = 2 solves (1/2) x = 1, x = 2
+    with pytest.raises(ValueError):
+        ec.integer_kernel([[Fraction(1, 2), 1]])
+    with pytest.raises(ValueError):
+        ec.linear_solver([[Fraction(1, 2)], [1]])
+    with pytest.raises(ValueError):
+        ec.row_hermite([(1, 2.5)])
+    # integral entries of any numeric type are integers
+    assert ec.integer_kernel([[Fraction(2), 4]]) == [(2, -1)]
+    assert ec.integer_kernel([(2.0, 4)]) == [(2, -1)]
+    assert ec.linear_solver([[Fraction(2)], [1]])((4, 2)) == (2,)
+    assert ec.row_hermite([(1, 2), (3, 4)]) == ec.row_hermite([[1, 2], [3, 4]])
 
 
 def test_smith_form_matches_minor_gcd_oracle():
@@ -495,6 +512,51 @@ def test_gfp_kernel_matches_back_substitution(p, data):
     M = [[sum(A[i][l] * B[l][j] for l in range(k)) % p for j in range(n)]
          for i in range(m)]
     assert ec.gfp_kernel(M, p, n) == gfp_kernel_back_substitution(M, p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2 ** 31 - 1])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32))
+def test_gfp_kernel_numpy_path_matches_back_substitution(p, seed):
+    # Only widths above GFP_PYTHON_COLUMNS, so gfp_echelon and the back
+    # substitution run.  The first k rows are base rows, full rank or
+    # not; the others repeat one or add two, so the rank is at most k,
+    # and m runs on both sides of n.  Entries are uniform or from 0, 1,
+    # p // 2, p // 2 + 1 and p - 1, and some columns are zero.
+    rng = random.Random(f"{p}:{seed}")
+    n = rng.randint(ec.GFP_PYTHON_COLUMNS + 1, 130)
+    m = rng.choice([rng.randint(1, n), rng.randint(n, n + 16)])
+    k = min(m, n) if rng.random() < 0.5 else rng.randint(0, min(m, n))
+    extremes = (0, 1, p // 2, p // 2 + 1, p - 1)
+    edge = rng.random() < 0.5
+    zero_cols = set(rng.sample(range(n), rng.randint(0, 3)))
+    M = [[0 if j in zero_cols else
+          rng.choice(extremes) if edge else rng.randrange(p)
+          for j in range(n)] for _ in range(k)]
+    for _ in range(m - k):
+        if not k:
+            M.append([0] * n)
+        elif rng.random() < 0.5:
+            M.append(list(rng.choice(M[:k])))
+        else:
+            a, b = rng.choice(M[:k]), rng.choice(M[:k])
+            M.append([(x + y) % p for x, y in zip(a, b)])
+    rng.shuffle(M)
+    assert ec.gfp_kernel(M, p, n) == gfp_kernel_back_substitution(M, p, n)
+
+
+def test_gfp_budget_keeps_balanced_updates_inside_int64():
+    # an entry starts below p, takes budget updates of at most (p // 2)^2
+    # and is then shifted by p // 2 to balance it
+    primes = list(sympy.primerange(2, 200)) + [65521]
+    q = ec.PRIME_BOUND
+    for _ in range(50):
+        q = sympy.prevprime(q)
+        primes.append(q)
+    for p in primes:
+        h = p // 2
+        assert p - 1 + ec._gfp_budget(p) * h * h + h < 2 ** 63
+    assert ec._gfp_budget(2 ** 31 - 1) >= 8
 
 
 def test_kernel_basis_dispatch():

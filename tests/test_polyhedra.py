@@ -23,6 +23,7 @@ from oracle_utils import (
     mixed_volume_by_subsums,
     normalized_volume,
     polytope_contains,
+    unreachable_after,
 )
 
 # comparisons with a reference: seeded, derandomized examples
@@ -391,6 +392,13 @@ def test_lattice_points_3d():
                            (3, 3, -3), (3, -3, 3), (-3, 3, 3)])
     pts = hexagon.lattice_points()
     assert all(sum(p) == 3 for p in pts)
+
+
+def test_lattice_points_leave_no_reference_cycles():
+    # a sweep over three chart coordinates leaves nothing for the cycle
+    # collector
+    cube = [(x, y, z) for x in (0, 2) for y in (0, 3) for z in (-1, 1)]
+    assert unreachable_after(lambda: ph.Polytope(cube).lattice_points()) == 0
 
 
 def test_lattice_points_match_brute_force_3d():
