@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -51,6 +52,12 @@ from .tropical import TropicalCycle, homogenize_cycle
 COMMANDS = ("trop-cycle", "adisc", "newton", "implicitize", "chow",
             "mfp-search")
 ERROR_KIND = {2: "parse", 3: "precondition", 4: "computation"}
+# An mfp-search vertex count is the number of points drawn for one input
+# polytope of every random trial, and each trial's record holds them all.
+# With three counts of 10^4 in the plane one trial takes about 4 s and
+# writes a 0.3 MB record (2-vCPU host), while the search is meant for a
+# few points per polytope; a count of 2^70 could never be drawn.
+MAX_VERTEX_COUNT = 10 ** 4
 
 
 @dataclass
@@ -196,10 +203,11 @@ def _as_matrix(obj):
 def _as_cycle(obj, delta):
     """Parse a given cycle and check that it is balanced when every cone
     is one ray r_i over a common lineality L.  With k_i the index of
-    L + Z r_i in its saturation, r_i / k_i generates the cone's lattice
-    modulo L, so the sum of w_i r_i / k_i must lie in span_Q(L)
-    (Maclagan, Sturmfels, Introduction to Tropical Geometry, 3.3).  Other
-    cycles pass unchecked.
+    L + Z r_i in its saturation, the ``index`` of one ``saturate`` of
+    those generators, r_i / k_i generates the cone's lattice modulo L, so
+    the sum of w_i r_i / k_i must lie in span_Q(L) (Maclagan, Sturmfels,
+    Introduction to Tropical Geometry, 3.3).  Other cycles pass
+    unchecked.
     ``--delta``, the degree of a parametrization onto its image, has no
     meaning for a given cycle, so any value but 1 is InputFormatError.
     """
@@ -217,8 +225,7 @@ def _as_cycle(obj, delta):
         L = list(cones[0].lineality)
         total = (0,) * C.ambient_dim
         for cone, w in C:
-            gens = L + [cone.rays[0]]
-            k = ec.lattice_index(ec.saturate(gens, C.ambient_dim), gens)
+            k = ec.saturate(L + [cone.rays[0]], C.ambient_dim).index
             total = ec.vec_add(
                 total, tuple(ec.div_exact(w * x, k) for x in cone.rays[0]))
         if ec.rational_rank(L + [total]) > len(L):
@@ -362,7 +369,9 @@ def cmd_mfp_search(spec, obj):
     number fixes the dimension), a coordinate height, a random trial
     count and optionally fixed point configurations.  Every fixed trial,
     every improvement of the vertex record and every failed trial is
-    appended to the record file with its own seed.
+    appended to the record file with its own seed.  The config, fixed
+    configurations included, is checked before the record file is opened;
+    each random trial draws its points from its seed when it runs.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("search config must be a JSON object")
@@ -375,6 +384,9 @@ def cmd_mfp_search(spec, obj):
         raise InputFormatError(f"bad search config: {exc}") from exc
     if len(counts) < 2 or any(v < 1 for v in counts):
         raise InputFormatError("vertex_counts needs >= 2 entries, all >= 1")
+    if max(counts) > MAX_VERTEX_COUNT:
+        raise InputFormatError(
+            f"vertex_counts entries must be at most {MAX_VERTEX_COUNT}")
     if coord_height < 1 or trials < 0:
         raise InputFormatError("height must be >= 1 and trials >= 0")
     d = len(counts) - 1
@@ -390,13 +402,13 @@ def cmd_mfp_search(spec, obj):
                 f"fixed configurations need {len(counts)} polytopes with "
                 f"{d}-dimensional points")
         jobs.append((None, pts))
-    for k in range(trials):
+
+    def drawn(k):
         s = _trial_seed(spec.seed, k)
         rng = random.Random(s)
-        pts = [[tuple(rng.randint(-coord_height, coord_height)
-                      for _ in range(d)) for _ in range(v)]
-               for v in counts]
-        jobs.append((s, pts))
+        return s, [[tuple(rng.randint(-coord_height, coord_height)
+                          for _ in range(d)) for _ in range(v)]
+                   for v in counts]
 
     best = None
     written = 0
@@ -405,7 +417,8 @@ def cmd_mfp_search(spec, obj):
             fh.write(json.dumps(rec) + "\n")
             fh.flush()
 
-        for index, (s, pts) in enumerate(jobs):
+        for index, (s, pts) in enumerate(
+                itertools.chain(jobs, map(drawn, range(trials)))):
             rec = {"trial": index,
                    "kind": "fixed" if s is None else "random",
                    "points": [[list(p) for p in poly] for poly in pts]}
@@ -433,7 +446,7 @@ def cmd_mfp_search(spec, obj):
                 rec["message"] = str(exc)
                 emit(rec)
                 written += 1
-    print(json.dumps({"trials": len(jobs), "records": written,
+    print(json.dumps({"trials": len(jobs) + trials, "records": written,
                       "best_vertices": best}))
     return None
 

@@ -19,11 +19,6 @@ class InputFormatError(TropicalError):
     exit_code = PARSE_ERROR
 
 
-class SpanMismatch(TropicalError):
-    """Sub- and super-lattice do not span the same rational subspace."""
-    exit_code = PRECONDITION_ERROR
-
-
 class RankDeficient(TropicalError):
     """Matrix does not have the full rank required by the operation."""
     exit_code = PRECONDITION_ERROR

@@ -1,27 +1,30 @@
 """Exact linear algebra over Q, Z and GF(p).
 
 Everything downstream (polytopes, fans, interpolation) runs on the primitives
-in this module: arbitrary-precision rationals, saturated kernel lattices,
+in this module: arbitrary-precision rationals, saturated lattices,
 fraction-free kernels and Chinese-remainder rational reconstruction.  No
 floating point anywhere.  Two eliminations serve Q and Z, each with its
-own jobs.  The row Hermite form with its unimodular transform is the one
-integer normal form: integer kernels, saturation, lattice indices,
-reduction modulo a subspace and every solve, over Q or Z, run on it.
-Fraction-free Bareiss elimination (``_bareiss_echelon``) gives rank,
-determinant and the kernel over Q.
+own jobs.  The row Hermite form with its unimodular transform and that
+transform's inverse is the one integer normal form.  ``saturate`` is the
+one place a lattice is built from generators: one Hermite form of them
+gives the saturation's basis, its integer equations and the index of the
+generators in it, each read lazily (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4).  Reduction modulo a subspace and every
+solve, over Q or Z, run on the same form.  Fraction-free Bareiss
+elimination (``_bareiss_echelon``) gives rank, determinant and the kernel
+over Q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
     RankDeficient,
     ReconstructionFailed,
-    SpanMismatch,
 )
 
 # Moduli of GF(p) arithmetic stay below PRIME_BOUND, so products of two
@@ -175,11 +178,15 @@ def canonicalize_rational_vector(v):
 # integer normal forms
 
 def row_hermite(M):
-    """Row-style Hermite form: returns (H, U) with H = U*M, U unimodular.
+    """Row-style Hermite form: returns (H, U, W) with H = U*M, U unimodular
+    and W = (U^-1)^T, so M = W^T*H.
 
     Pivots positive, entries above a pivot reduced into [0, pivot), zero rows
     at the bottom.  M is a list of rows whose entries are integral, of any
-    numeric type; ValueError if one is not.
+    numeric type; ValueError if one is not.  Each row operation on U is
+    the inverse column operation on U^-1: subtracting q times row r from
+    row i of U adds q times column i to column r of U^-1.  W holds those
+    columns as its rows, so it takes the same steps as row operations.
     """
     H = [list(map(int, row)) for row in M]
     if H != M and H != [list(row) for row in M]:
@@ -187,6 +194,7 @@ def row_hermite(M):
     m = len(H)
     n = len(H[0]) if m else 0
     U = identity_matrix(m)
+    W = identity_matrix(m)
     r = 0
     for c in range(n):
         if r == m:
@@ -199,12 +207,14 @@ def row_hermite(M):
             if i0 != r:
                 H[r], H[i0] = H[i0], H[r]
                 U[r], U[i0] = U[i0], U[r]
+                W[r], W[i0] = W[i0], W[r]
             clean = True
             for i in range(r + 1, m):
                 if H[i][c]:
                     q = H[i][c] // H[r][c]
                     H[i] = [a - q * b for a, b in zip(H[i], H[r])]
                     U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+                    W[r] = [a + q * b for a, b in zip(W[r], W[i])]
                     if H[i][c]:
                         clean = False
             if clean:
@@ -213,53 +223,77 @@ def row_hermite(M):
             if H[r][c] < 0:
                 H[r] = [-a for a in H[r]]
                 U[r] = [-a for a in U[r]]
+                W[r] = [-a for a in W[r]]
             for i in range(r):
                 q = H[i][c] // H[r][c]
                 if q:
                     H[i] = [a - q * b for a, b in zip(H[i], H[r])]
                     U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+                    W[r] = [a + q * b for a, b in zip(W[r], W[i])]
             r += 1
-    return H, U
+    return H, U, W
 
 
-def integer_kernel(M, ncols=None):
-    """Basis of the saturated lattice {v in Z^n : M v = 0}, Hermite-reduced."""
-    if ncols is None:
-        if not M:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(M[0])
-    rows = [r for r in M if any(r)]
-    if not rows:
-        return [tuple(r) for r in identity_matrix(ncols)]
-    H, U = row_hermite(transpose(rows))
-    rank = sum(1 for row in H if any(row))
-    basis = [U[i] for i in range(rank, ncols)]
-    if not basis:
-        return []
-    Hb, _ = row_hermite(basis)
-    return [tuple(r) for r in Hb if any(r)]
-
-
-@dataclass(frozen=True)
 class LatticeBasis:
-    """Basis of a sublattice of Z^n, rows independent."""
+    """The saturation span_Q(G) meet Z^n of generators G, rank k, read
+    lazily off one factorization H = U G^T, W = (U^-1)^T (``row_hermite``).
 
-    ambient_dim: int
-    vectors: tuple
+    G^T = W^T H and only the first k rows of H are nonzero, so the first k
+    rows of W, part of a basis of Z^n, span every generator: they are a
+    basis of the saturation, and ``vectors`` is its Hermite form.  Rows k
+    and up of U vanish on the generators and span the integer kernel of
+    G, the saturated lattice of the span's ``equations``, also in Hermite
+    form.  The columns of H[:k] are the generators' coordinates in that
+    first basis, so ``index``, the index of the lattice the generators
+    span in the saturation (for integer generators), is the product of
+    the pivots of the Hermite form of the transpose of H[:k].  It divides
+    the product of the pivots of H[:k] itself, the index of the
+    generators at those pivot columns, so it is that product when the
+    product is 1 or when the generators are independent.
+    """
+
+    def __init__(self, ambient_dim, H, U, W):
+        self.ambient_dim = ambient_dim
+        self.rank = k = sum(1 for row in H if any(row))
+        # the rows each read needs, each dropped once its read is cached,
+        # so that cones and polytopes hold no factors they have read
+        self._rows = {"vectors": W[:k], "equations": U[k:], "index": H[:k]}
+
+    @cached_property
+    def vectors(self):
+        return _hermite_basis(self._rows.pop("vectors"), self.ambient_dim)
+
+    @cached_property
+    def equations(self):
+        return _hermite_basis(self._rows.pop("equations"), self.ambient_dim)
+
+    @cached_property
+    def index(self):
+        top = self._rows.pop("index")
+        bound = math.prod(next(x for x in row if x) for row in top)
+        if bound == 1 or len(top) == len(top[0]):
+            return bound
+        H = row_hermite(transpose(top))[0]
+        return math.prod(H[i][i] for i in range(self.rank))
 
     def __iter__(self):
         return iter(self.vectors)
 
     def __len__(self):
-        return len(self.vectors)
+        return self.rank
 
-    @property
-    def rank(self):
-        return len(self.vectors)
+
+def _hermite_basis(rows, n):
+    """The Hermite form of independent integer rows in Z^n, as tuples: the
+    identity when they are n rows of a unimodular matrix."""
+    if len(rows) == n:
+        return tuple(map(tuple, identity_matrix(n)))
+    return tuple(map(tuple, row_hermite(rows)[0])) if rows else ()
 
 
 def saturate(generators, ambient_dim=None):
-    """Basis of span_Q(generators) intersected with Z^n.
+    """The ``LatticeBasis`` of span_Q(generators) meet Z^n, from one
+    ``row_hermite`` of the generators, each cleared of its denominators.
 
     Saturation of a saturation is itself; generators may be dependent and may
     be rational (only their span matters).
@@ -269,15 +303,11 @@ def saturate(generators, ambient_dim=None):
         if not gens:
             raise ValueError("need ambient_dim without generators")
         ambient_dim = len(gens[0])
-    prim = [primitive_vector(g) for g in gens if any(g)]
-    if not prim:
-        return LatticeBasis(ambient_dim, ())
-    orth = integer_kernel(prim, ambient_dim)
-    if not orth:
-        basis = [tuple(r) for r in identity_matrix(ambient_dim)]
-    else:
-        basis = integer_kernel(orth, ambient_dim)
-    return LatticeBasis(ambient_dim, tuple(basis))
+    rows = _integer_rows([g for g in gens if any(g)])[0]
+    if not rows:
+        eye = identity_matrix(ambient_dim)
+        return LatticeBasis(ambient_dim, [], eye, eye)
+    return LatticeBasis(ambient_dim, *row_hermite(transpose(rows)))
 
 
 def linear_solver(M):
@@ -293,7 +323,7 @@ def linear_solver(M):
     """
     if not M:
         return lambda b: ()
-    H, U = row_hermite(transpose(M))
+    H, U, _ = row_hermite(transpose(M))
     pivots = [(next(j for j, x in enumerate(h) if x), h) for h in H if any(h)]
     Ut = [col[:len(pivots)] for col in transpose(U)]
 
@@ -317,41 +347,6 @@ def solve_integer(M, b):
     """One integer solution x of M x = b, or None (``linear_solver``)."""
     x = linear_solver(M)(b)
     return x if x is None or all(isinstance(t, int) for t in x) else None
-
-
-def lattice_index(super_basis, sub_generators):
-    """Index of the lattice generated by ``sub_generators`` in the lattice
-    spanned by ``super_basis``.
-
-    Raises SpanMismatch unless both span the same rational subspace and the
-    sub-generators sit inside the super-lattice.  Generators may be dependent;
-    the index is the product of the pivots of the Hermite form of their
-    coordinates, all read off one ``linear_solver`` of the super basis.
-    """
-    sup = list(super_basis)
-    subs = [g for g in sub_generators if any(g)]
-    r = len(sup)
-    if not r:
-        if subs:
-            raise SpanMismatch("sub spans more than the zero super-lattice")
-        return 1
-    solve = linear_solver(transpose(sup))
-    coords = []
-    for g in subs:
-        sol = solve(g)
-        if sol is None:
-            raise SpanMismatch("generator outside the span of the super basis")
-        if not all(isinstance(x, int) for x in sol):
-            raise SpanMismatch("generator outside the super lattice")
-        coords.append(list(sol))
-    if not coords or rational_rank(coords) < r:
-        raise SpanMismatch("sub-generators span a smaller subspace")
-    H, _ = row_hermite(coords)
-    idx = 1
-    for i in range(r):
-        piv = next(x for x in H[i] if x)
-        idx *= abs(piv)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +755,14 @@ def crt_rational_reconstruct(residue_vectors, primes):
 # Gale duality
 
 def gale_dual(A):
-    """Integer basis of the saturated kernel lattice of A, as rows.
+    """Integer basis of the saturated kernel lattice of A, as rows: the
+    equations of the saturation of A's rows.
 
     A is d x n of full rank d (else RankDeficient); the result B is
     (n-d) x n with A * B^T = 0.
     """
     d = len(A)
-    n = len(A[0]) if d else 0
-    if rational_rank(A) != d:
+    lattice = saturate(A, len(A[0]) if d else 0)
+    if lattice.rank != d:
         raise RankDeficient(f"matrix has rank below {d}")
-    B = integer_kernel([list(map(int, row)) for row in A], n)
-    return [tuple(row) for row in B]
+    return list(lattice.equations)

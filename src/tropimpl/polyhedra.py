@@ -15,19 +15,20 @@ Lattice points are swept one chart coordinate at a time, bounded by the
 facets of the projections to the leading coordinates; a projection of a
 polytope is the hull of its projected vertices (Ziegler, Lectures on
 Polytopes, Lecture 1), so the same hull gives every bound.
-Cones carry rays plus a lineality space, and their span equations are one
-integer kernel of those generators.  A simplicial cone, whose rays are
-independent modulo the lineality, builds no hull: its facet normals are
-the dual basis of its rays, and its rays and lineality are its key.  Any
-other cone reads its facet normals, lazily, off the hull of the origin and
-the images of the rays modulo the lineality, a pointed cone (Fulton,
-Introduction to Toric Varieties, 1.2).  Membership is a few dot products.
+Cones carry rays plus a lineality space.  One ``saturate`` of those
+generators gives a cone's span and its equations, and one of the
+lineality gives the lineality's basis and equations.  A simplicial cone,
+whose rays are independent modulo the lineality, builds no hull: its
+facet normals are the dual basis of its rays, and its rays and lineality
+are its key.  Any other cone reads its facet normals, lazily, off the hull
+of the origin and the images of the rays modulo the lineality, a pointed
+cone (Fulton, Introduction to Toric Varieties, 1.2).  Membership is a few
+dot products.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import combinations
 
 from . import exactcore as ec
@@ -161,15 +162,6 @@ class _Hull:
                                 for (a, b), pts in sorted(by_plane.items())]
 
 
-def _affine_equations(lattice, base):
-    """Integer equations (c, c0) with c.x = c0 on base + span(lattice)."""
-    n = lattice.ambient_dim
-    if lattice.rank == n:
-        return []
-    return [(c, ec.dot(c, base))
-            for c in ec.integer_kernel([list(v) for v in lattice], n)]
-
-
 def _ambient_normal(lattice, equations):
     """The map from chart facet normals to ambient ones.
 
@@ -209,8 +201,7 @@ class PolytopeBuilder:
         self.points = pts
         self._base = pts[0]
         directions = [ec.vec_sub(p, self._base) for p in pts[1:]]
-        self.lattice = ec.saturate(directions, self.ambient_dim) \
-            if directions else ec.LatticeBasis(self.ambient_dim, ())
+        self.lattice = ec.saturate(directions, self.ambient_dim)
         self._chart = _chart(self.lattice, self.ambient_dim)
         self._hull = _hull_full_dim(_lattice_coords(pts, self._chart))
         self._normal = None
@@ -218,7 +209,7 @@ class PolytopeBuilder:
 
     def equations(self):
         """Integer equations (c, c0) with c.x = c0 on the affine hull."""
-        return _affine_equations(self.lattice, self._base)
+        return [(c, ec.dot(c, self._base)) for c in self.lattice.equations]
 
     def add(self, point):
         """Add a point of the affine hull; LatticeMismatch off it."""
@@ -289,7 +280,8 @@ class Polytope:
 
     def equations(self):
         """Integer equations (c, c0) with c.x = c0 on the polytope."""
-        return _affine_equations(self._lattice, self._chart_base)
+        return [(c, ec.dot(c, self._chart_base))
+                for c in self._lattice.equations]
 
     def facets(self):
         """Ambient facet inequalities (a, b, vertex_index_set), a.x <= b.
@@ -586,24 +578,27 @@ class Cone:
                 raise ValueError("need ambient_dim for a trivial cone")
             ambient_dim = len(probe[0])
         self.ambient_dim = ambient_dim
-        lin = [l for l in lineality if any(l)]
-        self.lineality = tuple(ec.saturate(lin, ambient_dim)) if lin else ()
+        self._lineality = ec.saturate(lineality, ambient_dim)
+        self.lineality = self._lineality.vectors
         cleaned = set()
         for r in rays:
             red = ec.reduce_mod_subspace(r, self.lineality)
             if any(red):
                 cleaned.add(ec.primitive_vector(red))
         self.rays = tuple(sorted(cleaned))
-        self._equations = ec.integer_kernel(self.rays + self.lineality,
-                                            ambient_dim)
-        self.dim = ambient_dim - len(self._equations)
+        self._span = ec.saturate(self.rays + self.lineality, ambient_dim)
+        self.dim = self._span.rank
         self._hrep = None
 
-    @cached_property
+    @property
     def span(self):
-        """Saturated basis of the linear span: the integer kernel of the
-        span equations."""
-        return tuple(ec.integer_kernel(self._equations, self.ambient_dim))
+        """Saturated basis of the linear span."""
+        return self._span.vectors
+
+    @property
+    def _equations(self):
+        """Saturated basis of the integer equations of the span."""
+        return self._span.equations
 
     @property
     def lineality_dim(self):
@@ -622,12 +617,12 @@ class Cone:
         Facet i's inner normal vanishes on the other rays and the
         lineality and is positive on ray i.  Its canonical representative
         modulo the span equations is the one vanishing at their pivots, so
-        it spans the integer kernel of the other rays, the lineality and
-        the unit vectors at those pivots, one kernel per ray.  Every ray is
+        it spans the equations of the saturation of the other rays, the
+        lineality and the unit vectors at those pivots.  Every ray is
         extreme, and no lineality hides among them.
 
         Any other cone is read off one hull modulo the lineality.  The
-        rows of K = integer_kernel(lineality) vanish on the lineality, so
+        rows of K, the equations of the lineality, vanish on it, so
         x -> K x maps the cone onto the pointed cone spanned by the images
         K r of the rays, the tangent cone at 0 of the polytope of the
         origin and those images.  A facet of that polytope through 0 with
@@ -649,13 +644,13 @@ class Cone:
                           for c in equations)
             facets = []
             for i, r in enumerate(rays):
-                u, = ec.integer_kernel(rays[:i] + rays[i + 1:] + lin + units,
-                                       n)
+                u, = ec.saturate(rays[:i] + rays[i + 1:] + lin + units,
+                                 n).equations
                 facets.append(u if ec.dot(u, r) > 0 else
                               tuple(-x for x in u))
             self._hrep = (equations, sorted(facets), rays, lin)
             return self._hrep
-        K = ec.integer_kernel(lin, n)
+        K = self._lineality.equations
         Q = Polytope([(0,) * len(K)] + [ec.mat_vec(K, r) for r in rays])
         facets = sorted(
             ec.primitive_vector(ec.reduce_mod_subspace(

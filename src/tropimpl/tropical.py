@@ -177,8 +177,9 @@ def push_forward_cycle(C, V):
 
     Keeps the cones whose images reach the maximal image dimension, each with
     its weight multiplied by the lattice index of the image of the cone's
-    span lattice inside its saturation; dimension-dropping cones are
-    discarded.  Items are not merged.
+    span lattice inside its saturation, the ``index`` of one ``saturate``
+    of that image; dimension-dropping cones are discarded.  Items are not
+    merged.
     """
     V = [tuple(row) for row in V]
     target = len(V)
@@ -198,8 +199,7 @@ def push_forward_cycle(C, V):
         if img.dim != out_dim:
             continue
         gens = [ec.mat_vec(V, b) for b in cone.span]
-        idx = ec.lattice_index(ec.saturate(gens, target), gens)
-        items.append((img, w * idx))
+        items.append((img, w * ec.saturate(gens, target).index))
     return TropicalCycle(target, out_dim, items)
 
 
@@ -227,7 +227,8 @@ def stable_sum(C, D):
     A pair of cones contributes iff their spans meet exactly in the
     intersection of their lineality spaces, i.e. the sum has the expected
     dimension modulo the shared lineality; the weight picks up the index of
-    the sum of the two span lattices inside its saturation.
+    the sum of the two span lattices inside its saturation.  One
+    ``saturate`` of the two spans gives both that dimension and the index.
     """
     if C.ambient_dim != D.ambient_dim:
         raise DimensionMismatch("stable sum needs a common ambient space")
@@ -239,20 +240,18 @@ def stable_sum(C, D):
         for lam, wl in D.items:
             lin_l = list(lam.lineality)
             common_lin = len(lin_s) + len(lin_l) \
-                - ec.saturate(lin_s + lin_l, n).rank if (lin_s or lin_l) else 0
+                - ec.saturate(lin_s + lin_l, n).rank
             expected = sigma.dim + lam.dim - common_lin
-            gens = list(sigma.span) + list(lam.span)
-            total = ec.saturate(gens, n)
+            total = ec.saturate(sigma.span + lam.span, n)
             if total.rank != expected:
                 continue
-            idx = ec.lattice_index(total, gens)
             cone = Cone(list(sigma.rays) + list(lam.rays),
                         lin_s + lin_l, n)
             if out_dim is None:
                 out_dim = cone.dim
             if cone.dim != out_dim:
                 raise DimensionMismatch("stable sum produced mixed dimensions")
-            items.append((cone, ws * wl * idx))
+            items.append((cone, ws * wl * total.index))
     if out_dim is None:
         return TropicalCycle(n, 0, [])
     return TropicalCycle(n, out_dim, items)

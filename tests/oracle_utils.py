@@ -20,7 +20,11 @@ package computes in closed form.  The row references evaluate one point
 and one monomial at a time, and the Horn reference draws in Fraction
 arithmetic.  Linear systems are solved by Gauss-Jordan elimination in
 Fractions, and primal Pluecker coordinates are read off a kernel basis
-instead of the complementary minors of the span.  ``normalized_volume``
+instead of the complementary minors of the span.  The lattice references
+build a saturation as the kernel of a kernel (``integer_kernel`` twice)
+and an index from the coordinates that a separate solve in the saturation
+gives (``lattice_index``), where the package reads both off one Hermite
+form of the generators.  ``normalized_volume``
 and ``chow_to_equations`` have no caller in the package; they live here
 with the tests that pin them, and the first measures the subsums of the
 mixed-volume reference.  Two spies close the file:
@@ -46,11 +50,13 @@ from tropimpl.chow import (
     chow_form,
 )
 from tropimpl.errors import (
+    PRECONDITION_ERROR,
     DimensionMismatch,
     KernelEmpty,
     KernelTooBig,
     LoopyMatroid,
     SamplingExhausted,
+    TropicalError,
     VerificationFailed,
 )
 from tropimpl.implicitize import Parametrization
@@ -272,6 +278,80 @@ def gfp_kernel_back_substitution(rows, p, ncols):
         inv = pow(next(v for v in x if v), p - 2, p)
         basis.append(tuple(v * inv % p for v in x))
     return basis
+
+
+class SpanMismatch(TropicalError):
+    """Sub- and super-lattice do not span the same rational subspace."""
+    exit_code = PRECONDITION_ERROR
+
+
+def integer_kernel(M, ncols=None):
+    """Basis of the saturated lattice {v in Z^n : M v = 0}, Hermite-reduced:
+    the rows of the transform of the Hermite form of M^T that it sends to
+    zero, reduced by a second Hermite form."""
+    if ncols is None:
+        if not M:
+            raise ValueError("need ncols for an empty matrix")
+        ncols = len(M[0])
+    rows = [r for r in M if any(r)]
+    if not rows:
+        return [tuple(r) for r in ec.identity_matrix(ncols)]
+    H, U, _ = ec.row_hermite(ec.transpose(rows))
+    rank = sum(1 for row in H if any(row))
+    basis = [U[i] for i in range(rank, ncols)]
+    if not basis:
+        return []
+    Hb = ec.row_hermite(basis)[0]
+    return [tuple(r) for r in Hb if any(r)]
+
+
+def saturate_by_kernels(generators, ambient_dim):
+    """span_Q(generators) meet Z^n as the kernel of the kernel of the
+    primitive generators, Hermite-reduced: the reference for
+    ``ec.saturate(...).vectors``."""
+    prim = [ec.primitive_vector(g) for g in generators if any(g)]
+    if not prim:
+        return ()
+    orth = integer_kernel(prim, ambient_dim)
+    if not orth:
+        return tuple(map(tuple, ec.identity_matrix(ambient_dim)))
+    return tuple(integer_kernel(orth, ambient_dim))
+
+
+def lattice_index(super_basis, sub_generators):
+    """Index of the lattice generated by ``sub_generators`` in the lattice
+    spanned by ``super_basis``, the reference for
+    ``ec.saturate(...).index``.
+
+    Raises SpanMismatch unless both span the same rational subspace and the
+    sub-generators sit inside the super-lattice.  Generators may be dependent;
+    the index is the product of the pivots of the Hermite form of their
+    coordinates, all read off one ``linear_solver`` of the super basis.
+    """
+    sup = list(super_basis)
+    subs = [g for g in sub_generators if any(g)]
+    r = len(sup)
+    if not r:
+        if subs:
+            raise SpanMismatch("sub spans more than the zero super-lattice")
+        return 1
+    solve = ec.linear_solver(ec.transpose(sup))
+    coords = []
+    for g in subs:
+        sol = solve(g)
+        if sol is None:
+            raise SpanMismatch("generator outside the span of the super basis")
+        if not all(isinstance(x, int) for x in sol):
+            raise SpanMismatch("generator outside the super lattice")
+        coords.append(list(sol))
+    if not coords or ec.rational_rank(coords) < r:
+        raise SpanMismatch("sub-generators span a smaller subspace")
+    H = ec.row_hermite(coords)[0]
+    idx = 1
+    for i in range(r):
+        piv = next(x for x in H[i] if x)
+        idx *= abs(piv)
+    return idx
 
 
 def _solve_over_q(unknowns, sampler, row, seed):
@@ -664,7 +744,7 @@ def cone_hrep_by_lineality_hull(cone):
     n = cone.ambient_dim
     P = Polytope([(0,) * n] + list(cone.rays) + list(cone.lineality)
                  + [tuple(-x for x in l) for l in cone.lineality])
-    equations = [c for c, _ in P.equations()]
+    equations = tuple(c for c, _ in P.equations())
     facets = sorted(tuple(-x for x in a) for a, b, _ in P.facets() if b == 0)
     hidden = [r for r in cone.rays if all(ec.dot(u, r) == 0 for u in facets)]
     lin = cone.lineality

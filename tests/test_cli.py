@@ -527,6 +527,50 @@ class TestMfpSearch:
             if "vertices" in rec:
                 assert rec["vertices"] <= 2
 
+    def test_trials_are_drawn_when_they_run(self, tmp_path, monkeypatch):
+        # a long search stopped when it draws its second trial has written
+        # the first trial's record and drawn no later trial
+        class Stop(Exception):
+            pass
+
+        drawn = []
+
+        def spy(master, index):
+            drawn.append(index)
+            if index == 1:
+                raise Stop
+            return _trial_seed(master, index)
+
+        monkeypatch.setattr(cli, "_trial_seed", spy)
+        cfg = {"vertex_counts": [3, 3, 3], "trials": 300000}
+        out = tmp_path / "lead.jsonl"
+        with pytest.raises(Stop):
+            run(["mfp-search", "--in", write(tmp_path / "cfg.json", cfg),
+                 "--out", str(out), "--seed", "5"])
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["trial"], r["seed"]) for r in recs] == [
+            (0, _trial_seed(5, 0))]
+        assert drawn == [0, 1]
+
+    def test_vertex_count_above_the_bound_exits_2_at_once(self, tmp_path,
+                                                          capsys):
+        at_bound = {"vertex_counts": [cli.MAX_VERTEX_COUNT] * 2, "trials": 0}
+        rc, out = run(["mfp-search",
+                       "--in", write(tmp_path / "ok.json", at_bound),
+                       "--out", str(tmp_path / "ok.jsonl")], capsys)
+        assert rc == 0
+        cfg = {"vertex_counts": [3, 2 ** 70], "trials": 1}
+        target = tmp_path / "lead.jsonl"
+        start = time.perf_counter()
+        rc, out = run(["mfp-search",
+                       "--in", write(tmp_path / "cfg.json", cfg),
+                       "--out", str(target)], capsys)
+        assert time.perf_counter() - start < 2
+        assert rc == 2
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["type"] == "InputFormatError"
+        assert not target.exists()
+
     def test_bad_config_rejected(self, tmp_path, capsys):
         cfg = {"vertex_counts": [3]}
         rc, out = run(["mfp-search",

@@ -8,9 +8,21 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import gfp_kernel_back_substitution, solve_by_gauss_jordan
+from oracle_utils import (
+    SpanMismatch,
+    gfp_kernel_back_substitution,
+    integer_kernel,
+    lattice_index,
+    saturate_by_kernels,
+    solve_by_gauss_jordan,
+)
 from tropimpl import exactcore as ec
-from tropimpl.errors import RankDeficient, ReconstructionFailed, SpanMismatch
+from tropimpl.errors import (
+    DimensionMismatch,
+    RankDeficient,
+    ReconstructionFailed,
+)
+from tropimpl.polyhedra import Cone
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +138,9 @@ def test_row_hermite_transform_and_shape():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        H, U = ec.row_hermite(M)
+        H, U, W = ec.row_hermite(M)
         assert mat_mul(U, M) == H
+        assert mat_mul(ec.transpose(W), U) == ec.identity_matrix(m)
         assert abs(oracle_det([[Fraction(x) for x in row] for row in U])) == 1
         pivots = []
         for row in H:
@@ -157,14 +170,14 @@ def test_row_hermite_rejects_non_integral_entries():
     # 1/2 must not be read as 0: (1, 0) is not in the kernel of (1/2, 1),
     # and x = 2 solves (1/2) x = 1, x = 2
     with pytest.raises(ValueError):
-        ec.integer_kernel([[Fraction(1, 2), 1]])
+        integer_kernel([[Fraction(1, 2), 1]])
     with pytest.raises(ValueError):
         ec.linear_solver([[Fraction(1, 2)], [1]])
     with pytest.raises(ValueError):
         ec.row_hermite([(1, 2.5)])
     # integral entries of any numeric type are integers
-    assert ec.integer_kernel([[Fraction(2), 4]]) == [(2, -1)]
-    assert ec.integer_kernel([(2.0, 4)]) == [(2, -1)]
+    assert integer_kernel([[Fraction(2), 4]]) == [(2, -1)]
+    assert integer_kernel([(2.0, 4)]) == [(2, -1)]
     assert ec.linear_solver([[Fraction(2)], [1]])((4, 2)) == (2,)
     assert ec.row_hermite([(1, 2), (3, 4)]) == ec.row_hermite([[1, 2], [3, 4]])
 
@@ -215,9 +228,9 @@ def test_lattice_normal_form_dispatch():
     # one normal form: the row Hermite form of M and of its transpose,
     # the latter with its transform deciding and solving M x = b
     M = [[2, 4], [6, 8]]
-    H, U = ec.row_hermite(M)
+    H, U, _ = ec.row_hermite(M)
     assert H == [[2, 0], [0, 4]] and mat_mul(U, M) == H
-    Ht, Ut = ec.row_hermite(ec.transpose(M))
+    Ht, Ut, _ = ec.row_hermite(ec.transpose(M))
     assert Ht == [[2, 2], [0, 4]] and mat_mul(Ut, ec.transpose(M)) == Ht
     assert ec.solve_integer(M, (2, 6)) == (1, 0)
     assert ec.solve_integer(M, (0, 4)) == (2, -1)
@@ -291,7 +304,7 @@ def test_integer_kernel_annihilates_and_is_saturated():
         m = rng.randint(1, 3)
         n = rng.randint(1, 5)
         M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        K = ec.integer_kernel(M, n)
+        K = integer_kernel(M, n)
         for v in K:
             assert all(ec.dot(row, v) == 0 for row in M)
         assert len(K) == n - ec.rational_rank(M)
@@ -305,7 +318,7 @@ def test_integer_kernel_annihilates_and_is_saturated():
 
 
 def test_integer_kernel_zero_matrix():
-    K = ec.integer_kernel([[0, 0, 0]], 3)
+    K = integer_kernel([[0, 0, 0]], 3)
     assert K == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
@@ -340,6 +353,71 @@ def test_saturate_idempotent_and_empty():
     assert len(ec.saturate([(0, 0, 0)], 3)) == 0
 
 
+@st.composite
+def generator_sets(draw):
+    """(n, generators) in Z^1..Z^6: random rows mixed with repeats, zero
+    rows, rational rows and rows dependent on earlier ones."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4) | st.integers(-60, 60)
+    gens = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["random", "random", "repeat", "zero", "rational", "dependent"]),
+            max_size=8)):
+        if kind == "random" or (kind in ("repeat", "dependent") and not gens):
+            gens.append(tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+        elif kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "zero":
+            gens.append((0,) * n)
+        elif kind == "rational":
+            den = draw(st.integers(2, 6))
+            gens.append(tuple(ec.rat(x, den) for x in draw(
+                st.lists(entry, min_size=n, max_size=n))))
+        else:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            gens.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return n, gens
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(generator_sets())
+def test_lattice_reads_match_kernel_of_kernel(case):
+    # one factorization against the references: the kernel of the kernel,
+    # one integer kernel and the index over a separate solve
+    n, gens = case
+    L = ec.saturate(gens, n)
+    prim = [ec.primitive_vector(g) for g in gens if any(g)]
+    assert L.vectors == saturate_by_kernels(gens, n)
+    assert tuple(L) == L.vectors and len(L) == L.rank == len(L.vectors)
+    assert L.equations == tuple(integer_kernel(prim, n))
+    assert L.rank + len(L.equations) == n
+    if all(isinstance(x, int) for g in gens for x in g):
+        assert L.index == lattice_index(L.vectors, gens)
+    cut = len(gens) // 2
+    cone = Cone(gens[:cut], gens[cut:], n)
+    assert cone.span == saturate_by_kernels(gens, n)
+    assert cone._equations == L.equations
+    assert cone.dim == L.rank
+    if cone.dim == n - 1:
+        assert cone.hyperplane_normal() == L.equations[0]
+    else:
+        with pytest.raises(DimensionMismatch):
+            cone.hyperplane_normal()
+
+
+def test_lattice_index_reads_generators_as_given():
+    # the index counts the lattice the generators themselves span, not
+    # their primitive multiples, and zero generators add nothing to it
+    assert ec.saturate([(2, 0), (0, 3)]).index == 6
+    assert ec.saturate([(2, 0), (4, 0), (0, 3), (0, 0)]).index == 6
+    assert ec.saturate([(2, 3), (3, 2)]).index == 5
+    assert ec.saturate([(2, 4, 6)]).index == 2
+    assert ec.saturate([(2, 4), (3, 6)]).index == 1
+    assert ec.saturate([], 3).index == 1
+    assert ec.saturate([(0, 0)]).index == 1
+
+
 def test_rational_kernel_canonical_basis():
     assert ec.rational_kernel([[1, 1, 1]]) == [(1, -1, 0), (1, 0, -1)]
     assert ec.rational_kernel([[0, 0]], 2) == [(1, 0), (0, 1)]
@@ -360,18 +438,18 @@ def test_rational_kernel_canonical_basis():
 
 def test_lattice_index_hand_values():
     unit = [(1, 0), (0, 1)]
-    assert ec.lattice_index(unit, [(2, 0), (0, 3)]) == 6
-    assert ec.lattice_index(unit, [(1, 1), (1, -1)]) == 2
-    assert ec.lattice_index(unit, [(2, 0), (4, 0), (0, 3)]) == 6
-    assert ec.lattice_index([(1, 1)], [(3, 3)]) == 3
-    assert ec.lattice_index([], []) == 1
+    assert lattice_index(unit, [(2, 0), (0, 3)]) == 6
+    assert lattice_index(unit, [(1, 1), (1, -1)]) == 2
+    assert lattice_index(unit, [(2, 0), (4, 0), (0, 3)]) == 6
+    assert lattice_index([(1, 1)], [(3, 3)]) == 3
+    assert lattice_index([], []) == 1
     with pytest.raises(SpanMismatch):
-        ec.lattice_index(unit, [(2, 0)])
+        lattice_index(unit, [(2, 0)])
     with pytest.raises(SpanMismatch):
-        ec.lattice_index([(1, 1)], [(1, 0)])
+        lattice_index([(1, 1)], [(1, 0)])
     with pytest.raises(SpanMismatch):
         # (1,1)/2 is inside the span but outside the integer lattice
-        ec.lattice_index([(2, 2)], [(1, 1)])
+        lattice_index([(2, 2)], [(1, 1)])
 
 
 def test_lattice_index_counts_cosets():
@@ -390,7 +468,7 @@ def test_lattice_index_counts_cosets():
             if best:
                 break
         seen.add(best)
-    assert len(seen) == ec.lattice_index([(1, 0), (0, 1)], sub) == 6
+    assert len(seen) == lattice_index([(1, 0), (0, 1)], sub) == 6
 
 
 def test_solve_integer():

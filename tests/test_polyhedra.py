@@ -17,6 +17,7 @@ from oracle_utils import (
     contains2d,
     extreme_rays,
     hull2d,
+    integer_kernel,
     lattice_points2d,
     lattice_points_in_box,
     mixed_area,
@@ -483,16 +484,16 @@ def test_normalized_volume_against_planar_oracle():
 
 def test_normalized_volume_lattice_argument():
     seg = ph.Polytope([(0, 0), (3, 3)])
-    fine = ec.LatticeBasis(2, ((1, 1),))
+    fine = ec.saturate([(1, 1)])
     assert normalized_volume(seg, fine) == 3
     # positive dimensional polytope against a rank 0 lattice is an error
     with pytest.raises(LatticeMismatch):
-        normalized_volume(seg, ec.LatticeBasis(2, ()))
+        normalized_volume(seg, ec.saturate([], 2))
     # a polytope escaping the span of the lattice is an error
     with pytest.raises(LatticeMismatch):
         normalized_volume(ph.Polytope([(0, 0), (1, 0)]), fine)
     # lower dimensional polytope in a bigger lattice has volume zero
-    plane = ec.LatticeBasis(2, ((1, 0), (0, 1)))
+    plane = ec.saturate([(1, 0), (0, 1)])
     assert normalized_volume(seg, plane) == 0
 
 
@@ -657,7 +658,7 @@ def test_cone_hyperplane_normal():
     # opposite rays close up to the plane 2x = 3z: the span equation
     D = ph.Cone([(3, 0, 2), (-3, 0, -2), (0, 1, 0)])
     assert D.hyperplane_normal() == (2, 0, -3)
-    assert D.hyperplane_normal() == tuple(ec.integer_kernel(
+    assert D.hyperplane_normal() == tuple(integer_kernel(
         [list(v) for v in D.span], 3)[0])
     with pytest.raises(DimensionMismatch):
         ph.Cone([(1, 0, 0)]).hyperplane_normal()
@@ -728,8 +729,8 @@ def test_simplicial_cone_hrep_in_closed_form(cone):
     gens = [list(v) for v in cone.rays + cone.lineality]
     span = tuple(ec.saturate(gens, n)) if gens else ()
     # the kernel of the generators is that of their saturated span
-    equations = ec.integer_kernel([list(v) for v in span], n)
-    assert equations == ec.integer_kernel(gens, n)
+    equations = integer_kernel([list(v) for v in span], n)
+    assert equations == integer_kernel(gens, n)
     assert len(cone.rays) == cone.dim - cone.lineality_dim
     assert cone.dim == len(span) == n - len(equations)
     assert cone.span == span
