@@ -7,12 +7,12 @@ floating point anywhere.  Two eliminations serve Q and Z, each with its
 own jobs.  The row Hermite form with its unimodular transform and that
 transform's inverse is the one integer normal form.  ``saturate`` is the
 one place a lattice is built from generators: one Hermite form of them
-gives the saturation's basis, its integer equations and the index of the
-generators in it, each read lazily (Cohen, A Course in Computational
-Algebraic Number Theory, 2.4).  Reduction modulo a subspace and every
-solve, over Q or Z, run on the same form.  Fraction-free Bareiss
-elimination (``_bareiss_echelon``) gives rank, determinant and the kernel
-over Q.
+gives the saturation's basis, its integer equations, the index of the
+generators in it and the change of coordinates between Z^n and the basis,
+each read lazily (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4).  Reduction modulo a subspace and every other solve, over Q
+or Z, run on the same form.  Fraction-free Bareiss elimination
+(``_bareiss_echelon``) gives rank, determinant and the kernel over Q.
 """
 
 from __future__ import annotations
@@ -240,16 +240,18 @@ class LatticeBasis:
 
     G^T = W^T H and only the first k rows of H are nonzero, so the first k
     rows of W, part of a basis of Z^n, span every generator: they are a
-    basis of the saturation, and ``vectors`` is its Hermite form.  Rows k
-    and up of U vanish on the generators and span the integer kernel of
-    G, the saturated lattice of the span's ``equations``, also in Hermite
-    form.  The columns of H[:k] are the generators' coordinates in that
-    first basis, so ``index``, the index of the lattice the generators
-    span in the saturation (for integer generators), is the product of
-    the pivots of the Hermite form of the transpose of H[:k].  It divides
-    the product of the pivots of H[:k] itself, the index of the
-    generators at those pivot columns, so it is that product when the
-    product is 1 or when the generators are independent.
+    basis of the saturation, and ``vectors`` is its Hermite form T W[:k].
+    Rows k and up of U vanish on the generators and span the integer kernel
+    of G, the saturated lattice of the span's ``equations``, also in
+    Hermite form.  U W^T = I, so D = (T^-1)^T U[:k] is an integer dual
+    basis, D vectors^T = I: it gives ``coordinates`` and ``pull_back``.
+    The columns of H[:k] are the generators' coordinates in W[:k], so
+    ``index``, the index of the lattice the generators span in the
+    saturation (for integer generators), is the product of the pivots of
+    the Hermite form of the transpose of H[:k].  It divides the product of
+    the pivots of H[:k] itself, the index of the generators at those pivot
+    columns, so it is that product when the product is 1 or when the
+    generators are independent.
     """
 
     def __init__(self, ambient_dim, H, U, W):
@@ -258,14 +260,19 @@ class LatticeBasis:
         # the rows each read needs, each dropped once its read is cached,
         # so that cones and polytopes hold no factors they have read
         self._rows = {"vectors": W[:k], "equations": U[k:], "index": H[:k]}
+        if k < ambient_dim:  # else D = I
+            self._rows["dual"] = U[:k]
 
     @cached_property
     def vectors(self):
-        return _hermite_basis(self._rows.pop("vectors"), self.ambient_dim)
+        basis, self._rows["transform"] = _hermite_basis(
+            self._rows.pop("vectors"), self.ambient_dim)
+        return basis
 
     @cached_property
     def equations(self):
-        return _hermite_basis(self._rows.pop("equations"), self.ambient_dim)
+        return _hermite_basis(self._rows.pop("equations"),
+                              self.ambient_dim)[0]
 
     @cached_property
     def index(self):
@@ -276,6 +283,31 @@ class LatticeBasis:
         H = row_hermite(transpose(top))[0]
         return math.prod(H[i][i] for i in range(self.rank))
 
+    @cached_property
+    def _dual(self):
+        self.vectors  # its reduction leaves (T^-1)^T
+        Ut = transpose(self._rows.pop("dual"))
+        return [mat_vec(Ut, s) for s in self._rows.pop("transform")]
+
+    def coordinates(self, x):
+        """The coordinates D x in ``vectors`` of a rational point x of the
+        span, as ``rat``, or None when an equation is nonzero on x."""
+        if self.rank < self.ambient_dim:
+            if any(dot(c, x) for c in self.equations):
+                return None
+            x = [dot(d, x) for d in self._dual]
+        return tuple(t if isinstance(t, int) else rat(t) for t in x)
+
+    def pull_back(self, u):
+        """D^T u for a primitive integer functional u on coordinates,
+        reduced modulo the ``equations`` and made primitive: the primitive
+        functional on Z^n, zero at their pivots, positive multiple of u on
+        ``vectors``; u itself in a full rank lattice."""
+        if self.rank == self.ambient_dim:
+            return u
+        return primitive_vector(reduce_mod_subspace(
+            mat_vec(transpose(self._dual), u), self.equations))
+
     def __iter__(self):
         return iter(self.vectors)
 
@@ -284,11 +316,13 @@ class LatticeBasis:
 
 
 def _hermite_basis(rows, n):
-    """The Hermite form of independent integer rows in Z^n, as tuples: the
-    identity when they are n rows of a unimodular matrix."""
+    """(B, S): the Hermite form B = T R of independent integer rows R in
+    Z^n, as tuples, and S = (T^-1)^T; the identity and None when R is n
+    rows of a unimodular matrix."""
     if len(rows) == n:
-        return tuple(map(tuple, identity_matrix(n)))
-    return tuple(map(tuple, row_hermite(rows)[0])) if rows else ()
+        return tuple(map(tuple, identity_matrix(n))), None
+    H, _, S = row_hermite(rows) if rows else ((), (), [])
+    return tuple(map(tuple, H)), S
 
 
 def saturate(generators, ambient_dim=None):

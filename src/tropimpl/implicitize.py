@@ -371,8 +371,7 @@ def get_trop_a_disc(A):
     d = len(A)
     n = len(A[0]) if d else 0
     B = ec.gale_dual(A)
-    At = ec.transpose(A)
-    if ec.linear_solver(At)((1,) * n) is None:
+    if any(sum(row) for row in B):  # ones is orthogonal to ker A = span B
         raise RowSpanMissingOnes(
             "all-ones vector is outside the row span of A")
     nd = n - d
@@ -381,7 +380,7 @@ def get_trop_a_disc(A):
         rows_U.append((0,) * nd + tuple(1 if k == j else 0 for k in range(d)))
     M = LinearMatroid(rows_U)
     berg = _product_bergman_cycle(M)
-    V = [tuple(1 if j == i else 0 for j in range(n)) + tuple(At[i])
+    V = [tuple(1 if j == i else 0 for j in range(n)) + tuple(a[i] for a in A)
          for i in range(n)]
     return push_forward_cycle(berg, V)
 

@@ -7,10 +7,10 @@ The hull's state stays open: a ``PolytopeBuilder`` inserts further points
 of the same affine hull one at a time, each one beneath-beyond step, and
 ``Polytope(points)`` is what a builder of those points holds.
 Chart points of integer polytopes are integers, and each facet normal is a
-vector of integer minors, so a hull never forms a fraction; chart normals
-are pulled back to ambient ones through one Hermite form of the chart
-lattice.  Mixed volumes skip hulls where a rank test or one determinant
-decides them.
+vector of integer minors, so a hull never forms a fraction; the chart
+lattice's one Hermite factorization gives chart coordinates and pulls
+chart normals back to ambient ones.  Mixed volumes skip hulls where a rank
+test or one determinant decides them.
 Lattice points are swept one chart coordinate at a time, bounded by the
 facets of the projections to the leading coordinates; a projection of a
 polytope is the hull of its projected vertices (Ziegler, Lectures on
@@ -19,8 +19,8 @@ Cones carry rays plus a lineality space.  One ``saturate`` of those
 generators gives a cone's span and its equations, and one of the
 lineality gives the lineality's basis and equations.  A simplicial cone,
 whose rays are independent modulo the lineality, builds no hull: its
-facet normals are the dual basis of its rays, and its rays and lineality
-are its key.  Any other cone reads its facet normals, lazily, off the hull
+facet normals, the dual basis of its rays, are minors of span coordinates
+pulled back, and its rays and lineality are its key.  Any other cone reads its facet normals, lazily, off the hull
 of the origin and the images of the rays modulo the lineality, a pointed
 cone (Fulton, Introduction to Toric Varieties, 1.2).  Membership is a few
 dot products.
@@ -72,6 +72,16 @@ def _hull_full_dim(points):
     return _Hull(points, seed)
 
 
+def _minors_normal(rows, k):
+    """The signed maximal minors of k - 1 rows in Q^k, made primitive: their
+    generalized cross product; DimensionMismatch if they are dependent."""
+    minors = [ec.det([r[:j] + r[j + 1:] for r in rows]) for j in range(k)]
+    if not any(minors):
+        raise DimensionMismatch("degenerate facet simplex")
+    return ec.primitive_vector(
+        [-m if j % 2 else m for j, m in enumerate(minors)])
+
+
 class _Hull:
     """Beneath-beyond state of points affinely spanning R^k.
 
@@ -109,12 +119,7 @@ class _Hull:
         k = self.k
         points = self.points
         base = points[idx[0]]
-        rows = [ec.vec_sub(points[i], base) for i in idx[1:]]
-        minors = [ec.det([r[:j] + r[j + 1:] for r in rows]) for j in range(k)]
-        if not any(minors):
-            raise DimensionMismatch("degenerate facet simplex")
-        a = ec.primitive_vector(
-            [-m if j % 2 else m for j, m in enumerate(minors)])
+        a = _minors_normal([ec.vec_sub(points[i], base) for i in idx[1:]], k)
         b = ec.dot(a, base)
         side = ec.dot(a, self._seed_sum)
         if side == (k + 1) * b:
@@ -162,32 +167,15 @@ class _Hull:
                                 for (a, b), pts in sorted(by_plane.items())]
 
 
-def _ambient_normal(lattice, equations):
-    """The map from chart facet normals to ambient ones.
-
-    A chart normal u is pulled back to an integer a with L a = u, through
-    one ``linear_solver`` of the lattice basis L for every normal, then
-    reduced to its canonical representative modulo the affine hull
-    equations and made primitive.  Without equations the basis is the
-    identity, and so is the map.
-    """
-    if not equations:
-        return lambda u: u
-    solve = ec.linear_solver([list(v) for v in lattice])
-    normals = [c for c, _ in equations]
-    return lambda u: ec.primitive_vector(
-        ec.reduce_mod_subspace(solve(u), normals))
-
-
 class PolytopeBuilder:
     """The hull of rational points, grown one point at a time on their
     affine hull.
 
-    The points are read in coordinates of the saturated direction lattice
-    of their affine hull, from the first sorted point, by one ``_chart``,
-    and the hull of those chart points stays one beneath-beyond state, so
-    a point added costs one substitution and one insertion, not a new
-    hull.  ``Polytope(points)`` is the ``polytope()`` of its builder.
+    The points are read in the ``coordinates`` of the saturated direction
+    lattice of their affine hull, from the first sorted point, and the
+    hull of those chart points stays one beneath-beyond state, so a point
+    added costs one substitution and one insertion, not a new hull.
+    ``Polytope(points)`` is the ``polytope()`` of its builder.
     """
 
     def __init__(self, points):
@@ -202,9 +190,7 @@ class PolytopeBuilder:
         self._base = pts[0]
         directions = [ec.vec_sub(p, self._base) for p in pts[1:]]
         self.lattice = ec.saturate(directions, self.ambient_dim)
-        self._chart = _chart(self.lattice, self.ambient_dim)
-        self._hull = _hull_full_dim(_lattice_coords(pts, self._chart))
-        self._normal = None
+        self._hull = _hull_full_dim(_lattice_coords(pts, self.lattice))
         self._ambient = {}  # chart plane -> ambient facet
 
     def equations(self):
@@ -215,14 +201,12 @@ class PolytopeBuilder:
         """Add a point of the affine hull; LatticeMismatch off it."""
         point = tuple(point)
         self.points.append(point)
-        self._hull.add(_lattice_coords([self._base, point], self._chart)[1])
+        self._hull.add(_lattice_coords([self._base, point], self.lattice)[1])
 
     def facets(self):
         """Ambient facet inequalities (a, b), a.x <= b, of the points added
         so far, in the order of ``Polytope.facets``.  Each plane is pulled
         back once, when it first appears."""
-        if self._normal is None:
-            self._normal = _ambient_normal(self.lattice, self.equations())
         planes = {}
         for f, plane in self._hull.simplices.items():
             planes.setdefault(plane, f)
@@ -230,7 +214,7 @@ class PolytopeBuilder:
         for plane in sorted(planes):
             facet = self._ambient.get(plane)
             if facet is None:
-                a = self._normal(plane[0])
+                a = self.lattice.pull_back(plane[0])
                 facet = self._ambient[plane] = (
                     a, ec.dot(a, self.points[next(iter(planes[plane]))]))
             out.append(facet)
@@ -290,10 +274,9 @@ class Polytope:
         representative modulo the affine hull equations.
         """
         if self._ambient_facets is None:
-            normal = _ambient_normal(self._lattice, self.equations())
             out = []
             for u, _, inc in self._chart_facets:
-                a = normal(u)
+                a = self._lattice.pull_back(u)
                 out.append((a, ec.dot(a, self.vertices[next(iter(inc))]),
                             inc))
             self._ambient_facets = out
@@ -398,14 +381,13 @@ class Polytope:
         if base is None:
             return []
         k = self.dim
-        chart = _chart(self._lattice, self.ambient_dim)
-        shift = _lattice_coords([base, self._chart_base], chart)[1]
+        shift = _lattice_coords([base, self._chart_base], self._lattice)[1]
         # systems[j] bounds the first j coordinates y around the integral
         # basepoint: the facets of the projection of the chart polytope,
         # which is the hull of the projected vertices.  vertices[0] is the
         # chart base, so shift moves their chart coordinates to the basepoint
         ys = [ec.vec_add(y, shift)
-              for y in _lattice_coords(self.vertices, chart)]
+              for y in _lattice_coords(self.vertices, self._lattice)]
         systems = [None] * (k + 1)
         systems[k] = [(u, b + ec.dot(u, shift))
                       for u, b, _ in self._chart_facets]
@@ -470,22 +452,10 @@ def _coordinate_range(ineqs, y, j):
 # ---------------------------------------------------------------------------
 # volumes
 
-def _chart(basis, n):
-    """The map from a vector of R^n to its coordinates in a lattice basis,
-    or None off its span: one ``linear_solver`` of the basis, or none in
-    the identity basis of a full dimensional polytope."""
-    if [list(v) for v in basis] == ec.identity_matrix(n):
-        return lambda d: tuple(x if isinstance(x, int) else ec.rat(x)
-                               for x in d)
-    if not basis:
-        return lambda d: None if any(d) else ()
-    return ec.linear_solver(ec.transpose(basis))
-
-
-def _lattice_coords(vertices, chart):
-    """Coordinates of v - vertices[0] under a ``_chart``, for every vertex
+def _lattice_coords(vertices, lattice):
+    """The ``coordinates`` of v - vertices[0] in a lattice, for every vertex
     v; LatticeMismatch when one leaves the span of the lattice."""
-    ys = [chart(ec.vec_sub(v, vertices[0])) for v in vertices]
+    ys = [lattice.coordinates(ec.vec_sub(v, vertices[0])) for v in vertices]
     if None in ys:
         raise LatticeMismatch("polytope leaves the span of the lattice")
     return ys
@@ -539,8 +509,7 @@ def mixed_volume(polys, lattice=None):
     if lattice.rank != k:
         raise DimensionMismatch(
             f"{k} polytopes need a rank {k} lattice, got rank {lattice.rank}")
-    chart = _chart(lattice, lattice.ambient_dim)
-    charts = [_lattice_coords(P.vertices, chart) for P in polys]
+    charts = [_lattice_coords(P.vertices, lattice) for P in polys]
     edges = [ys[1:] for ys in charts]  # ys[0] is the origin
     ranks = {}
     for r in range(1, k + 1):
@@ -615,11 +584,11 @@ class Cone:
         A simplicial cone needs no hull: its facet normals are the dual
         basis of its rays (Fulton, Introduction to Toric Varieties, 1.2).
         Facet i's inner normal vanishes on the other rays and the
-        lineality and is positive on ray i.  Its canonical representative
-        modulo the span equations is the one vanishing at their pivots, so
-        it spans the equations of the saturation of the other rays, the
-        lineality and the unit vectors at those pivots.  Every ray is
-        extreme, and no lineality hides among them.
+        lineality and is positive on ray i.  In the span's coordinates it
+        is the signed maximal minors of the other generators' coordinates,
+        a hull facet's normal, pulled back to its canonical representative
+        modulo the span equations.  Every ray is extreme, and no lineality
+        hides among them.
 
         Any other cone is read off one hull modulo the lineality.  The
         rows of K, the equations of the lineality, vanish on it, so
@@ -639,15 +608,12 @@ class Cone:
         equations = self._equations
         rays, lin = self.rays, self.lineality
         if self._simplicial():
-            eye = ec.identity_matrix(n)
-            units = tuple(eye[next(j for j, x in enumerate(c) if x)]
-                          for c in equations)
+            ys = [self._span.coordinates(g) for g in rays + lin]
             facets = []
-            for i, r in enumerate(rays):
-                u, = ec.saturate(rays[:i] + rays[i + 1:] + lin + units,
-                                 n).equations
-                facets.append(u if ec.dot(u, r) > 0 else
-                              tuple(-x for x in u))
+            for i, y in enumerate(ys[:len(rays)]):
+                u = _minors_normal(ys[:i] + ys[i + 1:], self.dim)
+                facets.append(self._span.pull_back(
+                    u if ec.dot(u, y) > 0 else tuple(-x for x in u)))
             self._hrep = (equations, sorted(facets), rays, lin)
             return self._hrep
         K = self._lineality.equations

@@ -24,7 +24,10 @@ instead of the complementary minors of the span.  The lattice references
 build a saturation as the kernel of a kernel (``integer_kernel`` twice)
 and an index from the coordinates that a separate solve in the saturation
 gives (``lattice_index``), where the package reads both off one Hermite
-form of the generators.  ``normalized_volume``
+form of the generators; a chart solves in any lattice basis
+(``chart_by_solver``) and pulls functionals back by a second solve
+(``ambient_normal_by_solver``), where the package reads both off the
+dual basis of that Hermite form.  ``normalized_volume``
 and ``chow_to_equations`` have no caller in the package; they live here
 with the tests that pin them, and the first measures the subsums of the
 mixed-volume reference.  Two spies close the file:
@@ -54,6 +57,7 @@ from tropimpl.errors import (
     DimensionMismatch,
     KernelEmpty,
     KernelTooBig,
+    LatticeMismatch,
     LoopyMatroid,
     SamplingExhausted,
     TropicalError,
@@ -74,9 +78,7 @@ from tropimpl.polyhedra import (
     Polytope,
     minkowski_sum,
     _affine_rank,
-    _chart,
     _chart_volume,
-    _lattice_coords,
     mixed_volume,
     normal_fan_cones,
 )
@@ -354,6 +356,34 @@ def lattice_index(super_basis, sub_generators):
     return idx
 
 
+def chart_by_solver(basis, n):
+    """The map from a vector of R^n to its coordinates in any basis of a
+    lattice, or None off its span: one ``linear_solver`` of the basis, or
+    none in the identity basis.  The reference for
+    ``ec.LatticeBasis.coordinates``."""
+    if [list(v) for v in basis] == ec.identity_matrix(n):
+        return lambda d: tuple(x if isinstance(x, int) else ec.rat(x)
+                               for x in d)
+    if not basis:
+        return lambda d: None if any(d) else ()
+    return ec.linear_solver(ec.transpose(basis))
+
+
+def ambient_normal_by_solver(basis, equations):
+    """The map from functionals on the coordinates of a lattice basis to
+    ambient ones: a functional u is pulled back to an integer a with
+    basis a = u through one ``linear_solver`` of the basis, then reduced
+    to its canonical representative modulo the Hermite basis ``equations``
+    of the span's equations and made primitive.  Without equations the
+    basis is the identity, and so is the map.  The reference for
+    ``ec.LatticeBasis.pull_back``."""
+    if not equations:
+        return lambda u: u
+    solve = ec.linear_solver([list(v) for v in basis])
+    return lambda u: ec.primitive_vector(
+        ec.reduce_mod_subspace(solve(u), equations))
+
+
 def _solve_over_q(unknowns, sampler, row, seed):
     """The one kernel vector over Q of the exact rows ``row(sample)``, by
     the sample -> solve -> top up -> verify loop written out: each solve
@@ -587,7 +617,10 @@ def normalized_volume(P, lattice=None):
     span of the lattice.
     """
     basis = list(P.lattice if lattice is None else lattice)
-    ys = _lattice_coords(P.vertices, _chart(basis, P.ambient_dim))
+    chart = chart_by_solver(basis, P.ambient_dim)
+    ys = [chart(ec.vec_sub(v, P.vertices[0])) for v in P.vertices]
+    if None in ys:
+        raise LatticeMismatch("polytope leaves the span of the lattice")
     if not basis:
         return 1
     if _affine_rank(ys) < len(basis):

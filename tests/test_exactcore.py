@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     SpanMismatch,
+    ambient_normal_by_solver,
+    chart_by_solver,
     gfp_kernel_back_substitution,
     integer_kernel,
     lattice_index,
@@ -404,6 +406,73 @@ def test_lattice_reads_match_kernel_of_kernel(case):
     else:
         with pytest.raises(DimensionMismatch):
             cone.hyperplane_normal()
+
+
+@st.composite
+def lattice_reads(draw):
+    """(n, generators, x, off, u): k <= n generators in Z^1..Z^6, integer
+    or rational and possibly dependent, a rational point x of their span,
+    a point off it (None in rank n) and a rational functional u on the
+    span's coordinates, nonzero when the rank is, read up to scale."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    entry = st.integers(-4, 4) | st.integers(-60, 60)
+    frac = st.builds(ec.rat, st.integers(-30, 30), st.integers(1, 6))
+    gens = [tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+            for _ in range(k)]
+    if gens and draw(st.booleans()):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        gens.append(tuple(2 * x - 3 * y for x, y in zip(a, b)))
+    if gens and draw(st.booleans()):
+        den = draw(st.integers(2, 6))
+        gens[0] = tuple(ec.rat(x, den) for x in gens[0])
+    cs = draw(st.lists(frac, min_size=len(gens), max_size=len(gens)))
+    x = tuple(ec.rat(sum((c * g[i] for c, g in zip(cs, gens)), 0))
+              for i in range(n))
+    rank = ec.rational_rank([list(g) for g in gens])
+    off = None
+    if rank < n:
+        # a multiple of an equation is orthogonal to the span, so x plus
+        # it leaves the span
+        L = ec.saturate(gens, n)
+        e = draw(st.sampled_from(L.equations))
+        t = draw(frac.filter(bool))
+        off = tuple(a + t * b for a, b in zip(x, e))
+    u = tuple(draw(st.lists(frac, min_size=rank, max_size=rank)))
+    if rank and not any(u):
+        u = (1,) + u[1:]
+    return n, gens, x, off, u
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattice_reads())
+def test_lattice_coordinates_and_pull_back_match_solves(case):
+    # the dual basis read off the one factorization against a solve in the
+    # lattice basis: the same coordinates of the same types, None off the
+    # span, and the same canonical primitive pull-back of a functional
+    n, gens, x, off, u = case
+    L = ec.saturate(gens, n)
+    k = L.rank
+    chart = chart_by_solver(list(L.vectors), n)
+    y = L.coordinates(x)
+    assert y == chart(x)
+    assert [type(t) for t in y] == [type(t) for t in chart(x)]
+    assert tuple(sum(c * v[i] for c, v in zip(y, L.vectors))
+                 for i in range(n)) == x
+    if k < n:
+        assert [[ec.dot(d, v) for v in L.vectors] for d in L._dual] \
+            == ec.identity_matrix(k)
+        assert all(isinstance(t, int) for d in L._dual for t in d)
+        assert L.coordinates(off) is None and chart(off) is None
+    if k:
+        u = ec.primitive_vector(u)
+        a = L.pull_back(u)
+        assert a == ambient_normal_by_solver(L.vectors, L.equations)(u)
+        assert all(isinstance(t, int) for t in a) and ec.vec_gcd(a) == 1
+        values = [ec.dot(a, v) for v in L.vectors]
+        ratio = next(ec.div_exact(s, t) for s, t in zip(values, u) if t)
+        assert ratio > 0 and values == [ratio * t for t in u]
+        assert ec.reduce_mod_subspace(a, L.equations) == a
 
 
 def test_lattice_index_reads_generators_as_given():

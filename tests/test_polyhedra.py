@@ -172,7 +172,7 @@ def test_full_dimensional_charts_need_no_solves(pts):
                      "reduce_mod_subspace"):
             mp.setattr(ec, name, no_solve(name))
         fresh = ph.Polytope(pts)
-        got = ph._lattice_coords(pts, ph._chart(L, P.ambient_dim))
+        got = ph._lattice_coords(pts, fresh.lattice)
         facets = fresh.facets()
     assert calls == []
     assert got == coords
@@ -744,6 +744,35 @@ def test_simplicial_cone_hrep_in_closed_form(cone):
     assert cone._build_hrep() == reference
     assert reference[2:] == (cone.rays, cone.lineality)
     assert cone.canonical_key() == (n, cone.rays, cone.lineality)
+
+
+@REFERENCE
+@given(simplicial_cones())
+def test_simplicial_facets_reduce_only_the_span_basis(cone):
+    # facet normals are minors of the generators' span coordinates, pulled
+    # back through the span's dual basis: no saturate, and no Hermite form
+    # but the span basis's reduction, which gives that dual basis, and the
+    # span equations' own, which the H-representation holds and the vertex
+    # oracle reads first, through hyperplane_normal()
+    n, k = cone.ambient_dim, cone.dim
+    for equations_first in (False, True):
+        calls = []
+
+        def recording(name, f):
+            def call(*args):
+                calls.append(name)
+                return f(*args)
+            return call
+
+        fresh = ph.Cone(cone.rays, cone.lineality, n)
+        if equations_first:
+            fresh._equations
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("row_hermite", "saturate"):
+                mp.setattr(ec, name, recording(name, getattr(ec, name)))
+            facets = fresh.facets()
+        assert calls == ["row_hermite"] * ((0 < k < n) * (2 - equations_first))
+        assert facets == cone.facets()
 
 
 def test_cone_hulls_only_modulo_the_lineality(monkeypatch):

@@ -77,16 +77,20 @@ def names_read(path):
 
 def test_lattices_are_factored_only_in_exactcore():
     # ec.saturate factors a lattice's generators once and reads its basis,
-    # equations and index off that one Hermite form; a module reading
-    # row_hermite would factor a lattice again on its own, and one
-    # building a LatticeBasis would skip that factorization
+    # equations, index and change of coordinates off that one Hermite form;
+    # a module reading row_hermite would factor a lattice again on its
+    # own, one building a LatticeBasis would skip that factorization, and
+    # polyhedra solving in a lattice basis would factor it a second time
     package = sorted(ROOT.glob("src/tropimpl/*.py"))
     exactcore = ROOT / "src" / "tropimpl" / "exactcore.py"
+    polyhedra = ROOT / "src" / "tropimpl" / "polyhedra.py"
     assert "row_hermite" in names_read(exactcore)
     assert [path.name for path in package
             if path != exactcore and "row_hermite" in names_read(path)] == []
     assert [path.name for path in SOURCES
             if path != exactcore and "LatticeBasis" in names_read(path)] == []
+    assert {"coordinates", "pull_back"} <= names_read(polyhedra)
+    assert "linear_solver" not in names_read(polyhedra)
 
 
 def test_no_unreferenced_private_helpers():
