@@ -12,13 +12,15 @@ weights.  The pipeline here runs that route: build the fan, reconstruct a
 translate of the polytope with the vertex oracle, pin the translation in
 closed form (Kapranov, Sturmfels, Zelevinsky 1992; Fink 2013), and
 interpolate the Chow form once from random planes through random points
-of the variety.  The interpolation runs the one sample -> solve -> top up
--> verify loop of ``interpolate.solve_verified``, as the implicit
-equation does: the kernel vector is decided mod one word-size prime and
-must vanish mod p on fresh samples.  It is then lifted to Q, by Chinese
-remaindering over further primes until the lift annihilates the rows mod
-the next prime, checked on every sampled row and certified over Q on the
-same fresh samples.
+of the variety.  The Chow form is the implicit equation of the Chow
+hypersurface in the Pluecker coordinates of the Grassmannian (Dalbec,
+Sturmfels, Introduction to Chow forms, 1995), so it is interpolated as
+one: an ``interpolate.ImplicitPolynomial`` on the ``MonomialBasis`` of
+the ansatz's exponent vectors over the C(n+1, d+1) Pluecker variables,
+by ``interpolate.interpolate_polynomial`` at integer Pluecker vectors.
+Only the ansatz, an exact check of the lift on every sample that decided
+it, and the conversion to a PluckerPoly, the wire format, are
+Chow-specific.
 
 Two conventions are fixed at this module boundary.  First, chow_fan
 returns the outer normal fan; the vertex oracle reads inner normal fans
@@ -47,11 +49,10 @@ from .errors import (
 )
 from .implicitize import reconstruct_polytope
 from .interpolate import (
-    _verify,
+    MonomialBasis,
     distinct_samples,
-    lift_kernel_vector,
+    interpolate_polynomial,
     random_rational,
-    solve_verified,
 )
 from .polyhedra import Polytope
 from .tropical import stable_sum, standard_linear_cycle
@@ -95,13 +96,6 @@ class PluckerMonomial:
         """Componentwise non-decreasing between consecutive sorted factors."""
         return all(all(a <= b for a, b in zip(S, T))
                    for S, T in zip(self.factors, self.factors[1:]))
-
-    def evaluate(self, values):
-        """Value at a mapping from index tuples to rationals."""
-        v = 1
-        for T in self.factors:
-            v = v * values[T]
-        return ec.rat(v)
 
     def __eq__(self, other):
         return (isinstance(other, PluckerMonomial)
@@ -161,12 +155,6 @@ class PluckerPoly:
             if mono.factors == key:
                 return coeff
         return 0
-
-    def evaluate(self, values):
-        total = 0
-        for mono, coeff in self.terms:
-            total += coeff * mono.evaluate(values)
-        return ec.rat(total)
 
     def weights(self):
         """Distinct term weights, in term order."""
@@ -238,15 +226,15 @@ def chow_polytope(fan, d, f, seed=0, height=20):
     form), form being the Chow form interpolated on the polytope.
 
     The vertex oracle reconstructs the polytope up to the translation that
-    puts every coordinate minimum at zero; the seed drives the probe
-    directions of that reconstruction and the Pluecker samples.  The shift
-    back is pinned, not searched: for X of degree delta the polytope lies
-    in delta * Delta(d+1, n+1) (Kapranov, Sturmfels, Zelevinsky, Duke
-    Math. J. 67, 1992) and depends on trop(X) alone (Fink, Beitr. Algebra
-    Geom. 54, 2013); X meets the torus, so a generic plane in {x_i = 0}
-    misses it and max u_i = delta for every i.  So with top the translate's
-    coordinate maxima and base its coordinate sum, delta = (sum(top) -
-    base) / (n - d) and shift = delta - top, certified by one ``chow_form``.
+    puts every coordinate minimum at zero; the seed drives only the
+    Pluecker samples.  The shift back is pinned, not searched: for X of
+    degree delta the polytope lies in delta * Delta(d+1, n+1) (Kapranov,
+    Sturmfels, Zelevinsky, Duke Math. J. 67, 1992) and depends on trop(X)
+    alone (Fink, Beitr. Algebra Geom. 54, 2013); X meets the torus, so a
+    generic plane in {x_i = 0} misses it and max u_i = delta for every i.
+    So with top the translate's coordinate maxima and base its coordinate
+    sum, delta = (sum(top) - base) / (n - d) and shift = delta - top,
+    certified by one ``chow_form``.
 
     A translate g > 1 times a lattice polytope Q may count the variety g
     times, or not: twice a line's cycle is a conic's.  If Q, the smaller
@@ -254,7 +242,7 @@ def chow_polytope(fan, d, f, seed=0, height=20):
     """
     n = fan.ambient_dim - 1
     stream = PluckerStream(f, d, n, height)
-    translated = reconstruct_polytope(fan.negated(), seed)
+    translated = reconstruct_polytope(fan.negated())
     g = math.gcd(*(x for v in translated.vertices for x in v))
     if g > 1:
         Q = Polytope([tuple(x // g for x in v) for v in translated.vertices])
@@ -367,9 +355,10 @@ def _draw_pluecker(f, d, n, rng, height):
 class PluckerStream:
     """Samples of the Chow hypersurface of the variety parametrized by f:
     Pluecker vectors of random (n-d-1)-planes through random points of the
-    variety, each a mapping from index tuples to integer coordinates.
+    variety, each a tuple of integer coordinates over the lex-ordered
+    (d+1)-subsets of {0..n}.
 
-    ``stream(count, seed)``, the sampler of ``solve_verified``, returns
+    ``stream(count, seed)``, the sampler of the interpolation, returns
     the first count distinct generic draws of random.Random(seed)
     (``distinct_samples``).
     """
@@ -383,13 +372,11 @@ class PluckerStream:
         self.d = d
         self.n = n
         self.height = height
-        self._positions = list(itertools.combinations(range(n + 1), d + 1))
 
     def __call__(self, count, seed):
-        vectors = distinct_samples(
+        return distinct_samples(
             lambda rng: _draw_pluecker(self.f, self.d, self.n, rng,
                                        self.height), count, seed)
-        return [dict(zip(self._positions, p)) for p in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -399,42 +386,29 @@ def chow_form(stream, C_X, seed=0):
     """Interpolate the Chow form from a candidate Chow polytope C_X.
 
     The ansatz takes every standard monomial whose weight is a lattice
-    point of C_X; rows are evaluations at samples of the PluckerStream,
-    which are integer Pluecker vectors.  ``solve_verified`` decides the
-    one kernel vector on the rows mod ec.DEFAULT_PRIME, topping the
-    samples up while the kernel is more than one-dimensional, and checks
-    it mod p on fresh samples.  The vector is lifted to Q by
-    ``lift_kernel_vector`` on the same rows reduced mod each further
-    prime, until the lift annihilates the rows mod the next prime.  The
-    lift must then annihilate every sampled row exactly, else
-    ReconstructionFailed, and vanish over Q on the fresh samples
-    (``interpolate._verify``).
+    point of C_X.  Each becomes its exponent vector over the Pluecker
+    variables, and ``interpolate_polynomial`` finds the one polynomial on
+    them that vanishes at the samples of the PluckerStream, over Q.  The
+    lift must annihilate every sample that decided it exactly, else
+    ReconstructionFailed, before it is certified on fresh samples.  Its
+    coefficients, in ansatz order, are scaled to a positive leading one.
     """
     d, n = stream.d, stream.n
     unknowns = _chow_ansatz(C_X, d, n)
+    variables = list(itertools.combinations(range(n + 1), d + 1))
+    exponents = [tuple(m.factors.count(T) for T in variables)
+                 for m in unknowns]
+    poly = interpolate_polynomial(MonomialBasis(exponents), stream, seed,
+                                  check=_vanishes_on_samples)
+    coefficient = dict(zip(poly.basis, poly.coefficients))
+    coeffs = ec.canonical_sign([coefficient[e] for e in exponents])
+    return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs) if c])
 
-    def rows_mod(samples, q):
-        out = []
-        for values in samples:
-            reduced = {T: x % q for T, x in values.items()}
-            out.append([math.prod(reduced[T] for T in mono.factors) % q
-                        for mono in unknowns])
-        return out
 
-    residue, samples, fresh = solve_verified(len(unknowns), stream,
-                                             rows_mod, seed)
-    rows = [[math.prod(values[T] for T in mono.factors)
-             for mono in unknowns] for values in samples]
-    coeffs = lift_kernel_vector(
-        lambda q: [[x % q for x in row] for row in rows], ec.DEFAULT_PRIME,
-        residue, 1 + sum(sum(x * x for x in row).bit_length()
-                         for row in rows))
-    if any(ec.dot(row, coeffs) for row in rows):
+def _vanishes_on_samples(poly, samples):
+    if any(poly.evaluate(p) for p in samples):
         raise ReconstructionFailed(
             "the lifted Chow form does not vanish on every sample")
-    form = PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs) if c])
-    _verify(form.evaluate, fresh)
-    return form
 
 
 def _chow_ansatz(C_X, d, n):

@@ -97,7 +97,7 @@ FLAGS = {
 COMMAND_FLAGS = {
     "trop-cycle": ("--delta",),
     "adisc": ("--field", "--seed", "--height", "--polytope-only", "--force"),
-    "newton": ("--seed", "--delta", "--force"),
+    "newton": ("--delta", "--force"),
     "implicitize": ("--field", "--seed", "--height", "--delta",
                     "--polytope-only", "--force"),
     "chow": ("--seed", "--height", "--delta", "--polytope-only"),
@@ -297,14 +297,14 @@ def cmd_newton(spec, obj):
         C = _as_cycle(obj, spec.delta)
     else:
         C = get_tropical_cycle(_input_polytopes(obj), spec.delta)
-    P = reconstruct_polytope(C, spec.seed)
+    P = reconstruct_polytope(C)
     return {"polytope": _polytope_artifact(P, spec.force)}
 
 
 def cmd_implicitize(spec, obj):
     f = Parametrization.from_json(obj)
     C = get_tropical_cycle(f.newton_polytopes(), spec.delta)
-    P = reconstruct_polytope(C, spec.seed)
+    P = reconstruct_polytope(C)
     out = {"cycle": C.to_json(),
            "polytope": _polytope_artifact(P, spec.force)}
     if not spec.polytope_only:
@@ -318,13 +318,12 @@ def cmd_implicitize(spec, obj):
 def cmd_adisc(spec, obj):
     A = _as_matrix(obj)
     C = get_trop_a_disc(A)
-    P = reconstruct_polytope(C, spec.seed)
+    P = reconstruct_polytope(C)
     out = {"cycle": C.to_json(),
            "polytope": _polytope_artifact(P, spec.force)}
     if not spec.polytope_only:
-        B = [list(b) for b in ec.rational_kernel(A)]
-        poly = implicit_equation((A, B), P, field=spec.field, seed=spec.seed,
-                                 height=spec.height)
+        poly = implicit_equation((A, ec.gale_dual(A)), P, field=spec.field,
+                                 seed=spec.seed, height=spec.height)
         _check_equation(P, poly)
         out["polynomial"] = poly.to_json()
     return out
@@ -349,7 +348,7 @@ def cmd_chow(spec, obj):
     out = {"fan": fan.to_json()}
     if spec.polytope_only:
         out["translated_polytope"] = reconstruct_polytope(
-            fan.negated(), spec.seed).to_json()
+            fan.negated()).to_json()
         return out
     translated, shift, P, form = chow_polytope(
         fan, d, f, seed=spec.seed, height=spec.height)
@@ -427,8 +426,7 @@ def cmd_mfp_search(spec, obj):
             try:
                 polys = [Polytope(p) for p in pts]
                 C = get_tropical_cycle(polys, spec.delta)
-                P = reconstruct_polytope(
-                    C, spec.seed if s is None else s)
+                P = reconstruct_polytope(C)
                 nv = len(P.vertices)
                 if P.dim <= 1 and nv > 2:
                     raise OracleInconsistent(

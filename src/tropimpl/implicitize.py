@@ -19,7 +19,6 @@ Three pipelines feed the Newton polytope oracle:
 """
 
 import itertools
-import random
 
 from . import exactcore as ec
 from .errors import (
@@ -449,7 +448,7 @@ def _crossing_counts(C, w, n):
     return tuple(v)
 
 
-def reconstruct_polytope(C, seed=0):
+def reconstruct_polytope(C):
     """Newton polytope of the hypersurface with tropicalization C.
 
     Runs the vertex oracle inside a beneath-beyond loop: maintain the hull
@@ -461,19 +460,19 @@ def reconstruct_polytope(C, seed=0):
     new vertex is one beneath-beyond insertion.  Facets are queried in
     their sorted order.  Confirmed facets are kept as certificates; an
     oracle answer violating one raises OracleInconsistent.  The result is
-    the translate with all coordinate minima at zero.  The seed drives only
-    the random probe directions, which change the queries asked but not
-    the polytope.
+    the translate with all coordinate minima at zero.  The first queries
+    are the 2n signed unit directions; every later one is an equation or
+    facet normal of the hull, so no query is random.
     """
     n = C.ambient_dim
     if C.pure_dim != n - 1:
         raise DimensionMismatch(
             f"cycle is pure dimension {C.pure_dim}, need {n - 1}")
     merged = C.consolidated()
-    return _reconstruct(lambda w: get_vertex(merged, w), n, seed)
+    return _reconstruct(lambda w: get_vertex(merged, w), n)
 
 
-def _reconstruct(oracle, n, seed):
+def _reconstruct(oracle, n):
     pts = {}  # the answers, in the order asked
     certified = set()
 
@@ -492,16 +491,10 @@ def _reconstruct(oracle, n, seed):
         pts[v] = None
         return v
 
-    rng = random.Random(f"reconstruct-{seed}")
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         ask(e)
         ask(tuple(-x for x in e))
-    for _ in range(n):
-        w = (0,) * n
-        while not any(w):
-            w = tuple(rng.randint(-9, 9) for _ in range(n))
-        ask(w)
     grew = True
     while grew:
         H = PolytopeBuilder(pts)

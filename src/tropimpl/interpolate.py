@@ -11,12 +11,15 @@ ec.DEFAULT_PRIME = 2^31 - 1 and its one vector is lifted to Q by
 primes until the rational reconstruction annihilates the rows modulo the
 next prime.
 
-Every interpolation, here and for Chow forms, runs one loop,
-``solve_verified``, on the rows of its samples mod one prime: solve on
-|unknowns| - 1 samples, add the rows of new samples while the kernel is
-too big, and accept the kernel vector only once it vanishes mod p on
-fresh samples.  A lift to Q is certified on the same fresh samples.
-The rows mod a prime are evaluated in one batch: past
+Every interpolation, the implicit equation here and the Chow form, an
+implicit equation in Pluecker coordinates, is one call of
+``interpolate_polynomial`` on a ``MonomialBasis``.  Its loop,
+``solve_verified``, works on the rows of the samples mod one prime:
+solve on |unknowns| - 1 samples, add the rows of new samples while the
+kernel is too big, and accept the kernel vector only once it vanishes
+mod p on fresh samples.  A lift to Q is certified on the same fresh
+samples by ``ImplicitPolynomial.evaluate``.  The rows mod a prime come
+only from ``MonomialBasis.row_mod``, in one batch: past
 ec.GFP_PYTHON_COLUMNS monomials they are one int64 array, built by
 vector operations mod p and handed to ``ec.gfp_kernel`` as it is.
 Horn samples are drawn in integers and made rational once per
@@ -170,6 +173,13 @@ class MonomialBasis:
         # exponent range of each coordinate, widened to contain 0
         self.lo = tuple(min(0, *col) for col in zip(*exps))
         self.hi = tuple(max(0, *col) for col in zip(*exps))
+        # each monomial's factors as positions in a point's power tables
+        # laid end to end, for row_mod; a zero exponent's factor is 1
+        starts = [0]
+        for lo, hi in zip(self.lo, self.hi):
+            starts.append(starts[-1] + hi - lo + 1)
+        self._factors = [[s + k - lo for s, k, lo in zip(starts, e, self.lo)
+                          if k] for e in exps]
         self._index = None
 
     @classmethod
@@ -198,23 +208,25 @@ class MonomialBasis:
         residues, one row per point.
 
         Up to ec.GFP_PYTHON_COLUMNS monomials each row is a tuple of
-        Python ints gathered from the point's ``_power_table``s, so that
-        small jobs, as in ``ec.gfp_kernel``, never import numpy.  Wider
-        bases give one int64 array of rows, whose coordinates must fit
-        int64: each coordinate's powers form a (points, span) block built
-        by vector multiplications mod p, and one gather per coordinate
-        picks every monomial's factor, multiplied into the rows in place.
+        Python ints, products of factors gathered from the point's
+        ``_power_table``s, so that small jobs, as in ``ec.gfp_kernel``,
+        never import numpy.  Wider bases give one int64 array of rows,
+        whose coordinates must fit int64: each coordinate's powers form a
+        (points, span) block built by vector multiplications mod p, and
+        one gather per coordinate picks every monomial's factor,
+        multiplied into the rows in place.
         """
         if len(self.exponents) <= ec.GFP_PYTHON_COLUMNS:
             rows = []
             for point in points:
-                tables = [_power_table(x % p, lo, hi, p)
-                          for x, lo, hi in zip(point, self.lo, self.hi)]
+                powers = []
+                for x, lo, hi in zip(point, self.lo, self.hi):
+                    powers += _power_table(x % p, lo, hi, p)
                 row = []
-                for e in self.exponents:
+                for f in self._factors:
                     v = 1
-                    for t, k, lo in zip(tables, e, self.lo):
-                        v = v * t[k - lo] % p
+                    for i in f:
+                        v = v * powers[i] % p
                     row.append(v)
                 rows.append(tuple(row))
             return rows
@@ -573,15 +585,12 @@ def implicit_equation(f, P, field="q", seed=0, height=20):
     """Defining equation of the hypersurface with Newton polytope P.
 
     f is a Parametrization, or an (A, B) matrix pair meaning points come
-    from the Horn map.  The kernel is decided and checked mod one prime
-    by ``solve_verified``: the field's prime, or ec.DEFAULT_PRIME over Q
-    ("q" or its alias "crt:k").  Over a small prime the reduction
-    discards a fraction of the rows, which the top-ups make up for.  Over
-    Q the one kernel vector is lifted with ``lift_kernel_vector`` and
-    certified on the same fresh samples.
+    from the Horn map.  The equation is the one ``interpolate_polynomial``
+    on the lattice points of P, mod the field's prime or over Q ("q" or
+    its alias "crt:k").  Over a small prime the reduction discards a
+    fraction of the rows, which the top-ups make up for.
     """
     modulus = parse_field(field)
-    basis = MonomialBasis.from_polytope(P)
     if isinstance(f, Parametrization):
         def sampler(m, s):
             return sample_points(f, m, height, s)
@@ -591,6 +600,22 @@ def implicit_equation(f, P, field="q", seed=0, height=20):
         def sampler(m, s):
             return horn_sample(A, B, m, height, s)
 
+    return interpolate_polynomial(MonomialBasis.from_polytope(P), sampler,
+                                  seed, modulus)
+
+
+def interpolate_polynomial(basis, sampler, seed, modulus=None, check=None):
+    """The one polynomial on the basis that vanishes at the samples of
+    ``sampler(count, seed)``, rational points or integer vectors.
+
+    The kernel is decided and checked mod one prime by
+    ``solve_verified``: the modulus, or ec.DEFAULT_PRIME when it is
+    None.  Over Q the one kernel vector is lifted with
+    ``lift_kernel_vector`` within the Hadamard bound of the samples'
+    rows.  ``check(poly, samples)``, if given, may then reject the lift
+    on the samples that decided it, before the lift must vanish over Q
+    on the fresh samples.
+    """
     rows_mod = functools.partial(_rows_mod, basis)
     p = modulus or ec.DEFAULT_PRIME
     residue, samples, fresh = solve_verified(len(basis), sampler, rows_mod,
@@ -600,6 +625,8 @@ def implicit_equation(f, P, field="q", seed=0, height=20):
     poly = ImplicitPolynomial(basis, lift_kernel_vector(
         lambda q: rows_mod(samples, q), p, residue,
         _hadamard_bits(basis, samples)))
+    if check is not None:
+        check(poly, samples)
     _verify(poly.evaluate, fresh)
     return poly
 

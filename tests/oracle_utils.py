@@ -27,10 +27,13 @@ gives (``lattice_index``), where the package reads both off one Hermite
 form of the generators; a chart solves in any lattice basis
 (``chart_by_solver``) and pulls functionals back by a second solve
 (``ambient_normal_by_solver``), where the package reads both off the
-dual basis of that Hermite form.  ``normalized_volume``
-and ``chow_to_equations`` have no caller in the package; they live here
-with the tests that pin them, and the first measures the subsums of the
-mixed-volume reference.  Two spies close the file:
+dual basis of that Hermite form.  A Pluecker polynomial is valued term
+by term at a mapping from index tuples (``pluecker_poly_value``), where
+the package evaluates a Chow form as a polynomial on exponent vectors.
+``normalized_volume`` and ``chow_to_equations`` have no caller in the
+package; they live here with the tests that pin them, and the first
+measures the subsums of the mixed-volume reference.  Two spies close the
+file:
 ``inflating_gfp_kernel`` makes chosen primes lose rank, and
 ``spy_rows_mod_p`` records the rows an interpolation asks for;
 ``unreachable_after`` counts the reference cycles a call leaves.
@@ -45,6 +48,7 @@ from itertools import combinations, product
 import numpy as np
 
 from tropimpl import exactcore as ec
+from tropimpl import interpolate
 from tropimpl.chow import (
     DEFAULT_MAX_DEGREE,
     PluckerPoly,
@@ -458,10 +462,40 @@ def chow_form_over_q(stream, C_X, seed=0):
     polytope with the same exception class."""
     d, n = stream.d, stream.n
     unknowns = _chow_ansatz(C_X, d, n)
-    coeffs = _solve_over_q(
-        len(unknowns), stream,
-        lambda values: [mono.evaluate(values) for mono in unknowns], seed)
+
+    def row(p):
+        values = pluecker_mapping(p, d, n)
+        return [pluecker_monomial_value(mono, values) for mono in unknowns]
+
+    coeffs = _solve_over_q(len(unknowns), stream, row, seed)
     return PluckerPoly(d, n, [(m, c) for m, c in zip(unknowns, coeffs) if c])
+
+
+def pluecker_mapping(p, d, n):
+    """The Pluecker vector p, a tuple over the lex-ordered (d+1)-subsets
+    of {0..n}, as a mapping from index tuples to coordinates."""
+    return dict(zip(combinations(range(n + 1), d + 1), p))
+
+
+def pluecker_monomial_value(mono, values):
+    """Value of a Pluecker monomial at a mapping from index tuples to
+    rationals: the product of its factors' values.  The reference for
+    the monomial's exponent vector in ``chow.chow_form``."""
+    v = 1
+    for T in mono.factors:
+        v = v * values[T]
+    return ec.rat(v)
+
+
+def pluecker_poly_value(form, values):
+    """Value of a PluckerPoly at a mapping from index tuples to
+    rationals, term by term (``pluecker_monomial_value``).  The package
+    evaluates a Chow form only while it interpolates it, as an
+    ``ImplicitPolynomial`` on exponent vectors."""
+    total = 0
+    for mono, coeff in form.terms:
+        total += coeff * pluecker_monomial_value(mono, values)
+    return ec.rat(total)
 
 
 def chow_shift_by_sweep(translated, d, stream, seed=0):
@@ -590,7 +624,7 @@ def primal_pluecker_by_kernel(span_rows, d, n):
 def pluecker_batch(f, d, n, count, seed, height=20):
     """count distinct Chow-hypersurface samples drawn afresh from
     random.Random(seed), with a budget of 100 * count draws, each a
-    mapping from index tuples to Pluecker coordinates.  The reference for
+    tuple of Pluecker coordinates.  The reference for
     ``chow.PluckerStream`` and its ``interpolate.distinct_samples``."""
     rng = random.Random(seed)
     out = []
@@ -605,8 +639,7 @@ def pluecker_batch(f, d, n, count, seed, height=20):
     if len(out) < count:
         raise SamplingExhausted(
             f"only {len(out)} of {count} samples within the draw budget")
-    positions = list(combinations(range(n + 1), d + 1))
-    return [dict(zip(positions, p)) for p in out]
+    return out
 
 
 def normalized_volume(P, lattice=None):
@@ -846,11 +879,12 @@ def inflating_gfp_kernel(monkeypatch, inflate):
     return calls
 
 
-def spy_rows_mod_p(monkeypatch, module):
-    """Wrap the ``rows_mod`` that module passes ``solve_verified``:
-    record every sample whose row mod the deciding prime is asked for,
-    and the loop's (residue, samples, fresh)."""
-    real = module.solve_verified
+def spy_rows_mod_p(monkeypatch):
+    """Wrap the ``rows_mod`` that every interpolation passes
+    ``interpolate.solve_verified``: record every sample whose row mod the
+    deciding prime is asked for, and the loop's (residue, samples,
+    fresh)."""
+    real = interpolate.solve_verified
     asked = []
     returned = []
 
@@ -863,7 +897,7 @@ def spy_rows_mod_p(monkeypatch, module):
         returned.append(real(unknowns, sampler, recorded, seed, p))
         return returned[-1]
 
-    monkeypatch.setattr(module, "solve_verified", spy)
+    monkeypatch.setattr(interpolate, "solve_verified", spy)
     return asked, returned
 
 

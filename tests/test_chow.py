@@ -20,10 +20,13 @@ from oracle_utils import (
     chow_to_equations,
     inflating_gfp_kernel,
     pluecker_batch,
+    pluecker_mapping,
+    pluecker_monomial_value,
+    pluecker_poly_value,
     primal_pluecker_by_kernel,
     spy_rows_mod_p,
 )
-from tropimpl import chow
+from tropimpl import chow, interpolate
 from tropimpl import exactcore as ec
 from tropimpl.chow import (
     PluckerMonomial,
@@ -149,8 +152,8 @@ def quartic_cycle():
 
 def first_sample(f, d, n, seed):
     """The first generic Chow-hypersurface sample of random.Random(seed),
-    as a mapping from index tuples to Pluecker coordinates."""
-    return PluckerStream(f, d, n)(1, seed)[0]
+    a tuple of Pluecker coordinates, as a mapping from index tuples."""
+    return pluecker_mapping(PluckerStream(f, d, n)(1, seed)[0], d, n)
 
 
 class TestPluckerMonomial:
@@ -178,7 +181,7 @@ class TestPluckerMonomial:
     def test_evaluate(self):
         m = PluckerMonomial([(0, 1), (0, 1), (2, 3)], 1, 3)
         values = {(0, 1): 2, (2, 3): ec.rat(1, 4)}
-        assert m.evaluate(values) == 1
+        assert pluecker_monomial_value(m, values) == 1
 
 
 class TestPluckerPoly:
@@ -325,7 +328,8 @@ class TestChowSample:
                  for fs, c in QUARTIC_CHOW_FORM.items()]
         form = PluckerPoly(1, 3, terms)
         for seed in range(10):
-            assert form.evaluate(first_sample(QUARTIC, 1, 3, seed)) == 0
+            assert pluecker_poly_value(
+                form, first_sample(QUARTIC, 1, 3, seed)) == 0
 
     def test_primal_from_span_matches_dual_minors(self):
         # the primal coordinates of the plane spanned by alpha and x are
@@ -505,7 +509,7 @@ class TestPinnedShift:
             get_tropical_cycle(f.newton_polytopes()))
         fan = chow_fan(C, f.d)
         translated, shift, P, form = chow_polytope(fan, f.d, f, seed=seed)
-        assert translated == reconstruct_polytope(fan.negated(), seed)
+        assert translated == reconstruct_polytope(fan.negated())
         assert shift == chow_shift_by_sweep(
             translated, f.d, PluckerStream(f, f.d, f.n), seed)
         assert P == translated.translate(shift)
@@ -553,7 +557,8 @@ class TestChowForm:
         form = chow_form(PluckerStream(QUARTIC, 1, 3), Polytope(CHOW_VERTICES),
                          seed=0)
         for seed in range(1000, 1030):
-            assert form.evaluate(first_sample(QUARTIC, 1, 3, seed)) == 0
+            assert pluecker_poly_value(
+                form, first_sample(QUARTIC, 1, 3, seed)) == 0
 
     def test_matches_rational_reference_on_quartic(self):
         P = Polytope(CHOW_VERTICES)
@@ -564,6 +569,23 @@ class TestChowForm:
         P = Polytope([(2, 3, 1), (3, 0, 3)])
         assert chow_form(PluckerStream(CUSP, 1, 2), P, seed=0) == \
             chow_form_over_q(PluckerStream(CUSP, 1, 2), P, seed=0)
+
+    def test_sign_follows_the_term_order(self):
+        # x = -t^2, y = t^3 + 1: the leading term in term order has
+        # coefficient 1, but the term whose exponent vector over the
+        # Pluecker variables is lexicographically first, as the
+        # interpolation's basis sorts them, has coefficient -1; the form
+        # is scaled in term order, as the reference over Q scales it
+        f = Parametrization(1, 2, [[(-1, (2,))], [(1, (3,)), (1, (0,))]])
+        P = Polytope([(0, 3, 3), (2, 3, 1), (3, 0, 3)])
+        form = chow_form(PluckerStream(f, 1, 2), P, seed=0)
+        assert form == chow_form_over_q(PluckerStream(f, 1, 2), P, seed=0)
+        variables = list(itertools.combinations(range(3), 2))
+        _, lex_first = min(
+            form.terms,
+            key=lambda t: [t[0].factors.count(T) for T in variables])
+        assert form.terms[0][1] == 1
+        assert lex_first == -1
 
     def test_wrong_shift_rejected_mod_p_as_over_q(self, monkeypatch):
         # the first shift a sweep of the quartic tries: over Q its form
@@ -581,28 +603,28 @@ class TestChowForm:
         def no_lift(*args):
             raise AssertionError("a rejected shift was lifted")
 
-        monkeypatch.setattr(chow, "lift_kernel_vector", no_lift)
+        monkeypatch.setattr(interpolate, "lift_kernel_vector", no_lift)
         assert failure(chow_form) is VerificationFailed
 
     def test_lift_must_annihilate_every_sample_row(self, monkeypatch):
         # the lift stops on rows mod one further prime; the exact check on
         # every sampled row rejects a lift that is wrong over Q
         P = Polytope([(2, 3, 1), (3, 0, 3)])
-        lift = chow.lift_kernel_vector
+        lift = interpolate.lift_kernel_vector
 
         def off_by_one(*args):
             coeffs = list(lift(*args))
             coeffs[-1] += 1
             return tuple(coeffs)
 
-        monkeypatch.setattr(chow, "lift_kernel_vector", off_by_one)
+        monkeypatch.setattr(interpolate, "lift_kernel_vector", off_by_one)
         with pytest.raises(ReconstructionFailed):
             chow_form(PluckerStream(CUSP, 1, 2), P, seed=0)
 
     def test_top_up_evaluates_each_row_mod_p_once(self, monkeypatch):
         # the first kernel is too big: the top-up adds its rows to the
         # first samples', and the fresh samples are evaluated once each
-        asked, returned = spy_rows_mod_p(monkeypatch, chow)
+        asked, returned = spy_rows_mod_p(monkeypatch)
         calls = inflating_gfp_kernel(monkeypatch,
                                      lambda call, p: call == 1)
         form = chow_form(PluckerStream(CUSP, 1, 2),
@@ -611,10 +633,8 @@ class TestChowForm:
                                         Polytope([(2, 3, 1), (3, 0, 3)]))
         (_, samples, fresh), = returned
         assert calls[0][1] < calls[1][1] == len(samples)
-        keys = [tuple(values.items()) for values in asked]
-        assert keys == [tuple(values.items())
-                        for values in samples + fresh]
-        assert len(set(keys)) == len(keys)
+        assert asked == samples + fresh
+        assert len(set(asked)) == len(asked)
 
     def test_hypersurface_matches_plane_curve_pipeline(self):
         # the Chow form of a plane curve is its defining polynomial under

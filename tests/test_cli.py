@@ -18,7 +18,11 @@ from pathlib import Path
 import pytest
 
 import tropimpl
-from oracle_utils import inflating_gfp_kernel, unreachable_after
+from oracle_utils import (
+    inflating_gfp_kernel,
+    pluecker_poly_value,
+    unreachable_after,
+)
 from tropimpl import chow, cli, polyhedra
 from tropimpl import exactcore as ec
 from tropimpl.chow import PluckerPoly
@@ -427,8 +431,10 @@ class TestChow:
         assert rc == 0
         assert degrees == [1, 2]
         form = PluckerPoly.from_json(json.loads(out.read_text())["chow_form"])
-        assert form.evaluate({(0, 1): 3, (0, 2): 5, (1, 2): 2}) == 0
-        assert form.evaluate({(0, 1): 1, (0, 2): 1, (1, 2): 1}) != 0
+        assert pluecker_poly_value(form, {(0, 1): 3, (0, 2): 5,
+                                          (1, 2): 2}) == 0
+        assert pluecker_poly_value(form, {(0, 1): 1, (0, 2): 1,
+                                          (1, 2): 1}) != 0
 
     # a balanced curve cycle whose Chow polytope has degree 13
     DEGREE_13_CYCLE = {"ambient_dim": 4, "pure_dim": 2, "items": [
@@ -1031,7 +1037,8 @@ class TestErrorContract:
         *[(command, ["--force"])
           for command in ("trop-cycle", "mfp-search", "chow")],
         ("trop-cycle", ["--seed", "1"]),
-        ("chow", ["--field", "q"])])
+        ("chow", ["--field", "q"]),
+        ("newton", ["--seed", "1"])])
     def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys,
                                               command, flag):
         target = tmp_path / "o.json"

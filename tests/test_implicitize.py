@@ -369,14 +369,14 @@ class TestVertexOracle:
         assert len(shifts) == 1
 
     def test_oracle_draws_no_random_numbers(self):
-        # the seed reaches only _reconstruct's probe directions
+        # the vertex oracle and the reconstruction ask only unit, equation
+        # and facet directions, so no seed reaches them
         tree = ast.parse(inspect.getsource(implicitize))
-        users = {f.name for f in ast.walk(tree)
-                 if isinstance(f, ast.FunctionDef)
-                 and any(isinstance(node, ast.Name) and node.id == "random"
-                         for node in ast.walk(f))}
-        assert users == {"_reconstruct"}
+        assert not any(isinstance(node, ast.Name) and node.id == "random"
+                       for node in ast.walk(tree))
         assert list(inspect.signature(get_vertex).parameters) == ["C", "w"]
+        assert list(inspect.signature(reconstruct_polytope).parameters) \
+            == ["C"]
 
     def test_direction_validation(self):
         C = curve_cycle()
@@ -428,7 +428,7 @@ class TestReconstruct:
             return min(sorted(verts), key=lambda v: ec.dot(w, v))
 
         with pytest.raises(OracleInconsistent):
-            _reconstruct(oracle, 2, 0)
+            _reconstruct(oracle, 2)
 
     @pytest.mark.parametrize("chart", [
         lambda x, y, z: (x, y, z),
@@ -454,7 +454,7 @@ class TestReconstruct:
             return min(pts, key=lambda v: ec.dot(w, v))
 
         monkeypatch.setattr(polyhedra, "_hull_full_dim", recording)
-        P = _reconstruct(oracle, len(pts[0]), 0)
+        P = _reconstruct(oracle, len(pts[0]))
         assert P.vertices == expected.vertices
         assert P.facets() == expected.facets()
         assert len(P.vertices) > 12

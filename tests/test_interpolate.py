@@ -606,9 +606,7 @@ def test_crt_tops_up_then_skips_a_bad_prime(monkeypatch):
 def test_top_up_evaluates_each_row_mod_p_once(monkeypatch):
     # the first kernel is too big: the top-up adds its rows to the first
     # sample's, and the fresh samples are evaluated once more each
-    from tropimpl import interpolate
-
-    asked, returned = spy_rows_mod_p(monkeypatch, interpolate)
+    asked, returned = spy_rows_mod_p(monkeypatch)
     calls = inflating_gfp_kernel(monkeypatch, lambda call, p: call == 1)
     poly = implicit_equation((DISC_A, DISC_B), DISC_POLYTOPE)
     assert poly.coefficients == (1, -4)

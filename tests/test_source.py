@@ -93,6 +93,22 @@ def test_lattices_are_factored_only_in_exactcore():
     assert "linear_solver" not in names_read(polyhedra)
 
 
+def test_only_interpolate_solves_lifts_and_verifies():
+    # every interpolation, the Chow form's included, is one call of the
+    # sample -> solve -> lift -> verify path in interpolate; a module
+    # reading its parts would run a second copy of that path
+    package = sorted(ROOT.glob("src/tropimpl/*.py"))
+    interpolate = ROOT / "src" / "tropimpl" / "interpolate.py"
+    chow = ROOT / "src" / "tropimpl" / "chow.py"
+    path_parts = {"solve_verified", "lift_kernel_vector", "_verify",
+                  "gfp_kernel"}
+    assert path_parts <= names_read(interpolate)
+    assert {path.name: sorted(path_parts & names_read(path))
+            for path in package if path != interpolate
+            and path_parts & names_read(path)} == {}
+    assert {"interpolate_polynomial", "MonomialBasis"} <= names_read(chow)
+
+
 def test_no_unreferenced_private_helpers():
     package = sorted(ROOT.glob("src/tropimpl/*.py"))
     read = set().union(*(names_read(path) for path in package))
