@@ -10,9 +10,11 @@ one place a lattice is built from generators: one Hermite form of them
 gives the saturation's basis, its integer equations, the index of the
 generators in it and the change of coordinates between Z^n and the basis,
 each read lazily (Cohen, A Course in Computational Algebraic Number
-Theory, 2.4).  Reduction modulo a subspace and every other solve, over Q
-or Z, run on the same form.  Fraction-free Bareiss elimination
-(``_bareiss_echelon``) gives rank, determinant and the kernel over Q.
+Theory, 2.4).  Reduction modulo a subspace runs on the same form.
+Fraction-free Bareiss elimination (``_bareiss_echelon``) gives rank,
+determinant and the kernel over Q.  There is no general solver of
+M x = b: a lattice's change of coordinates is the one such system the
+package meets.
 """
 
 from __future__ import annotations
@@ -342,45 +344,6 @@ def saturate(generators, ambient_dim=None):
         eye = identity_matrix(ambient_dim)
         return LatticeBasis(ambient_dim, [], eye, eye)
     return LatticeBasis(ambient_dim, *row_hermite(transpose(rows)))
-
-
-def linear_solver(M):
-    """The function b -> one rational solution x of M x = b, or None, for
-    an integer matrix M and a rational b.
-
-    M is factored once, into the row Hermite form H = U M^T: with
-    x = U^T y each system becomes H^T y = b, which forward substitution
-    on the pivots of H solves, subtracting y_k times row k of H from b; a
-    nonzero remainder means there is no solution.  M may be rank
-    deficient.  U is unimodular, so x is integral exactly when y is.
-    Entries are ``rat``: int when integral.
-    """
-    if not M:
-        return lambda b: ()
-    H, U, _ = row_hermite(transpose(M))
-    pivots = [(next(j for j, x in enumerate(h) if x), h) for h in H if any(h)]
-    Ut = [col[:len(pivots)] for col in transpose(U)]
-
-    def solve(b):
-        rest = list(b)
-        y = []
-        for c, h in pivots:
-            t = div_exact(rest[c], h[c])
-            y.append(t)
-            if t:
-                rest = [a - t * e for a, e in zip(rest, h)]
-        if any(rest):
-            return None
-        return tuple(s if isinstance(s, int) else rat(s)
-                     for s in (dot(u, y) for u in Ut))
-
-    return solve
-
-
-def solve_integer(M, b):
-    """One integer solution x of M x = b, or None (``linear_solver``)."""
-    x = linear_solver(M)(b)
-    return x if x is None or all(isinstance(t, int) for t in x) else None
 
 
 # ---------------------------------------------------------------------------

@@ -224,18 +224,15 @@ def get_tropical_cycle(newton_polytopes, delta=1):
 
 
 def _matroid_components(M):
-    """Connected components of a loopless matroid, as sorted index lists.
+    """Connected components of a matroid, as sorted index lists.
 
     Fundamental circuits with respect to one fixed basis already generate
-    the component partition, so one factorization of that basis suffices.
+    the component partition, and one Bareiss kernel of the realization's
+    columns lists them all: each vector of ``rational_kernel`` has one
+    free column, an element outside the basis of pivot columns, and its
+    support is that element's fundamental circuit.
     """
     n = M.ground_size
-    basis = []
-    basis_rows = []
-    for e in range(n):
-        if ec.rational_rank(basis_rows + [list(M.realization[e])]) > len(basis):
-            basis.append(e)
-            basis_rows.append(list(M.realization[e]))
     parent = list(range(n))
 
     def find(x):
@@ -249,15 +246,10 @@ def _matroid_components(M):
         if ra != rb:
             parent[rb] = ra
 
-    solve = ec.linear_solver(ec.transpose(basis_rows))
-    in_basis = set(basis)
-    for e in range(n):
-        if e in in_basis:
-            continue
-        coeff = solve(M.realization[e])
-        for k, c in zip(basis, coeff):
-            if c:
-                union(e, k)
+    for x in ec.rational_kernel(ec.transpose(M.realization), n):
+        support = [e for e, c in enumerate(x) if c]
+        for e in support[1:]:
+            union(support[0], e)
     groups = {}
     for e in range(n):
         groups.setdefault(find(e), []).append(e)

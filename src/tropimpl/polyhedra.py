@@ -1,4 +1,4 @@
-"""Rational polytopes and polyhedral cones, all arithmetic exact.
+"""Lattice polytopes and rational polyhedral cones, all arithmetic exact.
 
 Polytopes are built from vertex candidates by an incremental beneath-beyond
 hull in chart coordinates of their own affine lattice, so lower dimensional
@@ -6,15 +6,18 @@ polytopes in a high ambient space cost no more than full dimensional ones.
 The hull's state stays open: a ``PolytopeBuilder`` inserts further points
 of the same affine hull one at a time, each one beneath-beyond step, and
 ``Polytope(points)`` is what a builder of those points holds.
-Chart points of integer polytopes are integers, and each facet normal is a
-vector of integer minors, so a hull never forms a fraction; the chart
-lattice's one Hermite factorization gives chart coordinates and pulls
-chart normals back to ambient ones.  Mixed volumes skip hulls where a rank
-test or one determinant decides them.
-Lattice points are swept one chart coordinate at a time, bounded by the
-facets of the projections to the leading coordinates; a projection of a
-polytope is the hull of its projected vertices (Ziegler, Lectures on
-Polytopes, Lecture 1), so the same hull gives every bound.
+Every polytope of the pipeline is a lattice polytope (Newton, Chow and
+mixed fiber polytopes), so a point's coordinates must be ints.  Chart
+points are then integers, and each facet normal is a vector of integer
+minors, so a hull never forms a fraction; the chart lattice's one Hermite
+factorization gives chart coordinates and pulls chart normals back to
+ambient ones.  Mixed volumes, measured in a given lattice, skip hulls
+where a rank test or one determinant decides them.
+Lattice points are swept one chart coordinate at a time from the least
+vertex, bounded by the facets of the projections to the leading
+coordinates; a projection of a polytope is the hull of its projected
+vertices (Ziegler, Lectures on Polytopes, Lecture 1), so the same hull
+gives every bound.
 Cones carry rays plus a lineality space.  One ``saturate`` of those
 generators gives a cone's span and its equations, and one of the
 lineality gives the lineality's basis and equations.  A simplicial cone,
@@ -167,9 +170,19 @@ class _Hull:
                                 for (a, b), pts in sorted(by_plane.items())]
 
 
+def _lattice_point(p):
+    """p as a tuple; ValueError unless every coordinate is an int (a bool
+    is not one)."""
+    p = tuple(p)
+    if not all(type(x) is int for x in p):
+        raise ValueError(f"not a lattice point: {p!r}")
+    return p
+
+
 class PolytopeBuilder:
-    """The hull of rational points, grown one point at a time on their
-    affine hull.
+    """The hull of lattice points, grown one point at a time on their
+    affine hull; ValueError for a point with a coordinate that is not an
+    int.
 
     The points are read in the ``coordinates`` of the saturated direction
     lattice of their affine hull, from the first sorted point, and the
@@ -179,8 +192,7 @@ class PolytopeBuilder:
     """
 
     def __init__(self, points):
-        pts = sorted({tuple(x if isinstance(x, int) else ec.rat(x)
-                            for x in p) for p in points})
+        pts = sorted({_lattice_point(p) for p in points})
         if not pts:
             raise ValueError("a polytope needs at least one point")
         self.ambient_dim = len(pts[0])
@@ -198,8 +210,8 @@ class PolytopeBuilder:
         return [(c, ec.dot(c, self._base)) for c in self.lattice.equations]
 
     def add(self, point):
-        """Add a point of the affine hull; LatticeMismatch off it."""
-        point = tuple(point)
+        """Add a lattice point of the affine hull; LatticeMismatch off it."""
+        point = _lattice_point(point)
         self.points.append(point)
         self._hull.add(_lattice_coords([self._base, point], self.lattice)[1])
 
@@ -228,8 +240,9 @@ class PolytopeBuilder:
 
 
 class Polytope:
-    """Convex hull of finitely many rational points, possibly lower
-    dimensional in its ambient space."""
+    """Convex hull of finitely many lattice points, possibly lower
+    dimensional in its ambient space; ValueError for a coordinate that is
+    not an int."""
 
     def __init__(self, points):
         self._read_hull(PolytopeBuilder(points))
@@ -303,14 +316,12 @@ class Polytope:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return {"vertices": [[ec.rat_to_json(x) for x in v]
-                             for v in self.vertices]}
+        return {"vertices": [list(v) for v in self.vertices]}
 
     @staticmethod
     def from_json(obj):
         try:
-            verts = [ec.vec_from_json(v, ec.rat_from_json)
-                     for v in obj["vertices"]]
+            verts = [ec.vec_from_json(v) for v in obj["vertices"]]
             return Polytope(verts)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad polytope: {exc}") from exc
@@ -348,17 +359,6 @@ class Polytope:
 
     # -- lattice points ----------------------------------------------------
 
-    def integral_affine_basepoint(self):
-        """Some lattice point on the affine hull, or None."""
-        if all(isinstance(x, int) for x in self._chart_base):
-            return self._chart_base
-        eqs = self.equations()
-        if not eqs:
-            return tuple(0 for _ in range(self.ambient_dim))
-        M = [list(c) for c, _ in eqs]
-        rhs = tuple(c0 for _, c0 in eqs)
-        return ec.solve_integer(M, rhs)
-
     def lattice_points(self, force=False):
         """All integer points of the polytope, sorted, exact enumeration.
 
@@ -374,23 +374,18 @@ class Polytope:
         return list(self._lattice_points)
 
     def _enumerate_lattice_points(self, force):
+        """The sweep of ``lattice_points`` in chart coordinates y around
+        the chart base, the least vertex, each point base + y . basis."""
+        base = self._chart_base
         if self.dim == 0:
-            v = self.vertices[0]
-            return [v] if all(isinstance(x, int) for x in v) else []
-        base = self.integral_affine_basepoint()
-        if base is None:
-            return []
+            return [base]
         k = self.dim
-        shift = _lattice_coords([base, self._chart_base], self._lattice)[1]
-        # systems[j] bounds the first j coordinates y around the integral
-        # basepoint: the facets of the projection of the chart polytope,
-        # which is the hull of the projected vertices.  vertices[0] is the
-        # chart base, so shift moves their chart coordinates to the basepoint
-        ys = [ec.vec_add(y, shift)
-              for y in _lattice_coords(self.vertices, self._lattice)]
+        # systems[j] bounds the first j coordinates: the facets of the
+        # projection of the chart polytope, which is the hull of the
+        # projected vertices
+        ys = _lattice_coords(self.vertices, self._lattice)
         systems = [None] * (k + 1)
-        systems[k] = [(u, b + ec.dot(u, shift))
-                      for u, b, _ in self._chart_facets]
+        systems[k] = [(u, b) for u, b, _ in self._chart_facets]
         for j in range(1, k):
             hull = _hull_full_dim(sorted({y[:j] for y in ys}))
             systems[j] = set(hull.simplices.values())
@@ -465,9 +460,8 @@ def _chart_volume(points):
     """k! times the euclidean volume of the hull of points spanning R^k:
     the boundary simplices of the hull, coned from the first point."""
     apex = points[0]
-    total = sum(abs(ec.det([ec.vec_sub(points[i], apex) for i in s]))
-                for s in _hull_full_dim(points).simplices)
-    return total if isinstance(total, int) else ec.rat(total)
+    return sum(abs(ec.det([ec.vec_sub(points[i], apex) for i in s]))
+               for s in _hull_full_dim(points).simplices)
 
 
 def minkowski_sum(polys):
@@ -482,7 +476,7 @@ def minkowski_sum(polys):
     return Polytope(pts)
 
 
-def mixed_volume(polys, lattice=None):
+def mixed_volume(polys, lattice):
     """Mixed volume of k polytopes in a rank k lattice, normalized so the
     standard unit segments give 1 and k equal copies give the normalized
     volume.
@@ -498,14 +492,6 @@ def mixed_volume(polys, lattice=None):
     """
     polys = list(polys)
     k = len(polys)
-    if lattice is None:
-        dirs = []
-        for P in polys:
-            v0 = P.vertices[0]
-            dirs.extend(ec.vec_sub(v, v0) for v in P.vertices[1:])
-        if not dirs:
-            return 0
-        lattice = ec.saturate(dirs, polys[0].ambient_dim)
     if lattice.rank != k:
         raise DimensionMismatch(
             f"{k} polytopes need a rank {k} lattice, got rank {lattice.rank}")

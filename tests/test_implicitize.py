@@ -11,13 +11,18 @@ import inspect
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import bergman_fan, graph_cycle_by_lifted_sum
+from oracle_utils import (
+    bergman_fan,
+    graph_cycle_by_lifted_sum,
+    matroid_components_by_circuits,
+)
 from tropimpl import exactcore as ec
 from tropimpl import implicitize
 from tropimpl import polyhedra
@@ -178,7 +183,62 @@ class TestTropicalCycle:
             get_tropical_cycle(CURVE_SUPPORTS, delta=3)
 
 
+@st.composite
+def matroid_realizations(draw):
+    """Rows of 1..8 ground elements over Q: blocks on coordinates of their
+    own, so several components are common, with parallel copies, coloops
+    and the odd loop, in integers or mixed by a rational change of
+    coordinates, then shuffled."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    elements = []  # {coordinate: entry}
+    blocks = []
+    width = 0
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice(["block"] * 3 + ["new block", "parallel"] * 2
+                          + ["coloop", "loop"])
+        if kind == "parallel" and elements:
+            scale = ec.rat(rng.choice([-3, -2, -1, 1, 2, 3]),
+                           rng.randint(1, 3))
+            elements.append({c: scale * x
+                             for c, x in rng.choice(elements).items()})
+        elif kind == "coloop":
+            elements.append({width: 1})
+            width += 1
+        elif kind == "loop":
+            elements.append({})
+        else:
+            if kind == "new block" or not blocks:
+                blocks.append(range(width, width + rng.randint(1, 2)))
+                width = blocks[-1].stop
+            block = rng.choice(blocks)
+            entries = {c: rng.randint(-2, 2) for c in block}
+            if not any(entries.values()):
+                entries[block[0]] = 1
+            elements.append(entries)
+    width = max(width, 1)
+    rows = [[e.get(c, 0) for c in range(width)] for e in elements]
+    if width > 1 and draw(st.booleans()):
+        for _ in range(2 * width):
+            i, j = rng.sample(range(width), 2)
+            t = ec.rat(rng.randint(-2, 2), rng.randint(1, 2))
+            for row in rows:
+                row[j] = ec.rat(row[j] + t * row[i])
+    rng.shuffle(rows)
+    return [tuple(row) for row in rows]
+
+
 class TestMatroidComponents:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(matroid_realizations())
+    @example([(1, 0, 0, 0), (Fraction(-1, 2), 0, 0, 0), (0, 1, 1, 0),
+              (0, 1, 2, 0), (0, 2, 3, 0), (0, 0, 0, 3)])
+    def test_matches_brute_force_circuits(self, rows):
+        # components from fundamental circuits of one kernel against those
+        # from every circuit, found by ranks alone
+        M = LinearMatroid(rows)
+        assert _matroid_components(M) == matroid_components_by_circuits(M)
+
     def test_parallel_class_and_coloops(self):
         M = LinearMatroid([(1, 0, 0), (-2, 0, 0), (1, 0, 0),
                            (0, 1, 0), (0, 0, 1)])

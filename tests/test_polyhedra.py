@@ -1,5 +1,5 @@
-import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,22 +8,28 @@ from hypothesis import strategies as st
 
 from tropimpl import exactcore as ec
 from tropimpl import polyhedra as ph
-from tropimpl.errors import DimensionMismatch, LatticeMismatch
+from tropimpl.errors import (
+    DimensionMismatch,
+    InputFormatError,
+    LatticeMismatch,
+)
 
 from oracle_utils import (
     SubsetCone,
     area2d,
     cone_hrep_by_lineality_hull,
-    contains2d,
+    edge_lattice,
     extreme_rays,
     hull2d,
     integer_kernel,
     lattice_points2d,
     lattice_points_in_box,
+    linear_solver,
     mixed_area,
     mixed_volume_by_subsums,
     normalized_volume,
     polytope_contains,
+    solve_integer,
     unreachable_after,
 )
 
@@ -70,9 +76,9 @@ def test_all_points_inside_and_facets_valid():
 
 
 def test_point_and_segment_edge_cases():
-    P = ph.Polytope([(3, ec.rat(1, 2))])
-    assert P.dim == 0 and P.vertices == ((3, ec.rat(1, 2)),)
-    assert polytope_contains(P, (3, ec.rat(1, 2)))
+    P = ph.Polytope([(3, 5)])
+    assert P.dim == 0 and P.vertices == ((3, 5),)
+    assert polytope_contains(P, (3, 5))
     assert not polytope_contains(P, (3, 0))
     S = ph.Polytope([(0, 0), (2, 4), (1, 2)])
     assert S.dim == 1
@@ -116,14 +122,10 @@ def test_euler_relation_random():
 
 @st.composite
 def point_sets(draw):
-    """Integer or rational points in R^2..R^5 around a base point, spread
-    along 1..n drawn directions, so lower dimensional sets are common."""
+    """Integer points in R^2..R^5 around a base point, spread along 1..n
+    drawn directions, so lower dimensional sets are common."""
     n = draw(st.integers(2, 5))
-    rational = draw(st.booleans())
-    coord = st.integers(-4, 4)
-    if rational:
-        coord = st.builds(ec.rat, st.integers(-8, 8), st.integers(1, 3))
-    vec = st.tuples(*[coord] * n)
+    vec = st.tuples(*[st.integers(-4, 4)] * n)
     base = draw(vec)
     dirs = draw(st.lists(vec, min_size=1, max_size=n))
     steps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(dirs)),
@@ -163,14 +165,13 @@ def test_full_dimensional_charts_need_no_solves(pts):
     if P.dim < P.ambient_dim:
         return
     L = [list(v) for v in P.lattice]
-    solve = ec.linear_solver(ec.transpose(L))
+    solve = linear_solver(ec.transpose(L))
     coords = [solve(ec.vec_sub(v, pts[0])) for v in pts]
-    normals = [ec.primitive_vector(ec.solve_integer(L, u))
+    normals = [ec.primitive_vector(solve_integer(L, u))
                for u, _, _ in P._chart_facets]
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("linear_solver", "solve_integer",
-                     "reduce_mod_subspace"):
-            mp.setattr(ec, name, no_solve(name))
+        mp.setattr(ec, "reduce_mod_subspace",
+                   no_solve("reduce_mod_subspace"))
         fresh = ph.Polytope(pts)
         got = ph._lattice_coords(pts, fresh.lattice)
         facets = fresh.facets()
@@ -185,9 +186,9 @@ def test_full_dimensional_charts_need_no_solves(pts):
 
 @st.composite
 def seeded_insertions(draw):
-    """Integer or rational points on a k-dimensional affine lattice in R^n,
-    k = n or lower: an affinely independent start, then the points to
-    insert one at a time."""
+    """Integer points on a k-dimensional affine lattice in R^n, k = n or
+    lower: an affinely independent start, then the points to insert one
+    at a time."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, min(n, 4)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -195,8 +196,7 @@ def seeded_insertions(draw):
         M = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
         if ec.rational_rank(M) == k:
             break
-    den = draw(st.sampled_from([1, 1, 2, 3]))
-    base = [ec.rat(rng.randint(-6, 6), den) for _ in range(n)]
+    base = [rng.randint(-6, 6) for _ in range(n)]
 
     def point(y):
         return tuple(b + ec.dot(row, y) for b, row in zip(base, M))
@@ -237,9 +237,24 @@ def test_builder_rejects_a_point_off_its_affine_hull():
         B.add((0, 0, 0))
 
 
+def test_polytopes_take_integer_points_only():
+    # every polytope of the pipeline is a lattice polytope: a Fraction,
+    # integral or not, is no int coordinate, and neither is a bool
+    for bad in [(Fraction(1, 2), 0), (Fraction(4, 2), 0), (True, 0)]:
+        with pytest.raises(ValueError):
+            ph.Polytope([(0, 0), bad])
+    B = ph.PolytopeBuilder([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        B.add((Fraction(1, 2), 0))
+    assert B.polytope().vertices == ((0, 0), (0, 1), (1, 0))
+    with pytest.raises(InputFormatError):
+        ph.Polytope.from_json({"vertices": [["1/2", 0]]})
+
+
 def test_lower_dimensional_embedding():
-    # a square sitting on the plane x+y+z = 2 in 3-space
-    pts = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (ec.rat(2, 3),) * 3]
+    # a triangle sitting on the plane x+y+z = 2 in 3-space, with a point
+    # of one edge that is no vertex
+    pts = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]
     P = ph.Polytope(pts)
     assert P.dim == 2 and P.ambient_dim == 3
     assert P.f_vector() == (3, 3)
@@ -315,7 +330,7 @@ def test_summand_faces_at_a_witness_sum_to_the_face():
             face = P.face_of(w)
             assert ph.minkowski_sum(faces).vertices == face.vertices
             assert face.lattice.rank == n
-            assert ph.mixed_volume(faces) == \
+            assert ph.mixed_volume(faces, edge_lattice(faces)) == \
                 ph.mixed_volume(faces, face.lattice)
 
 
@@ -336,22 +351,16 @@ def test_lattice_points_hand_cases():
     assert len(ph.Polytope([(0, 0), (2, 0), (0, 2)]).lattice_points()) == 6
     seg = ph.Polytope([(0, 0), (3, 6)])
     assert seg.lattice_points() == [(0, 0), (1, 2), (2, 4), (3, 6)]
-    shifted = ph.Polytope([(ec.rat(1, 2), 0), (ec.rat(1, 2), 1)])
-    assert shifted.lattice_points() == []
-    frac = ph.Polytope([(ec.rat(1, 2), 0), (ec.rat(5, 2), 0),
-                        (ec.rat(1, 2), 1), (ec.rat(5, 2), 1)])
-    assert frac.lattice_points() == [(1, 0), (1, 1), (2, 0), (2, 1)]
     pt = ph.Polytope([(2, 5)])
     assert pt.lattice_points() == [(2, 5)]
-    assert ph.Polytope([(ec.rat(1, 2), 5)]).lattice_points() == []
 
 
 @st.composite
 def polytopes_in_r4_r5(draw):
-    """At most 8 points in R^4 or R^5: integer, half-integer, or integer on
-    a hyperplane whose lattice is not a coordinate sublattice."""
+    """At most 8 points in R^4 or R^5: integer, or integer on a hyperplane
+    whose lattice is not a coordinate sublattice."""
     d = draw(st.sampled_from([4, 5]))
-    kind = draw(st.sampled_from(["integer", "half", "flat"]))
+    kind = draw(st.sampled_from(["integer", "flat"]))
     n = draw(st.integers(d - 1, 8))
     if kind == "flat":
         c = draw(st.lists(st.integers(-2, 2), min_size=d - 1,
@@ -360,8 +369,7 @@ def polytopes_in_r4_r5(draw):
                                     max_size=d - 1),
                            min_size=n, max_size=n))
         return [tuple(x + [ec.dot(c, x) + 1]) for x in xs]
-    den = 2 if kind == "half" else 1
-    coord = st.integers(-6 * den, 6 * den).map(lambda m: ec.rat(m, den))
+    coord = st.integers(-6, 6)
     return draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
 
 
@@ -370,16 +378,11 @@ def polytopes_in_r4_r5(draw):
 R5_INTEGER = [(0, 9, 6, 7, 3), (9, -8, 6, -2, 3), (4, -4, 2, 8, 2),
               (-7, 5, 7, -6, -4), (7, 3, 2, 6, -9), (6, -8, 0, 10, 9),
               (9, 3, -4, -4, 7), (-2, -9, -3, 8, 8)]
-R5_HALF = [tuple(ec.rat(m, 2) for m in p) for p in [
-    (12, 11, 5, 6, -13), (19, -15, -10, -15, 15), (13, 18, -2, -3, 18),
-    (3, 5, 5, 7, 1), (11, 20, 3, 16, 14), (-8, -17, -9, -2, -4),
-    (18, -10, -11, -7, 8), (-15, -12, 16, -1, -12)]]
 
 
 @REFERENCE
 @given(polytopes_in_r4_r5())
 @example(R5_INTEGER)
-@example(R5_HALF)
 def test_lattice_points_match_box_count_r4_r5(pts):
     P = ph.Polytope(pts)
     assert P.lattice_points() == lattice_points_in_box(P)
@@ -403,16 +406,13 @@ def test_lattice_points_leave_no_reference_cycles():
 
 
 def test_lattice_points_match_brute_force_3d():
-    # full-dimensional, flat, rational and single-segment cases against a
-    # box sweep filtered by exact containment
+    # full-dimensional, flat and single-segment cases against a box sweep
+    # filtered by exact containment
     rng = random.Random(6006)
     shapes = []
     for _ in range(10):
         shapes.append([tuple(rng.randint(-4, 4) for _ in range(3))
                        for _ in range(rng.randint(4, 7))])
-    for _ in range(4):
-        shapes.append([tuple(ec.rat(rng.randint(-9, 9), 2) for _ in range(3))
-                       for _ in range(rng.randint(4, 6))])
     for _ in range(4):
         # a polygon in the plane x + 2y - z = 1
         shapes.append([(x, y, x + 2 * y - 1) for x, y in
@@ -421,41 +421,10 @@ def test_lattice_points_match_brute_force_3d():
     shapes.append([(0, 0, 0), (4, 2, 6)])
     for pts in shapes:
         P = ph.Polytope(pts)
-        box = [range(math.floor(min(p[i] for p in pts)),
-                     math.ceil(max(p[i] for p in pts)) + 1) for i in range(3)]
+        box = [range(min(p[i] for p in pts), max(p[i] for p in pts) + 1)
+               for i in range(3)]
         expected = [q for q in product(*box) if polytope_contains(P, q)]
         assert P.lattice_points() == expected
-
-    # Polygons with half-integer free coordinates on a plane a.x = c, so
-    # the integral basepoint comes from solve_integer.  Checked without
-    # Polytope.facets: a lattice point is an integer point of the plane
-    # whose projection, coordinate k dropped, lies in the planar hull.
-    def on_plane(a, c, k, free):
-        x = list(free)
-        x.insert(k, 0)
-        x[k] = ec.div_exact(c - ec.dot(a, x), a[k])
-        return tuple(x)
-
-    solved = 0
-    for a, c, k in [((1, 2, -1), 1, 2), ((3, 2, -6), 1, 2), ((2, 2, 0), 1, 0)]:
-        for _ in range(4):
-            free = [tuple(ec.rat(rng.randint(-7, 7), 2) for _ in range(2))
-                    for _ in range(rng.randint(3, 5))]
-            P = ph.Polytope([on_plane(a, c, k, f) for f in free])
-            solved += not all(isinstance(x, int) for x in P.vertices[0])
-            box = [range(math.floor(min(f[i] for f in free)),
-                         math.ceil(max(f[i] for f in free)) + 1)
-                   for i in range(2)]
-            expected = sorted(
-                q for q in (on_plane(a, c, k, f) for f in product(*box)
-                            if contains2d(free, f))
-                if all(isinstance(x, int) for x in q))
-            assert P.lattice_points() == expected
-            if a == (2, 2, 0):
-                # 2x + 2y = 1 holds no lattice point
-                assert P.integral_affine_basepoint() is None
-                assert expected == []
-    assert solved >= 8
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +468,13 @@ def test_normalized_volume_lattice_argument():
 
 def test_mixed_volume_unit_segments_and_diagonal():
     segs = [ph.Polytope([(0, 0), (1, 0)]), ph.Polytope([(0, 0), (0, 1)])]
-    assert ph.mixed_volume(segs) == 1
+    assert ph.mixed_volume(segs, edge_lattice(segs)) == 1
     tri = ph.Polytope([(0, 0), (1, 0), (0, 1)])
-    assert ph.mixed_volume([tri, tri]) == normalized_volume(tri) == 1
+    assert ph.mixed_volume([tri, tri], edge_lattice([tri])) \
+        == normalized_volume(tri) == 1
     a, b = 3, 5
     segs = [ph.Polytope([(0, 0), (a, 0)]), ph.Polytope([(0, 0), (0, b)])]
-    assert ph.mixed_volume(segs) == a * b
+    assert ph.mixed_volume(segs, edge_lattice(segs)) == a * b
     # no summands in a rank 0 lattice: the empty determinant
     assert ph.mixed_volume([], ec.saturate([], 2)) == 1
 
@@ -521,14 +491,15 @@ def test_mixed_volume_matches_volume_polynomial_oracle():
             dirs += [ec.vec_sub(v, R.vertices[0]) for v in R.vertices[1:]]
         if ec.rational_rank([list(d) for d in dirs]) < 2:
             continue
-        assert ph.mixed_volume([P, Q]) == mixed_area(pts1, pts2)
+        assert ph.mixed_volume([P, Q], edge_lattice([P, Q])) \
+            == mixed_area(pts1, pts2)
         done += 1
 
 
 def test_mixed_volume_dimension_check():
     tri = ph.Polytope([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(DimensionMismatch):
-        ph.mixed_volume([tri, tri, tri])
+        ph.mixed_volume([tri, tri, tri], edge_lattice([tri]))
 
 
 def _mixed_volume_or_error(fn, polys, lattice):
@@ -576,7 +547,7 @@ def test_mixed_volume_matches_subsum_reference(data):
                         for _ in range(count - 1)]
         polys.append(ph.Polytope(pts))
     L = {"given": ec.saturate(basis, n),
-         "derived": None,
+         "derived": edge_lattice(polys),
          "rank": ec.saturate(basis[1:], n),
          "span": ec.saturate(basis[1:] + [[1] * n], n)}[lattice]
     got = _mixed_volume_or_error(ph.mixed_volume, polys, L)

@@ -93,6 +93,22 @@ def test_lattices_are_factored_only_in_exactcore():
     assert "linear_solver" not in names_read(polyhedra)
 
 
+def test_lattice_polytopes_and_no_general_solver():
+    # every polytope of the pipeline is a lattice polytope, so polyhedra
+    # parses, writes and sweeps ints alone; the package solves no M x = b
+    # but a lattice's change of coordinates, and matroid components come
+    # from one Bareiss kernel
+    package = sorted(ROOT.glob("src/tropimpl/*.py"))
+    polyhedra = ROOT / "src" / "tropimpl" / "polyhedra.py"
+    implicitize = ROOT / "src" / "tropimpl" / "implicitize.py"
+    solvers = {"linear_solver", "solve_integer"}
+    assert names_read(polyhedra) & (solvers | {
+        "rat", "rat_from_json", "rat_to_json"}) == set()
+    assert {path.name: sorted(solvers & names_read(path))
+            for path in package if solvers & names_read(path)} == {}
+    assert "rational_kernel" in names_read(implicitize)
+
+
 def test_only_interpolate_solves_lifts_and_verifies():
     # every interpolation, the Chow form's included, is one call of the
     # sample -> solve -> lift -> verify path in interpolate; a module
