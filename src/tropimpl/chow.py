@@ -19,17 +19,19 @@ one: an ``interpolate.ImplicitPolynomial`` on the ``MonomialBasis`` of
 the ansatz's exponent vectors over the C(n+1, d+1) Pluecker variables,
 by ``interpolate.interpolate_polynomial`` at integer Pluecker vectors.
 Only the ansatz, an exact check of the lift on every sample that decided
-it, and the conversion to a PluckerPoly, the wire format, are
-Chow-specific.
+it, and the PluckerPoly that records the result and writes its wire
+format are Chow-specific.
 
 Two conventions are fixed at this module boundary.  First, chow_fan
 returns the outer normal fan; the vertex oracle reads inner normal fans
 (min convention), so chow_polytope negates the fan once before
-reconstructing.  Second, Chow forms live on the standard tableau basis:
-factor tuples sorted lexicographically must increase componentwise from
-row to row.  Terms are ordered by weight, lexicographically largest
-weight first, and canonical scaling clears the coefficients to coprime
-integers with the leading nonzero one positive.
+reconstructing.  Second, Chow forms live on the standard tableau basis.
+A monomial is the tuple of its factors, (d+1)-tuples of indices sorted
+lexicographically, and it is standard when they do not decrease
+componentwise from row to row.  Terms are ordered by weight,
+lexicographically largest weight first, then by factors, and canonical
+scaling clears the coefficients to coprime integers with the leading
+nonzero one positive.
 """
 
 import itertools
@@ -38,7 +40,6 @@ import math
 from . import exactcore as ec
 from .errors import (
     DimensionMismatch,
-    InputFormatError,
     KernelEmpty,
     KernelTooBig,
     NonReducedCycle,
@@ -61,142 +62,45 @@ from .tropical import stable_sum, standard_linear_cycle
 DEFAULT_MAX_DEGREE = 12
 
 
-class PluckerMonomial:
-    """Product of Pluecker variables p_T, each T a strictly increasing
-    (d+1)-tuple of indices from {0..n}; factors kept lexicographically
-    sorted, with multiplicity."""
-
-    def __init__(self, factors, d, n):
-        self.d = d
-        self.n = n
-        factors = tuple(sorted(tuple(int(i) for i in T) for T in factors))
-        if not factors:
-            raise ValueError("a Pluecker monomial needs at least one factor")
-        for T in factors:
-            if len(T) != d + 1:
-                raise ValueError(f"factor {T} is not a (d+1)-tuple for d={d}")
-            if any(a >= b for a, b in zip(T, T[1:])):
-                raise ValueError(f"factor {T} is not strictly increasing")
-            if T[0] < 0 or T[-1] > n:
-                raise ValueError(f"factor {T} leaves the index range 0..{n}")
-        self.factors = factors
-
-    @property
-    def degree(self):
-        return len(self.factors)
-
-    def weight(self):
-        u = [0] * (self.n + 1)
-        for T in self.factors:
-            for i in T:
-                u[i] += 1
-        return tuple(u)
-
-    def is_standard(self):
-        """Componentwise non-decreasing between consecutive sorted factors."""
-        return all(all(a <= b for a, b in zip(S, T))
-                   for S, T in zip(self.factors, self.factors[1:]))
-
-    def __eq__(self, other):
-        return (isinstance(other, PluckerMonomial)
-                and (self.d, self.n, self.factors)
-                == (other.d, other.n, other.factors))
-
-    def __hash__(self):
-        return hash((self.d, self.n, self.factors))
-
-    def __repr__(self):
-        return " ".join(f"p_{''.join(map(str, T))}" for T in self.factors)
-
-
-def _term_sort_key(mono):
-    # weight lex-descending, then factors; matches the ansatz column order
-    return tuple(-w for w in mono.weight()), mono.factors
+def _weight(factors, n):
+    """Weight of the Pluecker monomial with the given factors: how often
+    each index 0..n occurs among them."""
+    u = [0] * (n + 1)
+    for T in factors:
+        for i in T:
+            u[i] += 1
+    return tuple(u)
 
 
 class PluckerPoly:
-    """Linear combination of standard Pluecker monomials of one degree.
-
-    Terms are stored with nonzero coefficients only, ordered by weight
-    (lexicographically largest first), then by factor tuples.
-    """
+    """A Chow form as plain data: terms (factors, coeff) with nonzero
+    coefficients, factors a standard monomial as its tuple of (d+1)-index
+    tuples, in the order of the ansatz (``_chow_ansatz``)."""
 
     def __init__(self, d, n, terms):
         self.d = d
         self.n = n
-        cleaned = []
-        seen = set()
-        for mono, coeff in terms:
-            if (mono.d, mono.n) != (d, n):
-                raise ValueError("monomial indexed for a different Grassmannian")
-            if not mono.is_standard():
-                raise ValueError(f"non-standard monomial {mono!r}")
-            if mono.factors in seen:
-                raise ValueError(f"duplicate monomial {mono!r}")
-            seen.add(mono.factors)
-            coeff = ec.rat(coeff) if not isinstance(coeff, int) else coeff
-            if coeff:
-                cleaned.append((mono, coeff))
-        if not cleaned:
-            raise ValueError("zero Pluecker polynomial")
-        degs = {m.degree for m, _ in cleaned}
-        if len(degs) != 1:
-            raise ValueError(f"mixed degrees {sorted(degs)}")
-        cleaned.sort(key=lambda t: _term_sort_key(t[0]))
-        self.terms = tuple(cleaned)
-
-    @property
-    def degree(self):
-        return self.terms[0][0].degree
+        self.terms = tuple(terms)
 
     def coefficient(self, factors):
         key = tuple(sorted(tuple(T) for T in factors))
-        for mono, coeff in self.terms:
-            if mono.factors == key:
+        for m, coeff in self.terms:
+            if m == key:
                 return coeff
         return 0
 
     def weights(self):
         """Distinct term weights, in term order."""
-        out = []
-        for mono, _ in self.terms:
-            u = mono.weight()
-            if u not in out:
-                out.append(u)
-        return out
+        return list(dict.fromkeys(_weight(m, self.n) for m, _ in self.terms))
 
     def to_json(self):
         return {
             "d": self.d,
             "n": self.n,
-            "terms": [{"factors": [list(T) for T in mono.factors],
+            "terms": [{"factors": [list(T) for T in m],
                        "coeff": ec.rat_to_json(coeff)}
-                      for mono, coeff in self.terms],
+                      for m, coeff in self.terms],
         }
-
-    @staticmethod
-    def from_json(obj):
-        try:
-            d = ec.int_from_json(obj["d"])
-            n = ec.int_from_json(obj["n"])
-            terms = [(PluckerMonomial([ec.vec_from_json(T)
-                                       for T in t["factors"]], d, n),
-                      ec.rat_from_json(t["coeff"]))
-                     for t in obj["terms"]]
-            return PluckerPoly(d, n, terms)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"bad Pluecker polynomial: {exc}") from exc
-
-    def __eq__(self, other):
-        return (isinstance(other, PluckerPoly)
-                and (self.d, self.n) == (other.d, other.n)
-                and len(self.terms) == len(other.terms)
-                and all(a[0] == b[0] and a[1] == b[1]
-                        for a, b in zip(self.terms, other.terms)))
-
-    def __repr__(self):
-        return (f"PluckerPoly(d={self.d}, n={self.n}, "
-                f"{len(self.terms)} terms of degree {self.degree})")
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +188,15 @@ def _pinned_shift(translated, d):
 # standard monomials
 
 def standard_monomials_of_weight(u, d, n):
-    """All standard Pluecker monomials of the given weight.
+    """All standard Pluecker monomials of the given weight, each its tuple
+    of factors, in lexicographic order.
 
     A monomial of weight u has sum(u)/(d+1) factors; standardness asks the
     lexicographically sorted factor tuples to be componentwise
-    non-decreasing row to row.  Returns the empty list when no standard
-    monomial has that weight.
+    non-decreasing row to row.  The search appends each row to the rows
+    above in that order, so its monomials come out sorted, standard and
+    distinct.  Returns the empty list when no standard monomial has that
+    weight.
     """
     u = tuple(int(x) for x in u)
     if len(u) != n + 1:
@@ -306,7 +213,7 @@ def standard_monomials_of_weight(u, d, n):
 
     def descend(prev, remaining, rows, left):
         if left == 0:
-            out.append(PluckerMonomial(rows, d, n))
+            out.append(rows)
             return
         if any(x > left for x in remaining):
             return
@@ -318,9 +225,9 @@ def standard_monomials_of_weight(u, d, n):
             nxt = list(remaining)
             for i in T:
                 nxt[i] -= 1
-            descend(T, nxt, rows + [T], left - 1)
+            descend(T, nxt, rows + (T,), left - 1)
 
-    descend(None, list(u), [], k)
+    descend(None, list(u), (), k)
     return out
 
 
@@ -396,7 +303,7 @@ def chow_form(stream, C_X, seed=0):
     d, n = stream.d, stream.n
     unknowns = _chow_ansatz(C_X, d, n)
     variables = list(itertools.combinations(range(n + 1), d + 1))
-    exponents = [tuple(m.factors.count(T) for T in variables)
+    exponents = [tuple(m.count(T) for T in variables)
                  for m in unknowns]
     poly = interpolate_polynomial(MonomialBasis(exponents), stream, seed,
                                   check=_vanishes_on_samples)
@@ -413,7 +320,8 @@ def _vanishes_on_samples(poly, samples):
 
 def _chow_ansatz(C_X, d, n):
     """The unknowns of the Chow form on C_X: standard monomials ordered
-    by weight, lexicographically largest first."""
+    by weight, lexicographically largest first, then by factors.  All
+    share one degree, the common coordinate sum over d+1."""
     if C_X.ambient_dim != n + 1:
         raise DimensionMismatch(
             f"polytope in R^{C_X.ambient_dim}; weights live in R^{n + 1}")

@@ -471,49 +471,26 @@ def rational_kernel(rows, ncols=None):
 # ---------------------------------------------------------------------------
 # GF(p)
 
-class PrimeField:
-    """Arithmetic mod a prime, with reduction of rationals."""
+def reduce_vectors(vectors, p):
+    """Images mod the prime p of the rational vectors whose denominators
+    do not vanish mod p, in order; the others are dropped.
 
-    def __init__(self, p):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
-        self.p = p
-
-    def reduce(self, q):
-        """Image of a rational; raises ZeroDivisionError on denominator collision."""
-        if isinstance(q, int):
-            return q % self.p
-        num = int(q.numerator) % self.p
-        den = int(q.denominator) % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-        return num * pow(den, -1, self.p) % self.p
-
-    def reduce_vectors(self, vectors):
-        """Images of the rational vectors whose denominators do not vanish
-        mod p, in order; the others are dropped.
-
-        The denominators of the vectors kept share one inversion
-        (Montgomery's trick): the image of 1 over the product of the
-        distinct ones, unwound through the prefix products into each
-        factor's inverse.
-        """
-        p = self.p
-        kept = [v for v in vectors if all(x.denominator % p for x in v)]
-        dens = list({x.denominator for v in kept for x in v})
-        prefix = [1]
-        for d in dens:
-            prefix.append(prefix[-1] * d % p)
-        inv = self.reduce(rat(1, prefix[-1]))
-        inverse = {}
-        for i in range(len(dens) - 1, -1, -1):
-            inverse[dens[i]] = inv * prefix[i] % p
-            inv = inv * dens[i] % p
-        return [tuple(x.numerator * inverse[x.denominator] % p for x in v)
-                for v in kept]
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+    The denominators of the vectors kept share one inversion
+    (Montgomery's trick): the inverse of the product of the distinct
+    ones, unwound through the prefix products into each factor's inverse.
+    """
+    kept = [v for v in vectors if all(x.denominator % p for x in v)]
+    dens = list({x.denominator for v in kept for x in v})
+    prefix = [1]
+    for d in dens:
+        prefix.append(prefix[-1] * d % p)
+    inv = pow(prefix[-1], -1, p)
+    inverse = {}
+    for i in range(len(dens) - 1, -1, -1):
+        inverse[dens[i]] = inv * prefix[i] % p
+        inv = inv * dens[i] % p
+    return [tuple(x.numerator * inverse[x.denominator] % p for x in v)
+            for v in kept]
 
 
 def _gfp_budget(p):

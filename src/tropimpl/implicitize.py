@@ -87,17 +87,6 @@ class Parametrization:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad parametrization: {exc}") from exc
 
-    def to_json(self):
-        return {
-            "d": self.d,
-            "n": self.n,
-            "components": [
-                {"terms": [{"coeff": ec.rat_to_json(c), "exp": list(e)}
-                           for c, e in terms]}
-                for terms in self.components
-            ],
-        }
-
     def evaluate(self, t):
         """The image point f(t) at a parameter point t of nonzero rationals."""
         point = []

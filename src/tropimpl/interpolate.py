@@ -452,7 +452,7 @@ def _rows_mod(basis, points, p):
     multiple of the point's row over Q cleared to integers, so the kernel
     mod p is that of the integer rows.
     """
-    reduced = [red for red in ec.PrimeField(p).reduce_vectors(points)
+    reduced = [red for red in ec.reduce_vectors(points, p)
                if not any(x == 0 and lo < 0
                           for x, lo in zip(red, basis.lo))]
     return basis.row_mod(reduced, p)

@@ -242,7 +242,8 @@ class PolytopeBuilder:
 class Polytope:
     """Convex hull of finitely many lattice points, possibly lower
     dimensional in its ambient space; ValueError for a coordinate that is
-    not an int."""
+    not an int.  Its ``lattice`` is the saturated basis of the direction
+    lattice of its affine hull."""
 
     def __init__(self, points):
         self._read_hull(PolytopeBuilder(points))
@@ -254,8 +255,8 @@ class Polytope:
         vidx, merged = hull.merged()
         vidx.sort(key=builder.points.__getitem__)
         self.ambient_dim = builder.ambient_dim
-        self._lattice = builder.lattice
-        self.dim = self._lattice.rank
+        self.lattice = builder.lattice
+        self.dim = self.lattice.rank
         self.vertices = tuple(builder.points[i] for i in vidx)
         self._chart_base = self.vertices[0]
         y0 = hull.points[vidx[0]]
@@ -270,15 +271,10 @@ class Polytope:
 
     # -- basic geometry ----------------------------------------------------
 
-    @property
-    def lattice(self):
-        """Saturated basis of the direction lattice of the affine hull."""
-        return self._lattice
-
     def equations(self):
         """Integer equations (c, c0) with c.x = c0 on the polytope."""
         return [(c, ec.dot(c, self._chart_base))
-                for c in self._lattice.equations]
+                for c in self.lattice.equations]
 
     def facets(self):
         """Ambient facet inequalities (a, b, vertex_index_set), a.x <= b.
@@ -289,7 +285,7 @@ class Polytope:
         if self._ambient_facets is None:
             out = []
             for u, _, inc in self._chart_facets:
-                a = self._lattice.pull_back(u)
+                a = self.lattice.pull_back(u)
                 out.append((a, ec.dot(a, self.vertices[next(iter(inc))]),
                             inc))
             self._ambient_facets = out
@@ -383,7 +379,7 @@ class Polytope:
         # systems[j] bounds the first j coordinates: the facets of the
         # projection of the chart polytope, which is the hull of the
         # projected vertices
-        ys = _lattice_coords(self.vertices, self._lattice)
+        ys = _lattice_coords(self.vertices, self.lattice)
         systems = [None] * (k + 1)
         systems[k] = [(u, b) for u, b, _ in self._chart_facets]
         for j in range(1, k):
@@ -410,7 +406,7 @@ class Polytope:
             if j + 1 == k:
                 # systems[k] already bounded this last coordinate
                 pt = list(base)
-                for c, row in zip(y, self._lattice.vectors):
+                for c, row in zip(y, self.lattice.vectors):
                     for i in range(self.ambient_dim):
                         pt[i] += c * row[i]
                 out.append(tuple(pt))
@@ -555,10 +551,6 @@ class Cone:
         """Saturated basis of the integer equations of the span."""
         return self._span.equations
 
-    @property
-    def lineality_dim(self):
-        return len(self.lineality)
-
     def _simplicial(self):
         """Whether the rays are independent modulo the lineality."""
         return len(self.rays) == self.dim - len(self.lineality)
@@ -661,7 +653,7 @@ class Cone:
 
     def __repr__(self):
         return (f"Cone(dim={self.dim}, rays={len(self.rays)}, "
-                f"lineality={self.lineality_dim}, ambient={self.ambient_dim})")
+                f"lineality={len(self.lineality)}, ambient={self.ambient_dim})")
 
 
 def normal_fan_cones(P, cone_dim):

@@ -35,7 +35,14 @@ each found by ranks over all subsets (``matroid_components_by_circuits``),
 where the package reads fundamental circuits off one kernel.  A Pluecker
 polynomial is valued term by term at a mapping from index tuples
 (``pluecker_poly_value``), where the package evaluates a Chow form as a
-polynomial on exponent vectors.
+polynomial on exponent vectors, and standard monomials are enumerated by
+filtering every multiset of index tuples
+(``standard_monomials_by_brute_force``), where the package searches
+row by row.  A rational's image mod p inverts its own denominator
+(``rational_mod_p``), where the package inverts a batch's at once.  The
+package writes Chow forms and reads parametrizations, never the other
+way round, so the test codecs ``pluecker_poly_from_json`` and
+``parametrization_to_json`` live here.
 ``normalized_volume`` and ``chow_to_equations`` have no caller in the
 package; they live here with the tests that pin them, and the first
 measures the subsums of the mixed-volume reference.  Two spies close the
@@ -49,7 +56,7 @@ import gc
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -65,6 +72,7 @@ from tropimpl.chow import (
 from tropimpl.errors import (
     PRECONDITION_ERROR,
     DimensionMismatch,
+    InputFormatError,
     KernelEmpty,
     KernelTooBig,
     LatticeMismatch,
@@ -218,6 +226,13 @@ def pow_mod_row(exponents, point, p):
     return tuple(out)
 
 
+def rational_mod_p(q, p):
+    """Image of the rational q mod the prime p, its denominator inverted
+    by Fermat's little theorem; the reference for ``ec.reduce_vectors``."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, p - 2, p) % p
+
+
 def rows_mod_by_point(basis, points, p):
     """The rows mod p at rational points, one point at a time: no row
     where a denominator vanishes mod p or where a coordinate with a
@@ -227,9 +242,7 @@ def rows_mod_by_point(basis, points, p):
     for pt in points:
         if any(Fraction(x).denominator % p == 0 for x in pt):
             continue
-        red = tuple(Fraction(x).numerator
-                    * pow(Fraction(x).denominator, p - 2, p) % p
-                    for x in pt)
+        red = tuple(rational_mod_p(x, p) for x in pt)
         if any(x == 0 and min(e[i] for e in basis) < 0
                for i, x in enumerate(red)):
             continue
@@ -525,11 +538,12 @@ def pluecker_mapping(p, d, n):
 
 
 def pluecker_monomial_value(mono, values):
-    """Value of a Pluecker monomial at a mapping from index tuples to
-    rationals: the product of its factors' values.  The reference for
-    the monomial's exponent vector in ``chow.chow_form``."""
+    """Value of a Pluecker monomial, its tuple of factors, at a mapping
+    from index tuples to rationals: the product of its factors' values.
+    The reference for the monomial's exponent vector in
+    ``chow.chow_form``."""
     v = 1
-    for T in mono.factors:
+    for T in mono:
         v = v * values[T]
     return ec.rat(v)
 
@@ -543,6 +557,55 @@ def pluecker_poly_value(form, values):
     for mono, coeff in form.terms:
         total += coeff * pluecker_monomial_value(mono, values)
     return ec.rat(total)
+
+
+def parametrization_to_json(f):
+    """The wire object of a Parametrization, as ``from_json`` reads it.
+    The package only reads parametrizations, so their writer lives here."""
+    return {
+        "d": f.d,
+        "n": f.n,
+        "components": [
+            {"terms": [{"coeff": ec.rat_to_json(c), "exp": list(e)}
+                       for c, e in terms]}
+            for terms in f.components
+        ],
+    }
+
+
+def pluecker_poly_from_json(obj):
+    """The PluckerPoly of a ``chow_form`` wire object, read with the
+    package's codecs; InputFormatError for a malformed one.  No command
+    reads a Chow form, so its reader lives here."""
+    try:
+        d = ec.int_from_json(obj["d"])
+        n = ec.int_from_json(obj["n"])
+        terms = [(tuple(ec.vec_from_json(T) for T in t["factors"]),
+                  ec.rat_from_json(t["coeff"]))
+                 for t in obj["terms"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad Pluecker polynomial: {exc}") from exc
+    return PluckerPoly(d, n, terms)
+
+
+def standard_monomials_by_brute_force(u, d, n):
+    """Every standard Pluecker monomial of weight u, in lexicographic
+    order: each multiset of (d+1)-subsets of {0..n} with weight u whose
+    sorted rows do not decrease in any component.  The reference for
+    ``chow.standard_monomials_of_weight``."""
+    k = sum(u) // (d + 1)
+    subsets = list(combinations(range(n + 1), d + 1))
+    out = []
+    for rows in combinations_with_replacement(subsets, k):
+        weight = [0] * (n + 1)
+        for T in rows:
+            for i in T:
+                weight[i] += 1
+        if tuple(weight) == tuple(u) and all(
+                a <= b for S, T in zip(rows, rows[1:])
+                for a, b in zip(S, T)):
+            out.append(rows)
+    return sorted(out)
 
 
 def chow_shift_by_sweep(translated, d, stream, seed=0):
@@ -583,7 +646,7 @@ def chow_to_equations(ChF, d, n, alphas):
         rows = _alpha_rows(alpha, d, n)
         linear = {}
         for mono, _ in ChF.terms:
-            for T in mono.factors:
+            for T in mono:
                 if T not in linear:
                     linear[T] = _minor_linear_form(rows, T, n)
         if all(all(c == 0 for c, _ in linear[T]) for T in linear):
@@ -591,7 +654,7 @@ def chow_to_equations(ChF, d, n, alphas):
                              "substituted minor vanishes identically")
         poly = {}
         for mono, coeff in ChF.terms:
-            for combo in product(*(linear[T] for T in mono.factors)):
+            for combo in product(*(linear[T] for T in mono)):
                 c = coeff
                 exp = [0] * (n + 1)
                 for factor_coeff, var in combo:

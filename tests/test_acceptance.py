@@ -175,14 +175,14 @@ def test_criterion_07_chow_pipeline():
     fan = chow_fan(C, 1)
     # two-dimensional means modulo the all-ones lineality line
     assert len(fan) == 16
-    assert all(cone.dim == 3 and cone.lineality_dim == 1 for cone, _ in fan)
+    assert all(cone.dim == 3 and len(cone.lineality) == 1 for cone, _ in fan)
 
     translated, shift, P, form = chow_polytope(fan, 1, QUARTIC, seed=0)
     assert sorted(translated.vertices) == QUARTIC_TRANSLATED
     assert shift == (1, 0, 0, 1)
     assert sorted(P.vertices) == QUARTIC_CHOW
 
-    got = {m.factors: c for m, c in form.terms}
+    got = dict(form.terms)
     assert got[((0, 3), (0, 3), (0, 3), (0, 3))] == 1
     assert got[((0, 2), (0, 3), (0, 3), (1, 3))] == -5
     assert got[((0, 1), (0, 2), (0, 3), (2, 3))] == 11

@@ -16,6 +16,7 @@ from oracle_utils import (
     integer_kernel,
     lattice_index,
     linear_solver,
+    rational_mod_p,
     saturate_by_kernels,
     solve_by_gauss_jordan,
     solve_integer,
@@ -611,12 +612,13 @@ def test_linear_solver_entries_follow_rat():
 # GF(p)
 
 def test_prime_field_reduce_frozen():
-    F = ec.PrimeField(101)
-    assert F.reduce(ec.rat(1, 3)) == 34
-    assert ec.PrimeField(103).reduce(ec.rat(1, 3)) == 69
-    assert F.reduce(-1) == 100
-    with pytest.raises(ZeroDivisionError):
-        F.reduce(ec.rat(1, 101))
+    assert ec.reduce_vectors([(ec.rat(1, 3),)], 101) == [(34,)]
+    assert ec.reduce_vectors([(ec.rat(1, 3),)], 103) == [(69,)]
+    assert ec.reduce_vectors([(-1,)], 101) == [(100,)]
+    # a vector whose denominator vanishes mod p has no image and is dropped
+    assert ec.reduce_vectors(
+        [(ec.rat(1, 3), -1), (2, ec.rat(1, 101)), (ec.rat(-1, 3), 5)],
+        101) == [(34, 100), (67, 5)]
 
 
 def test_gfp_kernel_frozen():
@@ -629,7 +631,6 @@ def test_gfp_kernel_matches_rational_on_safe_matrices():
     # mod p kernel is the reduction of the rational one
     rng = random.Random(4242)
     p = ec.DEFAULT_PRIME
-    F = ec.PrimeField(p)
     for _ in range(25):
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
@@ -639,7 +640,7 @@ def test_gfp_kernel_matches_rational_on_safe_matrices():
         assert len(KQ) == len(KP)
         reduced = []
         for v in KQ:
-            w = tuple(F.reduce(x) for x in v)
+            w = tuple(rational_mod_p(x, p) for x in v)
             lead = next(x for x in w if x)
             reduced.append(tuple(x * pow(lead, -1, p) % p for x in w))
         assert sorted(reduced) == sorted(KP)
@@ -730,7 +731,7 @@ def test_crt_round_trip_random():
         num = rng.randint(-500, 500)
         den = rng.randint(1, 500)
         q = ec.rat(num, den)
-        vecs = [(ec.PrimeField(p).reduce(q),) for p in primes]
+        vecs = [(rational_mod_p(q, p),) for p in primes]
         assert ec.crt_rational_reconstruct(vecs, primes) == (q,)
 
 
@@ -744,9 +745,8 @@ def test_crt_reconstruction_failure_is_detected():
 
 def test_rational_reconstruction_forward_backward():
     p = 10007
-    F = ec.PrimeField(p)
     for q in [ec.rat(-2, 5), ec.rat(7, 9), 13, ec.rat(-41, 3)]:
-        num, den = ec.rational_reconstruction(F.reduce(q), p)
+        num, den = ec.rational_reconstruction(rational_mod_p(q, p), p)
         assert ec.rat(num, den) == q
 
 

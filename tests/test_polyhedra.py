@@ -305,7 +305,7 @@ def test_normal_fan_lower_dim_segment():
     verts = ph.normal_fan_cones(P, 2)
     assert len(verts) == 2
     for cone, w in verts:
-        assert cone.dim == 2 and cone.lineality_dim == 1
+        assert cone.dim == 2 and len(cone.lineality) == 1
         assert P.face_of(w).dim == 0
         assert cone.contains_relint(w)
 
@@ -576,7 +576,7 @@ def test_cone_membership_and_facets():
     assert C.contains((2, 3)) and C.contains_relint((2, 3))
     assert C.contains((1, 0)) and not C.contains_relint((1, 0))
     assert not C.contains((-1, 2))
-    assert C.dim == 2 and C.lineality_dim == 0
+    assert C.dim == 2 and len(C.lineality) == 0
     assert extreme_rays(C) == ((0, 1), (1, 0))
 
 
@@ -702,7 +702,7 @@ def test_simplicial_cone_hrep_in_closed_form(cone):
     # the kernel of the generators is that of their saturated span
     equations = integer_kernel([list(v) for v in span], n)
     assert equations == integer_kernel(gens, n)
-    assert len(cone.rays) == cone.dim - cone.lineality_dim
+    assert len(cone.rays) == cone.dim - len(cone.lineality)
     assert cone.dim == len(span) == n - len(equations)
     assert cone.span == span
     if cone.dim == n - 1:
@@ -748,7 +748,7 @@ def test_simplicial_facets_reduce_only_the_span_basis(cone):
 
 def test_cone_hulls_only_modulo_the_lineality(monkeypatch):
     # a simplicial cone hulls nothing; any other cone hulls the ray images
-    # modulo the lineality, which span dim - lineality_dim, where a hull of
+    # modulo the lineality, which span dim - len(lineality), where a hull of
     # the rays with both signs of the lineality would span dim
     dims = []
     hull = ph._hull_full_dim
@@ -768,17 +768,17 @@ def test_cone_hulls_only_modulo_the_lineality(monkeypatch):
              for _ in range(rng.randint(1, 5))],
             [[rng.randint(-3, 3) for _ in range(n)]
              for _ in range(rng.randint(1, 3))], n))
-    assert sum(C.lineality_dim > 0 for C in cones) > 20
+    assert sum(len(C.lineality) > 0 for C in cones) > 20
     hulled_with_lineality = 0
     for C in cones:
         dims.clear()
         C.facets()
         extreme_rays(C)
-        if len(C.rays) == C.dim - C.lineality_dim:
+        if len(C.rays) == C.dim - len(C.lineality):
             assert dims == []
         else:
-            assert max(dims) <= C.dim - C.lineality_dim
-            hulled_with_lineality += C.lineality_dim > 0
+            assert max(dims) <= C.dim - len(C.lineality)
+            hulled_with_lineality += len(C.lineality) > 0
     assert hulled_with_lineality >= 10
 
 

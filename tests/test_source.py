@@ -1,10 +1,16 @@
-"""Checks on the source text itself, made with ``ast`` alone, and on the
-names the benchmark's tracer wraps."""
+"""Checks on the source text itself, made with ``ast`` alone, on the
+names the benchmark's tracer wraps, and on the public names that the
+golden command-line jobs run."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import json
+import sys
 from pathlib import Path
+
+from tropimpl import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("src/tropimpl/*.py")) + \
@@ -187,6 +193,84 @@ def test_no_public_api_only_tests_call():
             if name.rpartition(".")[2] not in read
             and name not in traced and name not in ENTRY_POINTS} == {}
     assert set(ENTRY_POINTS) <= set(defined.values())
+
+
+def public_code(module):
+    """{code object: name} of every public top-level function, method or
+    property a module defines, methods and properties named
+    Class.attribute; dunder methods are private here."""
+    found = {}
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) and not name.startswith("_"):
+            found[obj.__code__] = name
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                fn = getattr(member, "__func__", None) \
+                    or getattr(member, "fget", None) \
+                    or getattr(member, "func", None) or member
+                if inspect.isfunction(fn):
+                    found[fn.__code__] = f"{name}.{attr}"
+    return found
+
+
+def test_every_public_name_runs_on_a_golden_job(tmp_path, capsys):
+    # what the name guard above cannot see: a public name that some other
+    # class also defines, but that no job of the command line runs
+    import test_cli
+    jobs = {(command, json.dumps(obj, sort_keys=True), tuple(flags))
+            for command, obj, flags, _ in test_cli.TestGoldenArtifacts.JOBS}
+    # no golden artifact covers mfp-search: one fixed triangle triple
+    jobs.add(("mfp-search", json.dumps({
+        "vertex_counts": [3, 3, 3], "trials": 0,
+        "fixed": [test_cli.TRIANGLES]}), ()))
+    public = {}
+    for path in sorted((ROOT / "src" / "tropimpl").glob("*.py")):
+        if path.stem != "__init__":
+            public.update(public_code(
+                importlib.import_module("tropimpl." + path.stem)))
+    assert len(public) > 100
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    codes = []
+    for k, (command, obj, flags) in enumerate(sorted(jobs)):
+        src = tmp_path / f"in{k}.json"
+        src.write_text(obj)
+        argv = [command, "--in", str(src),
+                "--out", str(tmp_path / f"out{k}.json"), *flags]
+        sys.setprofile(profile)
+        try:
+            codes.append(cli.main(argv))
+        finally:
+            sys.setprofile(None)
+    capsys.readouterr()
+    assert len(jobs) > 20 and codes == [0] * len(jobs)
+    traced = {name for _, _, name, _ in tracer_targets()}
+    assert sorted(name for code, name in public.items()
+                  if code not in ran and name not in ENTRY_POINTS
+                  and name not in traced) == []
+
+
+def test_a_chow_form_is_plain_data():
+    # the ansatz and the Chow form are tuples of factor tuples; the form's
+    # record keeps only what the command line and the Python API read
+    tree = ast.parse((ROOT / "src" / "tropimpl" / "chow.py").read_text())
+    classes = {node.name: {item.name for item in node.body
+                           if isinstance(item, ast.FunctionDef)}
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert set(classes) == {"PluckerPoly", "PluckerStream"}
+    assert classes["PluckerPoly"] == {
+        "__init__", "coefficient", "weights", "to_json"}
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "from_json"]
 
 
 def test_traced_functions_exist():

@@ -105,7 +105,7 @@ def test_bergman_three_point_line():
     assert not any(cone.contains((3, 5, 5)) for cone, _ in fan)
     for cone, w in fan:
         assert w == 1
-        assert cone.lineality_dim == 1
+        assert len(cone.lineality) == 1
         assert cone.contains((1, 1, 1)) and cone.contains((-1, -1, -1))
 
 
@@ -113,7 +113,7 @@ def test_bergman_rank_one_is_lineality_only():
     fan = bergman_fan(LinearMatroid([(2,), (3,)]))
     assert len(fan) == 1
     cone, w = fan.items[0]
-    assert w == 1 and cone.dim == 1 and cone.lineality_dim == 1
+    assert w == 1 and cone.dim == 1 and len(cone.lineality) == 1
 
 
 def test_bergman_parallel_pair_plus_free():
@@ -188,7 +188,7 @@ def test_consolidating_simplicial_cones_builds_no_hull(monkeypatch):
         for pair in combinations([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                                   (-1, -1, -1)], 2)])
     for C in (plane, fan):
-        assert all(len(c.rays) == c.dim - c.lineality_dim for c, _ in C)
+        assert all(len(c.rays) == c.dim - len(c.lineality) for c, _ in C)
         doubled = TropicalCycle(C.ambient_dim, C.pure_dim, C.items + [
             (Cone([[2 * x for x in r] for r in c.rays], c.lineality,
                   C.ambient_dim), w) for c, w in C])
@@ -222,7 +222,7 @@ def test_homogenize_cycle():
     H = homogenize_cycle(C)
     assert H.ambient_dim == 3 and H.pure_dim == 2
     for cone, _ in H.items:
-        assert cone.lineality_dim == 1
+        assert len(cone.lineality) == 1
         assert cone.contains((1, 1, 1)) and cone.contains((-1, -1, -1))
     assert any(cone.contains((0, 1, 2)) for cone, _ in H.items)
 
@@ -293,7 +293,7 @@ def test_standard_linear_cycle_counts():
     assert L.ambient_dim == 4 and L.pure_dim == 2
     assert len(L) == 4
     for cone, w in L:
-        assert w == 1 and cone.lineality_dim == 1
+        assert w == 1 and len(cone.lineality) == 1
     assert any(cone.contains((1, 0, 0, 0)) for cone, _ in L.items)
 
     N = standard_linear_cycle(1, 3, negated=True)
@@ -303,7 +303,7 @@ def test_standard_linear_cycle_counts():
 
     Z = standard_linear_cycle(0, 3)
     assert len(Z) == 1 and Z.pure_dim == 1
-    assert Z.items[0][0].lineality_dim == 1
+    assert len(Z.items[0][0].lineality) == 1
 
     assert len(standard_linear_cycle(2, 3)) == 6
 
@@ -349,7 +349,7 @@ def test_stable_sum_skips_non_transversal_pairs():
     assert S.pure_dim == 3
     for cone, w in S:
         assert w == 1
-        assert cone.lineality_dim == 1
+        assert len(cone.lineality) == 1
 
 
 def test_stable_sum_commutative():
