@@ -177,7 +177,7 @@ def _pinned_shift(translated, d):
     top = [max(x) for x in zip(*translated.vertices)]
     degree, rest = divmod(sum(top) - base, translated.ambient_dim - 1 - d)
     if rest or not 1 <= degree <= DEFAULT_MAX_DEGREE \
-            or any(not isinstance(t, int) or t > degree for t in top):
+            or any(t > degree for t in top):
         raise ShiftSearchFailed(
             f"coordinate maxima {top} and sum {base} pin no Chow polytope "
             f"of degree 1..{DEFAULT_MAX_DEGREE}")

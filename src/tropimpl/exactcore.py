@@ -93,13 +93,13 @@ def int_from_json(v):
     return q
 
 
-def vec_from_json(v, entry=int_from_json):
-    """Parse a vector wire field, by default an integer one; ValueError
-    unless v is a JSON array, so a digit string "012" is never (0, 1, 2).
-    Each entry is read by ``entry``."""
+def vec_from_json(v):
+    """Parse an integer vector wire field; ValueError unless v is a JSON
+    array, so a digit string "012" is never (0, 1, 2).  Each entry is
+    read by ``int_from_json``."""
     if not isinstance(v, list):
         raise ValueError(f"not an array: {v!r}")
-    return tuple(entry(x) for x in v)
+    return tuple(int_from_json(x) for x in v)
 
 
 def rat_to_json(q):

@@ -118,21 +118,27 @@ def get_graph_cycle(newton_polytopes):
     lifted faces at a witness of the cone (Sturmfels, Tevelev, Yu, The
     Newton polytope of the implicit equation, 2007).
 
-    Neither the lifted sum nor a lifted face is built.  At w = (u, v) the
-    face of conv(e_i, 0 x Q_i) is {e_i}, 0 x F_i or their join as u_i is
-    below, above or at min v.Q_i, with F_i the face of Q_i at v.  A point
-    summand has mixed volume zero, so the cones of positive weight are the
-    pairs (C, B): C a c-dimensional normal cone of Q_1 + .. + Q_n, and B a
-    set of d - c indices whose F_i is no point, where the face is 0 x F_i
-    and elsewhere the join.  The cone is the image of C x R_+^B under
+    Only the sum Q_1 + .. + Q_n is built, and each face is read as its
+    vertex list.  At w = (u, v) the face of conv(e_i, 0 x Q_i) is {e_i},
+    0 x F_i or their join as u_i is below, above or at min v.Q_i, with
+    F_i the face of Q_i at v.  A point summand has mixed volume zero, so
+    the cones of positive weight are the pairs (C, B): C a c-dimensional
+    normal cone of Q_1 + .. + Q_n, and B a set of d - c indices whose F_i
+    is no point, where the face is 0 x F_i and elsewhere the join.  The
+    cone is the image of C x R_+^B under
     (v, t) -> (v.f_1 + t_1, .., v.f_n + t_n, v) for fixed f_i in F_i.
     Every summand but the join at j lies in the hyperplane x_j = 0, across
     which the join has lattice width one, so it drops out of the mixed
     volume (Schneider, Convex Bodies, ch. 5): the weight is the mixed
     volume of the F_i, i in B, in the lattice of the face F_1 + .. + F_n.
-    Items keep the order of the sorted vertex lists of the lifted faces'
-    sum, which for each S in the join indices holds e_S plus the vertices
-    of the sum of the F_i outside S.
+    Items are sorted by the face of the sum at the witness, each vertex p
+    written (0, .., 0, p), followed by the sorted indicators of the
+    nonempty sets S of join indices.  That is the order of the sorted
+    vertex lists of the lifted faces' sums, which hold e_S plus the
+    vertices of the sum of the F_i outside S for every such S: those
+    lists start with their S = {} entries, the face of the sum after n
+    zeros, and every later entry is decided by its indicator, since two
+    cells with one face share the witness and with it each partial face.
     """
     polys = list(newton_polytopes)
     n = len(polys)
@@ -142,20 +148,13 @@ def get_graph_cycle(newton_polytopes):
     for Q in polys:
         if Q.ambient_dim != d:
             raise DimensionMismatch("Newton polytopes in mixed dimensions")
-    full = tuple(range(n))
+    full = range(n)
     unit = [tuple(int(j == i) for j in range(n + d)) for i in full]
-    subsums = {(): Polytope([(0,) * d])}
-    subsums.update(((i,), Q) for i, Q in enumerate(polys))
-
-    def subsum(T):
-        if T not in subsums:
-            subsums[T] = minkowski_sum([polys[i] for i in T])
-        return subsums[T]
-
+    total = minkowski_sum(polys)
     cells = []
     for c in range(max(0, d - n), d + 1):
-        for C, v in normal_fan_cones(subsum(full), c):
-            face = subsum(full).face_vertices(v)
+        for C, v in normal_fan_cones(total, c):
+            face = total.face_vertices(v)
             lattice = ec.saturate([ec.vec_sub(p, face[0]) for p in face[1:]],
                                   d)
             faces = [Q.face_vertices(v) for Q in polys]
@@ -167,16 +166,13 @@ def get_graph_cycle(newton_polytopes):
             lineality = [lift(l) for l in C.lineality]
             wide = [i for i in full if len(faces[i]) > 1]
             for B in itertools.combinations(wide, d - c):
-                m = mixed_volume([polys[i].face_of(v) for i in B], lattice)
+                m = mixed_volume([faces[i] for i in B], lattice)
                 if m == 0:
                     continue
                 join = [i for i in full if i not in B]
-                key = sorted(
-                    tuple(int(i in S) for i in full) + p
-                    for r in range(len(join) + 1)
-                    for S in itertools.combinations(join, r)
-                    for p in subsum(tuple(i for i in full if i not in S))
-                    .face_vertices(v))
+                key = [(0,) * n + p for p in face] + sorted(
+                    indicator(S, n) for r in range(1, len(join) + 1)
+                    for S in itertools.combinations(join, r))
                 cone = Cone(rays + [unit[i] for i in B], lineality, n + d)
                 cells.append((key, cone, m))
     cells.sort(key=lambda cell: cell[0])

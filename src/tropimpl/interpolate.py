@@ -119,42 +119,30 @@ def parse_field(spec):
     return arg
 
 
-def _power_table(x, lo, hi, p):
-    """[x^lo, ..., x^hi] mod p for lo <= 0 <= hi.
-
-    x^-k is (x^(p-2))^k.  For p > 2 a zero x thus gives 1 at exponent 0
-    and 0 at every other exponent, negative ones included.
-    """
+def _power_table(x, hi, p):
+    """[x^0, ..., x^hi] mod p; a zero x gives 1 at exponent 0."""
     table = [1]
-    if lo < 0:
-        inv = pow(x, p - 2, p)
-        for _ in range(-lo):
-            table.append(table[-1] * inv % p)
-        table.reverse()
     for _ in range(hi):
         table.append(table[-1] * x % p)
     return table
 
 
-def _power_block(x, lo, hi, p):
-    """The int64 block of x^lo, ..., x^hi mod p, one row per entry of the
+def _power_block(x, hi, p):
+    """The int64 block of x^0, ..., x^hi mod p, one row per entry of the
     residue vector x, each as ``_power_table`` gives it."""
     import numpy as np
 
-    block = np.empty((len(x), hi - lo + 1), dtype=np.int64)
-    block[:, -lo] = 1
-    for k in range(1 - lo, hi - lo + 1):
+    block = np.empty((len(x), hi + 1), dtype=np.int64)
+    block[:, 0] = 1
+    for k in range(1, hi + 1):
         block[:, k] = block[:, k - 1] * x % p
-    if lo < 0:
-        inv = np.array([pow(v, p - 2, p) for v in x.tolist()],
-                       dtype=np.int64)
-        for k in range(-lo - 1, -1, -1):
-            block[:, k] = block[:, k + 1] * inv % p
     return block
 
 
 class MonomialBasis:
-    """Distinct integer exponent vectors, lexicographically sorted."""
+    """Distinct exponent vectors of nonnegative integers, lexicographically
+    sorted: every basis is polynomial, so a point with a zero coordinate
+    has a value, mod p as over Q.  ValueError for a negative exponent."""
 
     def __init__(self, exponents, ambient_dim=None):
         exps = sorted(tuple(int(x) for x in e) for e in exponents)
@@ -165,21 +153,22 @@ class MonomialBasis:
         for e in exps:
             if len(e) != ambient_dim:
                 raise ValueError(f"exponent {e} is not length {ambient_dim}")
+            if min(e, default=0) < 0:
+                raise ValueError(f"exponent {e} has a negative entry")
         for a, b in zip(exps, exps[1:]):
             if a == b:
                 raise ValueError(f"duplicate exponent {a}")
         self.exponents = tuple(exps)
         self.ambient_dim = ambient_dim
-        # exponent range of each coordinate, widened to contain 0
-        self.lo = tuple(min(0, *col) for col in zip(*exps))
-        self.hi = tuple(max(0, *col) for col in zip(*exps))
+        # the highest exponent of each coordinate
+        self.hi = tuple(max(col) for col in zip(*exps))
         # each monomial's factors as positions in a point's power tables
         # laid end to end, for row_mod; a zero exponent's factor is 1
         starts = [0]
-        for lo, hi in zip(self.lo, self.hi):
-            starts.append(starts[-1] + hi - lo + 1)
-        self._factors = [[s + k - lo for s, k, lo in zip(starts, e, self.lo)
-                          if k] for e in exps]
+        for hi in self.hi:
+            starts.append(starts[-1] + hi + 1)
+        self._factors = [[s + k for s, k in zip(starts, e) if k]
+                         for e in exps]
         self._index = None
 
     @classmethod
@@ -212,7 +201,7 @@ class MonomialBasis:
         ``_power_table``s, so that small jobs, as in ``ec.gfp_kernel``,
         never import numpy.  Wider bases give one int64 array of rows,
         whose coordinates must fit int64: each coordinate's powers form a
-        (points, span) block built by vector multiplications mod p, and
+        (points, hi + 1) block built by vector multiplications mod p, and
         one gather per coordinate picks every monomial's factor,
         multiplied into the rows in place.
         """
@@ -220,8 +209,8 @@ class MonomialBasis:
             rows = []
             for point in points:
                 powers = []
-                for x, lo, hi in zip(point, self.lo, self.hi):
-                    powers += _power_table(x % p, lo, hi, p)
+                for x, hi in zip(point, self.hi):
+                    powers += _power_table(x % p, hi, p)
                 row = []
                 for f in self._factors:
                     v = 1
@@ -233,16 +222,15 @@ class MonomialBasis:
         import numpy as np
 
         if self._index is None:
-            # exponents shifted by their coordinate's minimum, one array
-            # of column indices into each coordinate's power block
-            self._index = (np.array(self.exponents, dtype=np.int64)
-                           - np.array(self.lo, dtype=np.int64)).T.copy()
+            # the exponents, one array of column indices into each
+            # coordinate's power block
+            self._index = np.array(self.exponents, dtype=np.int64).T.copy()
         X = np.array(points, dtype=np.int64).reshape(
             len(points), self.ambient_dim) % p
         rows = np.ones((len(points), len(self.exponents)), dtype=np.int64)
-        for x, lo, hi, index in zip(X.T, self.lo, self.hi, self._index):
+        for x, hi, index in zip(X.T, self.hi, self._index):
             # np.take keeps the rows C-ordered, as gfp_echelon wants them
-            rows *= np.take(_power_block(x, lo, hi, p), index, axis=1)
+            rows *= np.take(_power_block(x, hi, p), index, axis=1)
             rows %= p
         return rows
 
@@ -280,11 +268,9 @@ class ImplicitPolynomial:
         """Exact value at a rational point, for a polynomial over Q; a
         polynomial mod p is checked on rows mod p (``_rows_mod``) instead.
 
-        Each coordinate a/b contributes a^(e-lo) b^(hi-e) to the monomial
-        x^e, with lo <= 0 <= hi the basis's exponent range there, so the
-        sum stays in integers and is divided once, by the product of
-        a^-lo b^hi.  A negative power of a zero coordinate raises
-        ZeroDivisionError.
+        Each coordinate a/b contributes a^e b^(hi-e) to the monomial x^e,
+        with hi the basis's highest exponent there, so the sum stays in
+        integers and is divided once, by the product of the b^hi.
         """
         if self.modulus is not None:
             raise ValueError(f"a polynomial mod {self.modulus} has no "
@@ -292,20 +278,16 @@ class ImplicitPolynomial:
         basis = self.basis
         tables = []
         den = 1
-        for x, lo, hi in zip(point, basis.lo, basis.hi):
+        for x, hi in zip(point, basis.hi):
             a, b = int(x.numerator), int(x.denominator)
-            if a == 0 and lo < 0:
-                raise ZeroDivisionError(
-                    "negative power of a zero coordinate")
-            tables.append([a ** k * b ** (hi - lo - k)
-                           for k in range(hi - lo + 1)])
-            den *= a ** -lo * b ** hi
+            tables.append([a ** k * b ** (hi - k) for k in range(hi + 1)])
+            den *= b ** hi
         total = 0
         for c, e in zip(self.coefficients, basis.exponents):
             if c:
                 v = c
-                for t, k, lo in zip(tables, e, basis.lo):
-                    v *= t[k - lo]
+                for t, k in zip(tables, e):
+                    v *= t[k]
                 total += v
         return ec.rat(total, den)
 
@@ -447,15 +429,11 @@ def _rows_mod(basis, points, p):
     """Rows of basis monomial values mod p at the rational points.
 
     A point gives no row when its reduction hits a vanishing denominator,
-    or a zero residue at a coordinate with a negative exponent, where a
-    polynomial on the basis has no value mod p.  Each row is a nonzero
-    multiple of the point's row over Q cleared to integers, so the kernel
-    mod p is that of the integer rows.
+    where a polynomial on the basis has no value mod p.  Each row is a
+    nonzero multiple of the point's row over Q cleared to integers, so the
+    kernel mod p is that of the integer rows.
     """
-    reduced = [red for red in ec.reduce_vectors(points, p)
-               if not any(x == 0 and lo < 0
-                          for x, lo in zip(red, basis.lo))]
-    return basis.row_mod(reduced, p)
+    return basis.row_mod(ec.reduce_vectors(points, p), p)
 
 
 def _hadamard_bits(basis, points):
@@ -463,16 +441,15 @@ def _hadamard_bits(basis, points):
     at the points cleared to integers, as ``lift_kernel_vector`` wants.
 
     Cleared as in ``ImplicitPolynomial.evaluate``, the row of the point
-    a/b has entries prod a_i^(e_i - lo_i) b_i^(hi_i - e_i), each at most
-    prod max(|a_i|, b_i)^(hi_i - lo_i).  The bound is summed in bits,
-    from bit lengths, so no big integer is formed.
+    a/b has entries prod a_i^e_i b_i^(hi_i - e_i), each at most
+    prod max(|a_i|, b_i)^hi_i.  The bound is summed in bits, from bit
+    lengths, so no big integer is formed.
     """
-    spans = [hi - lo for lo, hi in zip(basis.lo, basis.hi)]
     columns = len(basis).bit_length()
     bits = 1
     for pt in points:
-        entry = sum(s * max(abs(x.numerator), x.denominator).bit_length()
-                    for s, x in zip(spans, pt))
+        entry = sum(hi * max(abs(x.numerator), x.denominator).bit_length()
+                    for hi, x in zip(basis.hi, pt))
         bits += 2 * entry + columns
     return bits
 

@@ -267,7 +267,6 @@ class Polytope:
         self._faces_by_dim = None
         self._ambient_facets = None
         self._lattice_points = None
-        self._faces_by_vertices = {}
 
     # -- basic geometry ----------------------------------------------------
 
@@ -296,15 +295,6 @@ class Polytope:
         vals = [ec.dot(w, v) for v in self.vertices]
         lo = min(vals)
         return tuple(v for v, s in zip(self.vertices, vals) if s == lo)
-
-    def face_of(self, w):
-        """The face minimizing the linear functional w, as a polytope,
-        built once per vertex subset and shared between calls."""
-        sub = self.face_vertices(w)
-        face = self._faces_by_vertices.get(sub)
-        if face is None:
-            face = self._faces_by_vertices[sub] = Polytope(sub)
-        return face
 
     def translate(self, t):
         return Polytope([ec.vec_add(v, t) for v in self.vertices])
@@ -443,10 +433,10 @@ def _coordinate_range(ineqs, y, j):
 # ---------------------------------------------------------------------------
 # volumes
 
-def _lattice_coords(vertices, lattice):
-    """The ``coordinates`` of v - vertices[0] in a lattice, for every vertex
-    v; LatticeMismatch when one leaves the span of the lattice."""
-    ys = [lattice.coordinates(ec.vec_sub(v, vertices[0])) for v in vertices]
+def _lattice_coords(points, lattice):
+    """The ``coordinates`` of p - points[0] in a lattice, for every point
+    p; LatticeMismatch when one leaves the span of the lattice."""
+    ys = [lattice.coordinates(ec.vec_sub(p, points[0])) for p in points]
     if None in ys:
         raise LatticeMismatch("polytope leaves the span of the lattice")
     return ys
@@ -472,26 +462,28 @@ def minkowski_sum(polys):
     return Polytope(pts)
 
 
-def mixed_volume(polys, lattice):
-    """Mixed volume of k polytopes in a rank k lattice, normalized so the
-    standard unit segments give 1 and k equal copies give the normalized
-    volume.
+def mixed_volume(point_sets, lattice):
+    """Mixed volume of the hulls of k families of lattice points in a rank
+    k lattice, normalized so the standard unit segments give 1 and k equal
+    copies give the normalized volume.
 
-    Summands are read in lattice coordinates.  The mixed volume is positive
-    exactly when every subfamily's Minkowski sum has dimension at least its
-    size (Schneider, Convex Bodies, 5.1), so a rank test on the edge
-    directions of each subfamily returns most zeros without a hull.  k
-    segments give |det| of their edge vectors, and the empty family in a
-    rank 0 lattice gives 1; any other family takes
+    A family is a nonempty sequence of points, such as a polytope's
+    vertices or a ``face_vertices``, read in lattice coordinates from its
+    first point; no summand is built as a polytope.  The mixed volume is
+    positive exactly when every subfamily's Minkowski sum has dimension
+    at least its size (Schneider, Convex Bodies, 5.1), so a rank test on
+    the edge directions of each subfamily returns most zeros without a
+    hull.  k segments give |det| of their edge vectors, and the empty
+    family in a rank 0 lattice gives 1; any other family takes
     inclusion-exclusion over the Minkowski subsums of full dimension, each
     one hull of its chart points.
     """
-    polys = list(polys)
-    k = len(polys)
+    point_sets = list(point_sets)
+    k = len(point_sets)
     if lattice.rank != k:
         raise DimensionMismatch(
             f"{k} polytopes need a rank {k} lattice, got rank {lattice.rank}")
-    charts = [_lattice_coords(P.vertices, lattice) for P in polys]
+    charts = [_lattice_coords(pts, lattice) for pts in point_sets]
     edges = [ys[1:] for ys in charts]  # ys[0] is the origin
     ranks = {}
     for r in range(1, k + 1):
@@ -660,9 +652,10 @@ def normal_fan_cones(P, cone_dim):
     """Cones of the inner normal fan of P with the given dimension.
 
     Returns (cone, witness) pairs, the witness an integer point in the
-    cone's relative interior, so P.face_of(witness) is the face of P normal
-    to the cone.  Works for lower dimensional polytopes; every normal cone
-    then contains the lineality spanned by the affine hull equation normals.
+    cone's relative interior, so P.face_vertices(witness) are the vertices
+    of the face of P normal to the cone.  Works for lower dimensional
+    polytopes; every normal cone then contains the lineality spanned by
+    the affine hull equation normals.
     """
     amb = P.ambient_dim
     face_dim = amb - cone_dim

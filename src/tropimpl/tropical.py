@@ -122,7 +122,6 @@ class LinearMatroid:
         self.ground_size = len(self.realization)
         if self.ground_size == 0:
             raise ValueError("empty ground set")
-        self.width = len(self.realization[0])
         self._rank_memo = {0: 0}
         self._closure_memo = {}
         self.rank = self.rank_of(range(self.ground_size))

@@ -45,7 +45,9 @@ way round, so the test codecs ``pluecker_poly_from_json`` and
 ``parametrization_to_json`` live here.
 ``normalized_volume`` and ``chow_to_equations`` have no caller in the
 package; they live here with the tests that pin them, and the first
-measures the subsums of the mixed-volume reference.  Two spies close the
+measures the subsums of the mixed-volume reference.  The package reads a
+face as its vertex list and measures mixed volumes on point families, so
+``face_of``, a face as a polytope, lives here too.  Two spies close the
 file:
 ``inflating_gfp_kernel`` makes chosen primes lose rank, and
 ``spy_rows_mod_p`` records the rows an interpolation asks for;
@@ -213,15 +215,14 @@ def lattice_points_in_box(P):
 
 
 def pow_mod_row(exponents, point, p):
-    """Monomial values mod p, one pow per (monomial, coordinate), with
-    x^-k taken as (x^(p-2))^k: the per-entry reference for row_mod."""
+    """Monomial values mod p, one pow per (monomial, coordinate): the
+    per-entry reference for row_mod."""
     out = []
     for e in exponents:
         v = 1
         for x, k in zip(point, e):
             if k:
-                base = x if k > 0 else pow(x, p - 2, p)
-                v = v * pow(base, abs(k), p) % p
+                v = v * pow(x, k, p) % p
         out.append(v)
     return tuple(out)
 
@@ -235,17 +236,13 @@ def rational_mod_p(q, p):
 
 def rows_mod_by_point(basis, points, p):
     """The rows mod p at rational points, one point at a time: no row
-    where a denominator vanishes mod p or where a coordinate with a
-    negative exponent has residue 0, else ``pow_mod_row`` of the
+    where a denominator vanishes mod p, else ``pow_mod_row`` of the
     residues.  The reference for ``interpolate._rows_mod``."""
     rows = []
     for pt in points:
         if any(Fraction(x).denominator % p == 0 for x in pt):
             continue
         red = tuple(rational_mod_p(x, p) for x in pt)
-        if any(x == 0 and min(e[i] for e in basis) < 0
-               for i, x in enumerate(red)):
-            continue
         rows.append(pow_mod_row(basis.exponents, red, p))
     return rows
 
@@ -771,22 +768,29 @@ def normalized_volume(P, lattice=None):
     return _chart_volume(ys)
 
 
-def edge_lattice(polys):
-    """The saturated lattice of the edge directions of polytopes in one
-    ambient space, spanned by each one's v - v0 over its vertices v: the
-    lattice a family's mixed volume is measured in when it is its own."""
-    polys = list(polys)
-    return ec.saturate([ec.vec_sub(v, P.vertices[0])
-                        for P in polys for v in P.vertices[1:]],
-                       polys[0].ambient_dim)
+def face_of(P, w):
+    """The face of the polytope P minimizing the linear functional w, as a
+    polytope; the package reads a face as its vertex list."""
+    return Polytope(P.face_vertices(w))
 
 
-def mixed_volume_by_subsums(polys, lattice):
+def edge_lattice(point_sets):
+    """The saturated lattice of the edge directions of families of points
+    in one ambient space, spanned by each one's v - v0 over its points v:
+    the lattice a family's mixed volume is measured in when it is its
+    own."""
+    point_sets = list(point_sets)
+    return ec.saturate([ec.vec_sub(v, pts[0])
+                        for pts in point_sets for v in pts[1:]],
+                       len(point_sets[0][0]))
+
+
+def mixed_volume_by_subsums(point_sets, lattice):
     """Mixed volume by inclusion-exclusion over all 2^k - 1 Minkowski
-    subsums, each built as a polytope and measured by normalized_volume,
-    with no rank test and no determinant shortcut.  The reference for
-    polyhedra.mixed_volume, raising the same errors."""
-    polys = list(polys)
+    subsums of the families' hulls, each built as a polytope and measured
+    by normalized_volume, with no rank test and no determinant shortcut.
+    The reference for polyhedra.mixed_volume, raising the same errors."""
+    polys = [Polytope(pts) for pts in point_sets]
     k = len(polys)
     if lattice.rank != k:
         raise DimensionMismatch(
@@ -821,7 +825,7 @@ def graph_cycle_by_lifted_sum(newton_polytopes):
         lifted.append(Polytope(pts))
     items = []
     for cone, w in normal_fan_cones(minkowski_sum(lifted), d):
-        faces = [Q.face_of(w) for Q in lifted]
+        faces = [Q.face_vertices(w) for Q in lifted]
         m = mixed_volume(faces, edge_lattice(faces))
         if m > 0:
             items.append((cone, m))

@@ -285,7 +285,8 @@ def test_criterion_08b_mixed_volume_against_area_oracle():
                 for _ in range(rng.randint(2, 5))]
         pts2 = [(rng.randint(-9, 9), rng.randint(-9, 9))
                 for _ in range(rng.randint(2, 5))]
-        got = mixed_volume([Polytope(pts1), Polytope(pts2)], plane)
+        got = mixed_volume([Polytope(pts1).vertices,
+                            Polytope(pts2).vertices], plane)
         assert got == mixed_area(pts1, pts2)
     assert time.monotonic() - t0 < 120
 

@@ -117,6 +117,36 @@ class TestGraphCycle:
         assert len(G) > 0 and dims
         assert max(dims) <= 3
 
+    def test_one_minkowski_sum_and_one_hull(self, monkeypatch):
+        # cells are ordered by the faces of Q_1 + .. + Q_n and weighed on
+        # vertex lists, so that sum is the one polytope the cycle builds
+        calls = {"sum": 0, "builder": 0}
+        minkowski_sum = implicitize.minkowski_sum
+        init = polyhedra.PolytopeBuilder.__init__
+
+        def summing(polys):
+            calls["sum"] += 1
+            return minkowski_sum(polys)
+
+        def building(self, points):
+            calls["builder"] += 1
+            init(self, points)
+
+        monkeypatch.setattr(implicitize, "minkowski_sum", summing)
+        monkeypatch.setattr(polyhedra.PolytopeBuilder, "__init__", building)
+        assert len(get_graph_cycle(THREE_TRIANGLES)) > 0
+        assert calls == {"sum": 1, "builder": 1}
+
+    def test_cells_sharing_a_face_keep_the_lifted_order(self):
+        # four segments in R^2, beyond the reference test's n + d <= 5:
+        # cells that share a face of the sum and differ in their join are
+        # ordered by the sets of join indices alone
+        polys = [Polytope(p) for p in (
+            [(2, 3), (-2, 1)], [(-2, 1), (2, -3)], [(-3, 2), (1, 3)],
+            [(-3, -1), (3, -3)])]
+        assert items_of(get_graph_cycle, polys) == \
+            items_of(graph_cycle_by_lifted_sum, polys)
+
     def test_point_in_dimension_zero(self):
         polys = [Polytope([()])]
         assert items_of(get_graph_cycle, polys) == \

@@ -20,6 +20,7 @@ from oracle_utils import (
     cone_hrep_by_lineality_hull,
     edge_lattice,
     extreme_rays,
+    face_of,
     hull2d,
     integer_kernel,
     lattice_points2d,
@@ -271,10 +272,10 @@ def test_lower_dimensional_embedding():
 
 def test_face_of_square():
     P = ph.Polytope([(0, 0), (2, 0), (0, 2), (2, 2)])
-    assert ph.Polytope([(0, 0)]) == P.face_of((1, 1))
-    edge = P.face_of((1, 0))
+    assert ph.Polytope([(0, 0)]) == face_of(P, (1, 1))
+    edge = face_of(P, (1, 0))
     assert set(edge.vertices) == {(0, 0), (0, 2)}
-    assert P.face_of((0, 0)) == ph.Polytope(P.vertices)
+    assert face_of(P, (0, 0)) == ph.Polytope(P.vertices)
 
 
 def test_normal_fan_of_square():
@@ -286,12 +287,12 @@ def test_normal_fan_of_square():
     corners = ph.normal_fan_cones(P, 2)
     assert len(corners) == 4
     for cone, w in corners:
-        assert P.face_of(w).dim == 0
+        assert face_of(P, w).dim == 0
         assert cone.contains_relint(w)
     keys = {cone.canonical_key() for cone, _ in corners}
     assert len(keys) == 4
     origin_cone = next(c for c, w in corners
-                       if P.face_of(w).vertices == ((0, 0),))
+                       if P.face_vertices(w) == ((0, 0),))
     assert set(origin_cone.rays) == {(0, 1), (1, 0)}
 
 
@@ -301,12 +302,12 @@ def test_normal_fan_lower_dim_segment():
     assert len(full) == 1
     cone, w = full[0]
     assert cone.lineality == ((1, -1),) and cone.rays == ()
-    assert P.face_of(w) == P
+    assert face_of(P, w) == P
     verts = ph.normal_fan_cones(P, 2)
     assert len(verts) == 2
     for cone, w in verts:
         assert cone.dim == 2 and len(cone.lineality) == 1
-        assert P.face_of(w).dim == 0
+        assert face_of(P, w).dim == 0
         assert cone.contains_relint(w)
 
 
@@ -326,12 +327,13 @@ def test_summand_faces_at_a_witness_sum_to_the_face():
             lifted.append(ph.Polytope([apex] + [(0,) * n + p for p in pts]))
         P = ph.minkowski_sum(lifted)
         for _, w in ph.normal_fan_cones(P, d):
-            faces = [Q.face_of(w) for Q in lifted]
-            face = P.face_of(w)
+            faces = [face_of(Q, w) for Q in lifted]
+            face = face_of(P, w)
             assert ph.minkowski_sum(faces).vertices == face.vertices
             assert face.lattice.rank == n
-            assert ph.mixed_volume(faces, edge_lattice(faces)) == \
-                ph.mixed_volume(faces, face.lattice)
+            points = [F.vertices for F in faces]
+            assert ph.mixed_volume(points, edge_lattice(points)) == \
+                ph.mixed_volume(points, face.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +469,13 @@ def test_normalized_volume_lattice_argument():
 
 
 def test_mixed_volume_unit_segments_and_diagonal():
-    segs = [ph.Polytope([(0, 0), (1, 0)]), ph.Polytope([(0, 0), (0, 1)])]
+    segs = [[(0, 0), (1, 0)], [(0, 0), (0, 1)]]
     assert ph.mixed_volume(segs, edge_lattice(segs)) == 1
     tri = ph.Polytope([(0, 0), (1, 0), (0, 1)])
-    assert ph.mixed_volume([tri, tri], edge_lattice([tri])) \
+    assert ph.mixed_volume([tri.vertices] * 2, edge_lattice([tri.vertices])) \
         == normalized_volume(tri) == 1
     a, b = 3, 5
-    segs = [ph.Polytope([(0, 0), (a, 0)]), ph.Polytope([(0, 0), (0, b)])]
+    segs = [[(0, 0), (a, 0)], [(0, 0), (0, b)]]
     assert ph.mixed_volume(segs, edge_lattice(segs)) == a * b
     # no summands in a rank 0 lattice: the empty determinant
     assert ph.mixed_volume([], ec.saturate([], 2)) == 1
@@ -491,13 +493,14 @@ def test_mixed_volume_matches_volume_polynomial_oracle():
             dirs += [ec.vec_sub(v, R.vertices[0]) for v in R.vertices[1:]]
         if ec.rational_rank([list(d) for d in dirs]) < 2:
             continue
-        assert ph.mixed_volume([P, Q], edge_lattice([P, Q])) \
+        faces = [P.vertices, Q.vertices]
+        assert ph.mixed_volume(faces, edge_lattice(faces)) \
             == mixed_area(pts1, pts2)
         done += 1
 
 
 def test_mixed_volume_dimension_check():
-    tri = ph.Polytope([(0, 0), (1, 0), (0, 1)])
+    tri = [(0, 0), (1, 0), (0, 1)]
     with pytest.raises(DimensionMismatch):
         ph.mixed_volume([tri, tri, tri], edge_lattice([tri]))
 
@@ -545,7 +548,7 @@ def test_mixed_volume_matches_subsum_reference(data):
         base = tuple(rng.randint(-5, 5) for _ in range(n))
         pts = [base] + [ec.vec_add(base, combo(dirs, 2))
                         for _ in range(count - 1)]
-        polys.append(ph.Polytope(pts))
+        polys.append(ph.Polytope(pts).vertices)
     L = {"given": ec.saturate(basis, n),
          "derived": edge_lattice(polys),
          "rank": ec.saturate(basis[1:], n),
@@ -562,10 +565,10 @@ def test_minkowski_sum_keeps_summands():
     Q = ph.Polytope([(0, 0), (0, 1)])
     S = ph.minkowski_sum([P, Q])
     assert set(S.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    faces = [P.face_of((-1, -1)), Q.face_of((-1, -1))]
+    faces = [face_of(P, (-1, -1)), face_of(Q, (-1, -1))]
     assert [f.vertices for f in faces] == [((1, 0),), ((0, 1),)]
-    assert ph.minkowski_sum(faces) == S.face_of((-1, -1))
-    assert S.face_of((-1, -1)).vertices == ((1, 1),)
+    assert ph.minkowski_sum(faces) == face_of(S, (-1, -1))
+    assert S.face_vertices((-1, -1)) == ((1, 1),)
 
 
 # ---------------------------------------------------------------------------
